@@ -194,3 +194,34 @@ def test_declared_witness_cross_validation(tmp_path):
     path.write_text(json.dumps(doc))
     r = run_cli("validate", str(path))
     assert r.returncode == 1
+
+
+# (valid, invalid) declared blocks over PS(1,1), whose S2 = {0, 1} is in the
+# power pool: e1 is the subset {0}, and S1>S2:i picks the point i.
+DECLARED_CASES = {
+    "delta": ({"S1": "e1"}, {"S1": "e0"}),
+    "cocomprehension": ({"S1": {"e0": "S1>S1:0"}}, {"S1": {"e0": "S0>S1:"}}),
+    "epsilon": ([{"gamma": "S1", "a": "S2", "psi": "e1", "arrow": "S1>S2:0"}],
+                [{"gamma": "S1", "a": "S2", "psi": "e1", "arrow": "S1>S2:1"}]),
+    "negation": ({"S1": {"e0": "e1", "e1": "e0"}},
+                 {"S1": {"e0": "e0", "e1": "e0"}}),
+    "power_objects": ({"S1": {"power": "S2", "membership": "e1"}},
+                      {"S1": {"power": "S1", "membership": "e1"}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECLARED_CASES))
+def test_declared_witness_kinds(tmp_path, capsys, kind):
+    from doctrinelab import cli
+    for block, status, code in zip(DECLARED_CASES[kind], ("holds", "refuted"),
+                                   (0, 1)):
+        path, out = tmp_path / "inst.json", tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "catalog": {"id": "PS(1,1)", "dual": False},
+            "declared": {kind: block}}))
+        assert cli.main(["validate", str(path), "--json", str(out)]) == code
+        checks = json.loads(out.read_text())["checks"]
+        declared = {k: v for k, v in checks.items() if k.startswith("declared ")}
+        assert len(declared) == 1
+        assert next(iter(declared.values()))["status"] == status
+    capsys.readouterr()

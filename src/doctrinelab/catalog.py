@@ -41,17 +41,7 @@ _SINGLETON_FIBER = FinPoset(("t",), [("t", "t")], validate=False)
 def _powerset_fiber(size: int) -> FinPoset:
     got = _POWERSET_FIBERS.get(size)
     if got is None:
-        n = 1 << size
-        elements = tuple(f"e{m}" for m in range(n))
-        uppers = []
-        for m in range(n):
-            u = 0
-            for m2 in range(n):
-                if m & ~m2 == 0:
-                    u |= 1 << m2
-            uppers.append(u)
-        got = FinPoset(elements, (), validate=False, _masks=tuple(uppers))
-        _POWERSET_FIBERS[size] = got
+        got = _POWERSET_FIBERS[size] = _mask_fiber(range(1 << size))
     return got
 
 
@@ -70,20 +60,8 @@ def _mask_fiber(masks: Sequence[int]) -> FinPoset:
 
 def _preimage_map(images: Sequence[int], src: FinPoset, tgt: FinPoset,
                   dom_size: int) -> MonotoneMap:
-    table = {}
-    for e in src.elements:
-        mb = int(e[1:])
-        ma = 0
-        for x in range(dom_size):
-            if mb >> images[x] & 1:
-                ma |= 1 << x
-        table[e] = f"e{ma}"
-    return MonotoneMap(src, tgt, table, validate=False)
-
-
-def _restricted_preimage_map(images: Sequence[int], src: FinPoset,
-                             tgt: FinPoset, dom_size: int) -> MonotoneMap:
-    """Preimage where the target fiber holds only some masks (opens)."""
+    """Preimage along a function, onto the masks (all subsets, or the
+    opens) that the target fiber holds."""
     table = {}
     for e in src.elements:
         mb = int(e[1:])
@@ -323,7 +301,7 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
     fibers = {o: _mask_fiber(_upset_masks(all_uppers[o])) for o in base.objects}
     reindex = {}
     for n, arr in base.arrows.items():
-        reindex[n] = _restricted_preimage_map(
+        reindex[n] = _preimage_map(
             base.tables[n], fibers[arr.cod], fibers[arr.dom], base.sizes[arr.dom])
     return Doctrine(base, fibers, reindex, name=name,
                     source={"kind": "catalog", "id": name, "dual": False})

@@ -71,84 +71,12 @@ def _instance_header(d: Doctrine) -> dict:
 
 # -- validate -------------------------------------------------------------------
 
-def _declared_checks(d: Doctrine) -> list[tuple[str, Verdict]]:
-    out: list[tuple[str, Verdict]] = []
-    declared = d.declared
-    window = d.window_descriptor
-    if "delta" in declared:
-        for a, delta in sorted(declared["delta"].items()):
-            ok = logic._delta_validates(d, a, delta)
-            out.append((f"declared delta[{a}]",
-                        Verdict.holds(window) if ok else
-                        Verdict.refuted(kind="declared_delta_invalid",
-                                        object=a, delta=delta)))
-    for key, dual in (("comprehension", False), ("cocomprehension", True)):
-        for a, table in sorted(declared.get(key, {}).items()):
-            for alpha, arrow in sorted(table.items()):
-                w = logic.ComprehensionWitness(a, alpha, arrow, dual)
-                ok = logic.validate_witness(d, w)
-                out.append((f"declared {key}[{a},{alpha}]",
-                            Verdict.holds(window) if ok else
-                            Verdict.refuted(kind=f"declared_{key}_invalid",
-                                            object=a, alpha=alpha, arrow=arrow)))
-    for rec in declared.get("epsilon", []):
-        gamma, a, psi, arrow = rec["gamma"], rec["a"], rec["psi"], rec["arrow"]
-        row = d.base.products[(gamma, a)]
-        adj = d.sigma(row.proj1)
-        ok = (adj is not None and
-              d.star(d.base.pair(d.base.identity[gamma], arrow), psi)
-              == adj.table[psi])
-        out.append((f"declared epsilon[{gamma},{a},{psi}]",
-                    Verdict.holds(window) if ok else
-                    Verdict.refuted(kind="declared_epsilon_invalid",
-                                    Gamma=gamma, A=a, psi=psi, arrow=arrow)))
-    for a, table in sorted(declared.get("negation", {}).items()):
-        fiber = d.fibers[a]
-        ops = fiber.ops
-        ok = ops.meet is not None and ops.bottom is not None and all(
-            (fiber.leq(alpha, table[beta])
-             == (ops.meet[(alpha, beta)] == ops.bottom))
-            for alpha in fiber.elements for beta in table)
-        out.append((f"declared negation[{a}]",
-                    Verdict.holds(window) if ok else
-                    Verdict.refuted(kind="declared_negation_invalid", object=a)))
-    for a, rec in sorted(declared.get("power_objects", {}).items()):
-        p, mem = rec["power"], rec["membership"]
-        ok = True
-        for y in d.base.window:
-            row_y = d.base.products.get((a, y))
-            if row_y is None:
-                ok = False
-                break
-            for phi in d.fibers[row_y.obj].elements:
-                if not any(d.star(d.base.times(d.base.identity[a], c), mem) == phi
-                           for c in d.base.hom(y, p)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        out.append((f"declared power_object[{a}]",
-                    Verdict.holds(window) if ok else
-                    Verdict.refuted(kind="declared_power_object_invalid",
-                                    object=a, power=p)))
-    return out
-
-
 def cmd_validate(args) -> int:
     d = load_instance(args.instance)
-    checks: list[tuple[str, Verdict]] = []
-    checks.append(("category_laws", d.base.validate()))
-    product_verdict = Verdict.holds(d.window_descriptor)
-    if not d.base.presentation.truncated:
-        for key in sorted(d.base.products):
-            bad = d.base._verify_product(d.base.products[key])
-            if bad is not None:
-                product_verdict = Verdict.refuted(
-                    kind="not_a_product", pair=list(key), detail=bad)
-                break
-    checks.append(("chosen_products", product_verdict))
-    checks.append(("doctrine_laws", validate_doctrine(d)))
-    checks.extend(_declared_checks(d))
+    checks = [("category_laws", d.base.validate()),
+              ("chosen_products", d.base.verify_products()),
+              ("doctrine_laws", validate_doctrine(d)),
+              *logic.declared_checks(d)]
     print(f"validate {d.name}  [{d.window_descriptor}]")
     for name, v in checks:
         print(_verdict_line(name, v))
@@ -312,6 +240,20 @@ def cmd_catalog(args) -> int:
     raise ParseError("catalog needs --list or --emit ID")
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, not {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="doctrinelab",
@@ -352,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate doctrines matching a filter")
     p.add_argument("--filter", required=True,
                    help="boolean flag expression, e.g. 'full_comp&!classical'")
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--budget", type=_at_least(0), default=100_000,
                    help="candidate examination cap")
     p.add_argument("--limit", type=int, default=5,
                    help="stop after this many matches")
-    p.add_argument("--window", type=int, default=3,
+    p.add_argument("--window", type=_at_least(1), default=3,
                    help="enumeration bound: max chain length and fiber size")
     common(p)
     p.set_defaults(fn=cmd_search)
@@ -377,13 +319,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except DoctrineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except KeyError as exc:
+    except (DoctrineError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

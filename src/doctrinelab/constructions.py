@@ -143,22 +143,11 @@ def _choice_value(d: Doctrine, eps: EpsilonTable,
     u, b = base.dom(w.arrow), base.cod(w.arrow)
     g = graph(d, w.arrow)
     if base.is_stable_initial(u):
-        bot = d.bottom(b)
-        if bot is None:
-            return None
-        return bot
-    psi_swapped = d.star(base.swap(b, u), g)
-    e = eps.get(b, u, psi_swapped)
-    if e is None:
-        e = _fresh_epsilon(d, b, u, psi_swapped)
-        if e is None:
-            return None
+        return d.bottom(b)
+    # a holding ac_check has an entry for every window b and every u that is
+    # not stable initial
+    e = eps.entries[(b, u, d.star(base.swap(b, u), g))]
     return d.star(base.pair(e, base.identity[b]), g)
-
-
-def _fresh_epsilon(d: Doctrine, gamma: str, a: str, psi: str) -> str | None:
-    from .logic import epsilon
-    return epsilon(d, gamma, a, psi)
 
 
 def eaco_compat(d: Doctrine, f: str, alpha: str) -> Verdict:

@@ -14,8 +14,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .fincat import ArrowClass, FinCategory, Square
-from .poset import FinPoset, MonotoneMap, left_adjoint, right_adjoint
+from .fincat import ArrowClass, FinCategory, Square, _unique_squares
+from .poset import (FinPoset, MonotoneMap, _unpreserved, _unpreserved_heyting,
+                    left_adjoint, right_adjoint)
 from .verdicts import ShapeMismatch, Verdict, combine
 
 __all__ = [
@@ -31,6 +32,9 @@ __all__ = [
     "is_existential",
     "bc_squares",
 ]
+
+# marks a key never computed: None is a result the memo must keep
+_MISSING = object()
 
 
 class Doctrine:
@@ -56,10 +60,9 @@ class Doctrine:
         return self.reindex[f].table[element]
 
     def cached(self, key, compute: Callable):
-        got = self._cache.get(key)
-        if got is None:
-            got = compute()
-            self._cache[key] = got
+        got = self._cache.get(key, _MISSING)
+        if got is _MISSING:
+            got = self._cache[key] = compute()
         return got
 
     @property
@@ -162,22 +165,22 @@ def validate_doctrine(d: Doctrine) -> Verdict:
     return d.cached(("validate_doctrine",), compute)
 
 
-def has_tops(d: Doctrine) -> Verdict:
+def _has_bounds(d: Doctrine, bound: str) -> Verdict:
+    """Does every scope fiber have a ``"top"`` (``"bottom"``) element?"""
     def compute() -> Verdict:
         for o in d.scope_objects:
-            if d.fibers[o].ops.top is None:
-                return Verdict.not_applicable(f"no top element in fiber({o})")
+            if getattr(d.fibers[o].ops, bound) is None:
+                return Verdict.not_applicable(f"no {bound} element in fiber({o})")
         return Verdict.holds(d.window_descriptor)
-    return d.cached(("has_tops",), compute)
+    return d.cached((f"has_{bound}s",), compute)
+
+
+def has_tops(d: Doctrine) -> Verdict:
+    return _has_bounds(d, "top")
 
 
 def has_bottoms(d: Doctrine) -> Verdict:
-    def compute() -> Verdict:
-        for o in d.scope_objects:
-            if d.fibers[o].ops.bottom is None:
-                return Verdict.not_applicable(f"no bottom element in fiber({o})")
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("has_bottoms",), compute)
+    return _has_bounds(d, "bottom")
 
 
 def is_primary(d: Doctrine) -> Verdict:
@@ -188,14 +191,13 @@ def is_primary(d: Doctrine) -> Verdict:
                 return Verdict.not_applicable(f"no meets in fiber({o})")
         for n in d.scope_arrows:
             a = d.base.arrows[n]
-            m = d.reindex[n]
-            src_meet = d.fibers[a.cod].ops.meet
-            tgt_meet = d.fibers[a.dom].ops.meet
-            for (x, y), xy in src_meet.items():
-                if m.table[xy] != tgt_meet[(m.table[x], m.table[y])]:
-                    return Verdict.refuted(kind="meet_not_preserved", arrow=n,
-                                           pair=[x, y], image_of_meet=m.table[xy],
-                                           meet_of_images=tgt_meet[(m.table[x], m.table[y])])
+            bad = _unpreserved(d.reindex[n], d.fibers[a.cod].ops.meet,
+                               d.fibers[a.dom].ops.meet)
+            if bad is not None:
+                pair, image, expected = bad
+                return Verdict.refuted(kind="meet_not_preserved", arrow=n,
+                                       pair=pair, image_of_meet=image,
+                                       meet_of_images=expected)
         return Verdict.holds(d.window_descriptor)
     return d.cached(("is_primary",), compute)
 
@@ -215,16 +217,12 @@ def is_propositional(d: Doctrine) -> Verdict:
                 return Verdict.refuted(kind="bound_not_preserved", arrow=n,
                                        top=[m.table[so.top], to.top],
                                        bottom=[m.table[so.bottom], to.bottom])
-            for opname, sop, top_ in (("meet", so.meet, to.meet),
-                                      ("join", so.join, to.join),
-                                      ("implication", so.heyting_implication,
-                                       to.heyting_implication)):
-                for (x, y), xy in sop.items():
-                    if m.table[xy] != top_[(m.table[x], m.table[y])]:
-                        return Verdict.refuted(kind=f"{opname}_not_preserved",
-                                               arrow=n, pair=[x, y],
-                                               image_of_op=m.table[xy],
-                                               op_of_images=top_[(m.table[x], m.table[y])])
+            bad = _unpreserved_heyting(m, so, to)
+            if bad is not None:
+                opname, pair, image, expected = bad
+                return Verdict.refuted(kind=f"{opname}_not_preserved", arrow=n,
+                                       pair=pair, image_of_op=image,
+                                       op_of_images=expected)
         return Verdict.holds(d.window_descriptor)
     return d.cached(("is_propositional",), compute)
 
@@ -240,110 +238,78 @@ def bc_squares(d: Doctrine, cls: ArrowClass,
     """
     def compute() -> tuple[Square, ...]:
         squares: list[Square] = list(extra)
-        base = d.base
-        members = set(cls.members)
         if cls.name == "Prj":
-            squares.extend(base.canonical_projection_squares())
-        window_arrows = set(base.window_arrows)
-        for f in cls.members:
-            if f not in window_arrows:
-                continue
-            for h in base.window_arrows_into(base.cod(f)):
-                s = base.pullback(f, h)
-                if s is not None:
-                    squares.append(s)
-        uniq: dict[tuple, Square] = {}
-        for s in squares:
-            uniq.setdefault((s.f, s.g, s.to_f, s.to_g), s)
-        return tuple(uniq[k] for k in sorted(uniq))
+            squares.extend(d.base.canonical_projection_squares())
+        squares.extend(d.base._window_pullbacks(cls))
+        return _unique_squares(squares)
 
     return d.cached(("bc_squares", cls.name, cls.members, tuple(extra)), compute)
 
 
-def _adjoints_exist(d: Doctrine, cls: ArrowClass, which: str) -> Verdict | None:
-    getter = d.sigma if which == "sigma" else d.pi
-    for f in cls.members:
-        if getter(f) is None:
-            return Verdict.not_applicable(f"{which} adjoint missing at {f}")
-    return None
+def _quantifier_doctrine(d: Doctrine, side: str, cls: ArrowClass | None,
+                         restricted: bool,
+                         squares: Iterable[Square] | None) -> Verdict:
+    """Adjoints on ``side`` (``"sigma"`` or ``"pi"``) along every member of
+    the class, with (restricted) Beck-Chevalley over the squares: by default
+    the class's window pullbacks, after checking it is pullback-stable."""
+    if cls is None:
+        cls = d.base.projection_class()
+    if squares is not None:
+        squares = tuple(squares)
+    adjoint = d.sigma if side == "sigma" else d.pi
 
+    def compute() -> Verdict:
+        if squares is None:
+            stable = d.base.is_pullback_stable(cls)
+            if stable.is_refuted:
+                return Verdict.not_applicable(
+                    f"class {cls.name} not pullback-stable: {stable.counterexample}")
+        for f in cls.members:
+            if adjoint(f) is None:
+                return Verdict.not_applicable(f"{side} adjoint missing at {f}")
+        for s in squares if squares is not None else bc_squares(d, cls):
+            adj_f, adj_g = adjoint(s.f), adjoint(s.to_g)
+            if adj_f is None:
+                return Verdict.not_applicable(f"{side} adjoint missing at {s.f}")
+            if adj_g is None:
+                return Verdict.not_applicable(f"{side} adjoint missing at {s.to_g}")
+            h_star = d.reindex[s.g].table
+            k_star = d.reindex[s.to_f].table
+            dom_fiber = d.fibers[d.base.dom(s.f)]
+            if restricted:
+                f_star = d.reindex[s.f].table
+                gammas = sorted({f_star[xi]
+                                 for xi in d.fibers[d.base.cod(s.f)].elements},
+                                key=dom_fiber.index.__getitem__)
+            else:
+                gammas = dom_fiber.elements
+            for gamma in gammas:
+                lhs = h_star[adj_f.table[gamma]]
+                rhs = adj_g.table[k_star[gamma]]
+                if lhs != rhs:
+                    return Verdict.refuted(kind="beck_chevalley", which=side,
+                                           arrow_class=cls.name,
+                                           restricted=restricted,
+                                           square=vars(s), gamma=gamma,
+                                           lhs=lhs, rhs=rhs)
+        return Verdict.holds(d.window_descriptor)
 
-def _bc_check(d: Doctrine, cls: ArrowClass, squares: Iterable[Square],
-              which: str, restricted: bool) -> Verdict:
-    getter = d.sigma if which == "sigma" else d.pi
-    for s in squares:
-        adj_f = getter(s.f)
-        adj_g = getter(s.to_g)
-        if adj_f is None:
-            return Verdict.not_applicable(f"{which} adjoint missing at {s.f}")
-        if adj_g is None:
-            return Verdict.not_applicable(f"{which} adjoint missing at {s.to_g}")
-        h_star = d.reindex[s.g]
-        k_star = d.reindex[s.to_f]
-        dom_fiber = d.fibers[d.base.dom(s.f)]
-        if restricted:
-            f_star = d.reindex[s.f]
-            gammas = sorted({f_star.table[xi]
-                             for xi in d.fibers[d.base.cod(s.f)].elements},
-                            key=dom_fiber.index.__getitem__)
-        else:
-            gammas = list(dom_fiber.elements)
-        for gamma in gammas:
-            lhs = h_star.table[adj_f.table[gamma]]
-            rhs = adj_g.table[k_star.table[gamma]]
-            if lhs != rhs:
-                return Verdict.refuted(kind="beck_chevalley", which=which,
-                                       arrow_class=cls.name,
-                                       restricted=restricted,
-                                       square=vars(s), gamma=gamma,
-                                       lhs=lhs, rhs=rhs)
-    return Verdict.holds(d.window_descriptor)
+    return d.cached((f"is_{side}_doctrine", cls.name, cls.members, restricted,
+                     squares), compute)
 
 
 def is_sigma_doctrine(d: Doctrine, cls: ArrowClass | None = None,
                       restricted: bool = False,
                       squares: Iterable[Square] | None = None) -> Verdict:
     """Left adjoints along the class with (restricted) Beck-Chevalley."""
-    if cls is None:
-        cls = d.base.projection_class()
-
-    def compute() -> Verdict:
-        stable = d.base.is_pullback_stable(cls) if squares is None else None
-        if stable is not None and stable.is_refuted:
-            return Verdict.not_applicable(
-                f"class {cls.name} not pullback-stable: {stable.counterexample}")
-        missing = _adjoints_exist(d, cls, "sigma")
-        if missing is not None:
-            return missing
-        sqs = tuple(squares) if squares is not None else bc_squares(d, cls)
-        return _bc_check(d, cls, sqs, "sigma", restricted)
-
-    key = ("is_sigma_doctrine", cls.name, cls.members, restricted,
-           None if squares is None else tuple(squares))
-    return d.cached(key, compute)
+    return _quantifier_doctrine(d, "sigma", cls, restricted, squares)
 
 
 def is_pi_doctrine(d: Doctrine, cls: ArrowClass | None = None,
                    restricted: bool = False,
                    squares: Iterable[Square] | None = None) -> Verdict:
     """Right adjoints along the class with (restricted) Beck-Chevalley."""
-    if cls is None:
-        cls = d.base.projection_class()
-
-    def compute() -> Verdict:
-        stable = d.base.is_pullback_stable(cls) if squares is None else None
-        if stable is not None and stable.is_refuted:
-            return Verdict.not_applicable(
-                f"class {cls.name} not pullback-stable: {stable.counterexample}")
-        missing = _adjoints_exist(d, cls, "pi")
-        if missing is not None:
-            return missing
-        sqs = tuple(squares) if squares is not None else bc_squares(d, cls)
-        return _bc_check(d, cls, sqs, "pi", restricted)
-
-    key = ("is_pi_doctrine", cls.name, cls.members, restricted,
-           None if squares is None else tuple(squares))
-    return d.cached(key, compute)
+    return _quantifier_doctrine(d, "pi", cls, restricted, squares)
 
 
 def frobenius(d: Doctrine, cls: ArrowClass | None = None) -> Verdict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .poset import FinPoset
 from .verdicts import (MalformedCategory, StructureMissing, Verdict,
@@ -67,6 +67,14 @@ class Square:
     to_g: str
     f: str
     g: str
+
+
+def _unique_squares(squares: Iterable[Square]) -> tuple[Square, ...]:
+    """One square per ``(f, g, to_f, to_g)``, the first seen, in key order."""
+    uniq: dict[tuple, Square] = {}
+    for s in squares:
+        uniq.setdefault((s.f, s.g, s.to_f, s.to_g), s)
+    return tuple(uniq[k] for k in sorted(uniq))
 
 
 @dataclass(frozen=True)
@@ -255,16 +263,12 @@ class FinCategory:
                 table[g_i][f_i] = idx[gf]
         for o in self.objects:
             i = idx[self.identity[o]]
-            for f_i in into[o]:
-                if table[i][f_i] != f_i:
+            # id after f, then g after id
+            for a_i, c_i in ([(f_i, table[i][f_i]) for f_i in into[o]]
+                             + [(g_i, table[g_i][i]) for g_i in outof[o]]):
+                if c_i != a_i:
                     return Verdict.refuted(kind="identity_law", object=o,
-                                           arrow=names[f_i],
-                                           composite=names[table[i][f_i]])
-            for g_i in outof[o]:
-                if table[g_i][i] != g_i:
-                    return Verdict.refuted(kind="identity_law", object=o,
-                                           arrow=names[g_i],
-                                           composite=names[table[g_i][i]])
+                                           arrow=names[a_i], composite=names[c_i])
         for f_i, f in enumerate(names):
             cf = self.arrows[f].cod
             for g_i in outof[cf]:
@@ -290,26 +294,38 @@ class FinCategory:
                 raise MalformedCategory(f"not a product: ({a},{b}): {bad}")
         return row
 
+    def _mediators(self, q: str, p1: str, p2: str,
+                   y: str, u: str, v: str) -> list[str]:
+        """Arrows ``k: y -> q`` with ``p1 k = u`` and ``p2 k = v``."""
+        return [k for k in self.hom(y, q)
+                if self.compose_table.get((p1, k)) == u
+                and self.compose_table.get((p2, k)) == v]
+
     def _verify_product(self, row: Product) -> str | None:
         key = (row.left, row.right)
         if key in self._product_ok:
             return self._product_ok[key]
         result = None
-        for x in self.window:
-            for f in self.hom(x, row.left):
-                for g in self.hom(x, row.right):
-                    ms = [h for h in self.hom(x, row.obj)
-                          if self.compose_table.get((row.proj1, h)) == f
-                          and self.compose_table.get((row.proj2, h)) == g]
-                    if len(ms) != 1:
-                        result = f"{len(ms)} mediators for ({f},{g})"
-                        break
-                if result:
-                    break
-            if result:
+        cones = ((x, f, g) for x in self.window
+                 for f in self.hom(x, row.left) for g in self.hom(x, row.right))
+        for x, f, g in cones:
+            n = len(self._mediators(row.obj, row.proj1, row.proj2, x, f, g))
+            if n != 1:
+                result = f"{n} mediators for ({f},{g})"
                 break
         self._product_ok[key] = result
         return result
+
+    def verify_products(self) -> Verdict:
+        """The universal property of every chosen product row against window
+        cones; a truncated window is not checked, its cones are incomplete."""
+        if not self.presentation.truncated:
+            for key in sorted(self.products):
+                bad = self._verify_product(self.products[key])
+                if bad is not None:
+                    return Verdict.refuted(kind="not_a_product", pair=list(key),
+                                           detail=bad)
+        return Verdict.holds(self.window_descriptor)
 
     def pair(self, f: str, g: str) -> str:
         """The unique mediating arrow into the chosen product of the codomains."""
@@ -317,9 +333,7 @@ class FinCategory:
         if af.dom != ag.dom:
             raise ValueError(f"pair({f},{g}): domains differ")
         row = self.product(af.cod, ag.cod)
-        ms = [h for h in self.hom(af.dom, row.obj)
-              if self.compose_table.get((row.proj1, h)) == f
-              and self.compose_table.get((row.proj2, h)) == g]
+        ms = self._mediators(row.obj, row.proj1, row.proj2, af.dom, f, g)
         if not ms:
             raise MalformedCategory(f"not a product: no mediator for ({f},{g})")
         if len(ms) > 1:
@@ -415,56 +429,33 @@ class FinCategory:
             raise ValueError("pullback needs a cospan (equal codomains)")
         if (f, g) in self._pullback_cache:
             return self._pullback_cache[(f, g)]
-        cones: list[tuple[str, str, str]] = []
-        for y in self.window:
-            for u in self.hom(y, af.dom):
-                fu = self.compose(f, u)
-                for v in self.hom(y, ag.dom):
-                    if self.compose(g, v) == fu:
-                        cones.append((y, u, v))
-        found = None
-        for q in self.objects:
-            for p1 in self.hom(q, af.dom):
-                fp1 = self.compose(f, p1)
-                for p2 in self.hom(q, ag.dom):
-                    if self.compose(g, p2) != fp1:
-                        continue
-                    if self._is_limiting(q, p1, p2, cones):
-                        found = Square(apex=q, to_f=p1, to_g=p2, f=f, g=g)
-                        break
-                if found:
-                    break
-            if found:
-                break
+        cones = list(self._cones(f, g, self.window))
+        found = next((Square(apex=q, to_f=p1, to_g=p2, f=f, g=g)
+                      for q, p1, p2 in self._cones(f, g, self.objects)
+                      if all(len(self._mediators(q, p1, p2, *c)) == 1
+                             for c in cones)), None)
         self._pullback_cache[(f, g)] = found
         return found
 
-    def _is_limiting(self, q: str, p1: str, p2: str,
-                     cones: list[tuple[str, str, str]]) -> bool:
-        for y, u, v in cones:
-            ms = [k for k in self.hom(y, q)
-                  if self.compose(p1, k) == u and self.compose(p2, k) == v]
-            if len(ms) != 1:
-                return False
-        return True
+    def _cones(self, f: str, g: str,
+               apexes: Iterable[str]) -> Iterator[tuple[str, str, str]]:
+        """Commuting cones ``(y, u, v)``, ``f u = g v``, with apex in ``apexes``."""
+        for y in apexes:
+            for u in self.hom(y, self.dom(f)):
+                fu = self.compose(f, u)
+                for v in self.hom(y, self.dom(g)):
+                    if self.compose(g, v) == fu:
+                        yield y, u, v
 
     def verify_square_is_pullback(self, s: Square) -> Verdict:
         """Checks commutation plus window-limiting property of a given square."""
         if self.compose(s.f, s.to_f) != self.compose(s.g, s.to_g):
             return Verdict.refuted(kind="square_not_commuting", square=vars(s))
-        for y in self.window:
-            for u in self.hom(y, self.dom(s.f)):
-                fu = self.compose(s.f, u)
-                for v in self.hom(y, self.dom(s.g)):
-                    if self.compose(s.g, v) != fu:
-                        continue
-                    ms = [k for k in self.hom(y, s.apex)
-                          if self.compose(s.to_f, k) == u
-                          and self.compose(s.to_g, k) == v]
-                    if len(ms) != 1:
-                        return Verdict.refuted(kind="square_not_limiting",
-                                               square=vars(s), cone=[y, u, v],
-                                               mediators=ms)
+        for y, u, v in self._cones(s.f, s.g, self.window):
+            ms = self._mediators(s.apex, s.to_f, s.to_g, y, u, v)
+            if len(ms) != 1:
+                return Verdict.refuted(kind="square_not_limiting", square=vars(s),
+                                       cone=[y, u, v], mediators=ms)
         return Verdict.holds(self.window_descriptor)
 
     # -- projections and arrow classes ---------------------------------------
@@ -522,34 +513,29 @@ class FinCategory:
                 squares.append(Square(apex=apex_row.obj,
                                       to_f=self.times(self.identity[r.left], h),
                                       to_g=apex_row.proj2, f=r.proj2, g=h))
-        uniq: dict[tuple, Square] = {}
-        for s in squares:
-            uniq.setdefault((s.f, s.g, s.to_f, s.to_g), s)
-        return tuple(uniq[k] for k in sorted(uniq))
+        return _unique_squares(squares)
+
+    def _window_pullbacks(self, cls: ArrowClass) -> Iterator[Square]:
+        """The pullback of each window-arrow member along each window arrow
+        into its codomain, where the window holds one."""
+        window_arrows = set(self.window_arrows)
+        for f in cls.members:
+            if f in window_arrows:
+                for h in self.window_arrows_into(self.cod(f)):
+                    s = self.pullback(f, h)
+                    if s is not None:
+                        yield s
 
     def is_pullback_stable(self, cls: ArrowClass) -> Verdict:
         """Is the class closed under the window pullbacks that exist?"""
-        if cls.name == "Prj":
-            for s in self.canonical_projection_squares():
-                if not self.class_contains(cls, s.to_g):
-                    return Verdict.refuted(kind="class_not_stable", member=s.f,
-                                           along=s.g, pulled_back=s.to_g,
-                                           arrow_class=cls.name,
-                                           members=list(cls.members))
-            return Verdict.holds(self.window_descriptor)
-        window_arrows = set(self.window_arrows)
-        for f in cls.members:
-            if f not in window_arrows:
-                continue
-            for h in self.window_arrows_into(self.cod(f)):
-                s = self.pullback(f, h)
-                if s is None:
-                    continue
-                if not self.class_contains(cls, s.to_g):
-                    return Verdict.refuted(kind="class_not_stable", member=f,
-                                           along=h, pulled_back=s.to_g,
-                                           arrow_class=cls.name,
-                                           members=list(cls.members))
+        squares = (self.canonical_projection_squares() if cls.name == "Prj"
+                   else self._window_pullbacks(cls))
+        for s in squares:
+            if not self.class_contains(cls, s.to_g):
+                return Verdict.refuted(kind="class_not_stable", member=s.f,
+                                       along=s.g, pulled_back=s.to_g,
+                                       arrow_class=cls.name,
+                                       members=list(cls.members))
         return Verdict.holds(self.window_descriptor)
 
     # -- subobjects ------------------------------------------------------------

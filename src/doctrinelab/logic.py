@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .doctrine import (Doctrine, has_bottoms, has_tops, is_pi_doctrine,
                        is_primary, is_propositional, is_sigma_doctrine)
-from .fincat import ArrowClass, Square
+from .fincat import ArrowClass, Square, _unique_squares
 from .verdicts import Verdict, combine
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "epsilon",
     "is_tripos",
     "is_tripos_via_characterization",
+    "declared_checks",
 ]
 
 
@@ -106,7 +107,6 @@ def _search_failure(d: Doctrine, reason: str, **payload) -> Verdict:
 def _delta_validates(d: Doctrine, a: str, delta: str) -> bool:
     """Adjunction test for a candidate equality predicate over ``a``."""
     base = d.base
-    row_aa = base.products[(a, a)]
     for x in base.window:
         row = base.products[(x, a)]
         triple = base.products[(row.obj, a)]
@@ -152,36 +152,32 @@ def equality_candidates(d: Doctrine, a: str) -> list[str]:
     return out
 
 
-def find_equality(d: Doctrine) -> EqualityWitness | None:
+def _equality(d: Doctrine) -> tuple[Verdict, EqualityWitness | None]:
+    """The elementary verdict with the first equality predicate per window
+    object, when every one has some."""
     def compute():
-        if not is_primary(d):
-            return None
+        primary = is_primary(d)
+        if not primary:
+            return (primary if primary.is_refuted else Verdict.not_applicable(
+                f"not primary: {primary.reason}"), None)
         delta = {}
         for a in d.base.window:
-            found = None
-            for cand in equality_candidates(d, a):
-                found = cand
-                break
-            if found is None:
-                return None
-            delta[a] = found
-        return EqualityWitness(delta)
-    return d.cached(("find_equality",), compute)
+            candidates = equality_candidates(d, a)
+            if not candidates:
+                # candidate pool is the full fiber, each rejection is a
+                # window counterexample, so absence is conclusive
+                return Verdict.refuted(kind="no_equality_predicate", object=a), None
+            delta[a] = candidates[0]
+        return Verdict.holds(d.window_descriptor), EqualityWitness(delta)
+    return d.cached(("equality",), compute)
+
+
+def find_equality(d: Doctrine) -> EqualityWitness | None:
+    return _equality(d)[1]
 
 
 def is_elementary(d: Doctrine) -> Verdict:
-    def compute() -> Verdict:
-        primary = is_primary(d)
-        if not primary:
-            return primary if primary.is_refuted else Verdict.not_applicable(
-                f"not primary: {primary.reason}")
-        for a in d.base.window:
-            if not equality_candidates(d, a):
-                # candidate pool is the full fiber, each rejection is a
-                # window counterexample, so absence is conclusive
-                return Verdict.refuted(kind="no_equality_predicate", object=a)
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("is_elementary",), compute)
+    return _equality(d)[0]
 
 
 def check_substitutive(d: Doctrine, witness: EqualityWitness) -> Verdict:
@@ -212,52 +208,51 @@ def _bound(d: Doctrine, obj: str, dual: bool) -> str | None:
     return ops.bottom if dual else ops.top
 
 
+def _kind(dual: bool) -> str:
+    return "cocomprehension" if dual else "comprehension"
+
+
+def _matching(d: Doctrine, a: str, alpha: str, dual: bool) -> list[str]:
+    """Window arrows into ``a`` along which ``alpha`` becomes the top (the
+    bottom, if dual): the cone the universal property quantifies over."""
+    base = d.base
+    return [f for f in base.window_arrows_into(a)
+            if d.star(f, alpha) == _bound(d, base.dom(f), dual)]
+
+
+def _is_universal(d: Doctrine, w: ComprehensionWitness,
+                  matching: list[str]) -> bool:
+    """The (co-)comprehension universal property of ``w.arrow``: it lies in
+    the cone ``matching`` and every member factors through it uniquely."""
+    base = d.base
+    dm = base.dom(w.arrow)
+    return d.star(w.arrow, w.alpha) == _bound(d, dm, w.dual) and all(
+        sum(base.compose(w.arrow, k) == f for k in base.hom(base.dom(f), dm)) == 1
+        for f in matching)
+
+
 def _comprehension_search(d: Doctrine, a: str, alpha: str,
                           dual: bool) -> ComprehensionWitness | None:
-    base = d.base
-    matching = []
-    for f in base.window_arrows_into(a):
-        if d.star(f, alpha) == _bound(d, base.dom(f), dual):
-            matching.append(f)
+    matching = _matching(d, a, alpha, dual)
     for m in matching:
-        dm = base.dom(m)
-        ok = True
-        for f in matching:
-            ks = [k for k in base.hom(base.dom(f), dm)
-                  if base.compose(m, k) == f]
-            if len(ks) != 1:
-                ok = False
-                break
-        if ok:
-            return ComprehensionWitness(a, alpha, m, dual)
+        w = ComprehensionWitness(a, alpha, m, dual)
+        if _is_universal(d, w, matching):
+            return w
     return None
 
 
 def comprehension(d: Doctrine, a: str, alpha: str) -> ComprehensionWitness | None:
     """The chosen comprehension monic of ``alpha`` over window object ``a``."""
-    table = comprehension_table(d)
-    return table.get((a, alpha))
+    return comprehension_table(d).get((a, alpha))
 
 
 def validate_witness(d: Doctrine, w: ComprehensionWitness) -> bool:
     """Does the arrow satisfy the (co-)comprehension universal property?"""
-    base = d.base
-    if d.star(w.arrow, w.alpha) != _bound(d, base.dom(w.arrow), w.dual):
-        return False
-    dm = base.dom(w.arrow)
-    for f in base.window_arrows_into(w.obj):
-        if d.star(f, w.alpha) != _bound(d, base.dom(f), w.dual):
-            continue
-        ks = [k for k in base.hom(base.dom(f), dm)
-              if base.compose(w.arrow, k) == f]
-        if len(ks) != 1:
-            return False
-    return True
+    return _is_universal(d, w, _matching(d, w.obj, w.alpha, w.dual))
 
 
 def cocomprehension(d: Doctrine, a: str, alpha: str) -> ComprehensionWitness | None:
-    table = cocomprehension_table(d)
-    return table.get((a, alpha))
+    return cocomprehension_table(d).get((a, alpha))
 
 
 def _witness_table(d: Doctrine, dual: bool) -> dict:
@@ -292,7 +287,7 @@ def _has_witnesses(d: Doctrine, dual: bool) -> Verdict:
     for a in d.base.window:
         for alpha in d.fibers[a].elements:
             if (a, alpha) not in table:
-                return _search_failure(d, f"no_{name.replace('-', '')}_witness",
+                return _search_failure(d, f"no_{_kind(dual)}_witness",
                                        object=a, alpha=alpha)
     return Verdict.holds(d.window_descriptor)
 
@@ -310,6 +305,7 @@ def _fullness(d: Doctrine, dual: bool) -> Verdict:
     if not exists:
         return exists
     table = _witness_table(d, dual)
+    kind = _kind(dual)
     base = d.base
     for a in base.window:
         fiber = d.fibers[a]
@@ -319,27 +315,17 @@ def _fullness(d: Doctrine, dual: bool) -> Verdict:
                 wb = table[(a, beta)].arrow
                 factors = any(base.compose(wb, k) == wa
                               for k in base.hom(base.dom(wa), base.dom(wb)))
-                if dual:
-                    # contravariant: ceil(alpha) through ceil(beta) forces beta <= alpha
-                    if factors and not fiber.leq(beta, alpha):
-                        return Verdict.refuted(kind="cocomprehension_not_full",
-                                               object=a, alpha=alpha, beta=beta,
-                                               arrows=[wa, wb])
-                    expected = fiber.leq(beta, alpha)
-                    got = d.star(wa, beta) == _bound(d, base.dom(wa), True)
-                    if expected != got:
-                        return Verdict.refuted(kind="cocomprehension_order_law",
-                                               object=a, alpha=alpha, beta=beta)
-                else:
-                    if factors and not fiber.leq(alpha, beta):
-                        return Verdict.refuted(kind="comprehension_not_full",
-                                               object=a, alpha=alpha, beta=beta,
-                                               arrows=[wa, wb])
-                    expected = fiber.leq(alpha, beta)
-                    got = d.star(wa, beta) == _bound(d, base.dom(wa), False)
-                    if expected != got:
-                        return Verdict.refuted(kind="comprehension_order_law",
-                                               object=a, alpha=alpha, beta=beta)
+                # co-comprehension is contravariant: {alpha} through {beta}
+                # forces beta <= alpha
+                expected = fiber.leq(beta, alpha) if dual else fiber.leq(alpha, beta)
+                if factors and not expected:
+                    return Verdict.refuted(kind=f"{kind}_not_full",
+                                           object=a, alpha=alpha, beta=beta,
+                                           arrows=[wa, wb])
+                got = d.star(wa, beta) == _bound(d, base.dom(wa), dual)
+                if expected != got:
+                    return Verdict.refuted(kind=f"{kind}_order_law",
+                                           object=a, alpha=alpha, beta=beta)
     return Verdict.holds(d.window_descriptor)
 
 
@@ -355,8 +341,7 @@ def _witness_class(d: Doctrine, dual: bool) -> ArrowClass:
     table = _witness_table(d, dual)
     members = sorted({w.arrow for w in table.values()},
                      key=d.base.arrow_order.__getitem__)
-    return ArrowClass("cocomprehension" if dual else "comprehension",
-                      tuple(members))
+    return ArrowClass(_kind(dual), tuple(members))
 
 
 def comprehension_class(d: Doctrine) -> ArrowClass:
@@ -387,10 +372,7 @@ def _witness_squares(d: Doctrine, dual: bool) -> tuple[Square, ...]:
                     continue
                 squares.append(Square(apex=base.dom(pulled.arrow), to_f=qs[0],
                                       to_g=pulled.arrow, f=w.arrow, g=f))
-        uniq = {}
-        for s in squares:
-            uniq.setdefault((s.f, s.g, s.to_f, s.to_g), s)
-        return tuple(uniq[k] for k in sorted(uniq))
+        return _unique_squares(squares)
     return d.cached(("witness_squares", dual), compute)
 
 
@@ -413,6 +395,18 @@ def has_negation(d: Doctrine) -> Verdict:
     return _negation_impl(d)[0]
 
 
+def _pseudocomplement(fiber, beta: str) -> str | None:
+    """The greatest element whose meet with ``beta`` is the bottom, if any;
+    the fiber must have meets and a bottom."""
+    ops = fiber.ops
+    mask = 0
+    for ci, c in enumerate(fiber.elements):
+        if ops.meet[(c, beta)] == ops.bottom:
+            mask |= 1 << ci
+    g = fiber.greatest_of_downset(mask)
+    return None if g is None else fiber.elements[g]
+
+
 def _negation_impl(d: Doctrine) -> tuple[Verdict, NegationTable | None]:
     def compute():
         primary = is_primary(d)
@@ -426,21 +420,14 @@ def _negation_impl(d: Doctrine) -> tuple[Verdict, NegationTable | None]:
         tables: dict[str, dict[str, str]] = {}
         for a in d.base.window:
             fiber = d.fibers[a]
-            ops = fiber.ops
-            bot_idx = fiber.index[ops.bottom]
             tab = {}
             for beta in fiber.elements:
-                mask = 0
-                for ci, c in enumerate(fiber.elements):
-                    if fiber.index[ops.meet[(c, beta)]] == bot_idx:
-                        mask |= 1 << ci
-                g = fiber.greatest_of_downset(mask)
-                if g is None:
+                neg = _pseudocomplement(fiber, beta)
+                if neg is None:
                     return (Verdict.not_applicable(
                         f"no pseudocomplement for {beta} in fiber({a})"), None)
-                tab[beta] = fiber.elements[g]
+                tab[beta] = neg
             tables[a] = tab
-        window = set(d.base.window)
         for f in d.base.window_arrows:
             a = d.base.arrows[f]
             star = d.reindex[f].table
@@ -555,6 +542,27 @@ def implication_axioms(d: Doctrine, impl: Mapping[str, Mapping]) -> Verdict:
 
 # -- weak power objects -------------------------------------------------------
 
+def _power_cover(d: Doctrine, a: str, p: str,
+                 mem: str) -> dict[tuple[str, str], str] | None:
+    """The first classifying arrow ``chi[(y, phi)]: y -> p`` with
+    ``(id_a x chi)* mem = phi`` for every window ``y`` and every ``phi`` over
+    ``a x y``, or None when some relation has none."""
+    base = d.base
+    chi: dict[tuple[str, str], str] = {}
+    for y in base.window:
+        row_y = base.products.get((a, y))
+        if row_y is None:
+            return None
+        for phi in d.fibers[row_y.obj].elements:
+            for c in base.hom(y, p):
+                if d.star(base.times(base.identity[a], c), mem) == phi:
+                    chi[(y, phi)] = c
+                    break
+            else:
+                return None
+    return chi
+
+
 def weak_power_object(d: Doctrine, a: str) -> PowerObjectWitness | None:
     def compute():
         base = d.base
@@ -565,27 +573,8 @@ def weak_power_object(d: Doctrine, a: str) -> PowerObjectWitness | None:
             if row is None:
                 continue
             for mem in d.fibers[row.obj].elements:
-                chi: dict[tuple[str, str], str] = {}
-                ok = True
-                for y in base.window:
-                    row_y = base.products.get((a, y))
-                    if row_y is None:
-                        ok = False
-                        break
-                    for phi in d.fibers[row_y.obj].elements:
-                        found = None
-                        for c in base.hom(y, p):
-                            lifted = base.times(base.identity[a], c)
-                            if d.star(lifted, mem) == phi:
-                                found = c
-                                break
-                        if found is None:
-                            ok = False
-                            break
-                        chi[(y, phi)] = found
-                    if not ok:
-                        break
-                if ok:
+                chi = _power_cover(d, a, p, mem)
+                if chi is not None:
                     return PowerObjectWitness(a, p, mem, chi)
         return None
     return d.cached(("weak_power_object", a), compute)
@@ -602,6 +591,19 @@ def is_higher_order(d: Doctrine) -> Verdict:
 
 # -- axiom of choice ----------------------------------------------------------
 
+def _chooses(d: Doctrine, gamma: str, e: str, psi: str, target: str) -> bool:
+    """The epsilon test: does ``<id, e>* psi`` reach ``target``, the
+    quantified ``psi``?"""
+    base = d.base
+    return d.star(base.pair(base.identity[gamma], e), psi) == target
+
+
+def _epsilon_search(d: Doctrine, gamma: str, a: str, psi: str,
+                    target: str) -> str | None:
+    return next((e for e in d.base.hom(gamma, a)
+                 if _chooses(d, gamma, e, psi, target)), None)
+
+
 def ac_check(d: Doctrine) -> tuple[Verdict, EpsilonTable]:
     def compute():
         base = d.base
@@ -617,19 +619,14 @@ def ac_check(d: Doctrine) -> tuple[Verdict, EpsilonTable]:
                     return (Verdict.not_applicable(
                         f"sigma missing along projection {row.proj1}"),
                         EpsilonTable(entries))
-                candidates = base.hom(gamma, a)
                 for psi in d.fibers[row.obj].elements:
                     target = adj.table[psi]
-                    found = None
-                    for e in candidates:
-                        graph = base.pair(base.identity[gamma], e)
-                        if d.star(graph, psi) == target:
-                            found = e
-                            break
+                    found = _epsilon_search(d, gamma, a, psi, target)
                     if found is None:
                         return (Verdict.refuted(
                             kind="ac_no_witness", Gamma=gamma, A=a, psi=psi,
-                            sigma_psi=target, candidates=len(candidates)),
+                            sigma_psi=target,
+                            candidates=len(base.hom(gamma, a))),
                             EpsilonTable(entries))
                     entries[(gamma, a, psi)] = found
         return Verdict.holds(d.window_descriptor), EpsilonTable(entries)
@@ -641,15 +638,10 @@ def epsilon(d: Doctrine, gamma: str, a: str, psi: str) -> str | None:
     base = d.base
     if base.is_stable_initial(a):
         return None
-    row = base.products[(gamma, a)]
-    adj = d.sigma(row.proj1)
+    adj = d.sigma(base.products[(gamma, a)].proj1)
     if adj is None:
         return None
-    target = adj.table[psi]
-    for e in base.hom(gamma, a):
-        if d.star(base.pair(base.identity[gamma], e), psi) == target:
-            return e
-    return None
+    return _epsilon_search(d, gamma, a, psi, adj.table[psi])
 
 
 # -- triposes -----------------------------------------------------------------
@@ -710,3 +702,46 @@ def is_tripos_via_characterization(
     if impl is not None:
         return compute()
     return d.cached(("is_tripos_via_characterization",), compute)
+
+
+# -- declared witnesses ---------------------------------------------------------
+
+def declared_checks(d: Doctrine) -> list[tuple[str, Verdict]]:
+    """Each witness the instance file declares, checked by the test its
+    search uses; one labelled verdict per declared entry."""
+    out: list[tuple[str, Verdict]] = []
+    declared = d.declared
+    window = d.window_descriptor
+    base = d.base
+
+    def record(label: str, ok: bool, kind: str, **payload) -> None:
+        out.append((label, Verdict.holds(window) if ok else
+                    Verdict.refuted(kind=f"declared_{kind}_invalid", **payload)))
+
+    for a, delta in sorted(declared.get("delta", {}).items()):
+        record(f"declared delta[{a}]", _delta_validates(d, a, delta), "delta",
+               object=a, delta=delta)
+    for dual in (False, True):
+        key = _kind(dual)
+        for a, table in sorted(declared.get(key, {}).items()):
+            for alpha, arrow in sorted(table.items()):
+                w = ComprehensionWitness(a, alpha, arrow, dual)
+                record(f"declared {key}[{a},{alpha}]", validate_witness(d, w),
+                       key, object=a, alpha=alpha, arrow=arrow)
+    for rec in declared.get("epsilon", []):
+        gamma, a, psi, arrow = rec["gamma"], rec["a"], rec["psi"], rec["arrow"]
+        adj = d.sigma(base.products[(gamma, a)].proj1)
+        ok = adj is not None and _chooses(d, gamma, arrow, psi, adj.table[psi])
+        record(f"declared epsilon[{gamma},{a},{psi}]", ok, "epsilon",
+               Gamma=gamma, A=a, psi=psi, arrow=arrow)
+    for a, table in sorted(declared.get("negation", {}).items()):
+        fiber = d.fibers[a]
+        ok = (fiber.ops.meet is not None and fiber.ops.bottom is not None
+              and all(_pseudocomplement(fiber, beta) == neg
+                      for beta, neg in table.items()))
+        record(f"declared negation[{a}]", ok, "negation", object=a)
+    for a, rec in sorted(declared.get("power_objects", {}).items()):
+        ok = _power_cover(d, a, rec["power"], rec["membership"]) is not None
+        record(f"declared power_object[{a}]", ok, "power_object",
+               object=a, power=rec["power"])
+    return out

@@ -257,43 +257,69 @@ class MonotoneMap:
         return f"MonotoneMap({len(self.source)}->{len(self.target)})"
 
 
-def left_adjoint(u: MonotoneMap) -> MonotoneMap | None:
-    """The left adjoint L of ``u: B -> A``, i.e. ``L(a) <= b  iff  a <= u(b)``.
+def _adjoint(u: MonotoneMap, side: str) -> MonotoneMap | None:
+    """The ``"left"`` or ``"right"`` adjoint of ``u: B -> A``, or None.
 
-    Computed pointwise as the least element of ``{b : a <= u(b)}``; the set is
-    up-closed, so the least element exists iff the set is a principal filter.
-    Returns None when some least element is missing.
+    ``L(a)`` is the least element of the up-closed set ``{b : a <= u(b)}``
+    and ``R(a)`` the greatest of the down-closed ``{b : u(b) <= a}``; each
+    exists iff the set is a principal filter (ideal).
     """
     A, B = u.target, u.source
     it = u.idx_table
+    # the images u(b) may take: above a (left), below a (right)
+    if side == "left":
+        allowed, extremum = A.uppers, B.least_of_upset
+    else:
+        allowed, extremum = A.lowers, B.greatest_of_downset
     table: dict[str, str] = {}
     for ia, a in enumerate(A.elements):
+        region = allowed[ia]
         mask = 0
-        for ib in range(len(B.elements)):
-            if A.leq_idx(ia, it[ib]):
+        for ib, image in enumerate(it):
+            if region >> image & 1:
                 mask |= 1 << ib
-        least = B.least_of_upset(mask)
-        if least is None:
+        best = extremum(mask)
+        if best is None:
             return None
-        table[a] = B.elements[least]
+        table[a] = B.elements[best]
     return MonotoneMap(A, B, table, validate=False)
+
+
+def left_adjoint(u: MonotoneMap) -> MonotoneMap | None:
+    """The left adjoint L of ``u: B -> A``, i.e. ``L(a) <= b  iff  a <= u(b)``,
+    or None when some least element is missing."""
+    return _adjoint(u, "left")
 
 
 def right_adjoint(u: MonotoneMap) -> MonotoneMap | None:
     """The right adjoint R of ``u: B -> A``: ``b <= R(a)  iff  u(b) <= a``."""
-    A, B = u.target, u.source
-    it = u.idx_table
-    table: dict[str, str] = {}
-    for ia, a in enumerate(A.elements):
-        mask = 0
-        for ib in range(len(B.elements)):
-            if A.leq_idx(it[ib], ia):
-                mask |= 1 << ib
-        greatest = B.greatest_of_downset(mask)
-        if greatest is None:
-            return None
-        table[a] = B.elements[greatest]
-    return MonotoneMap(A, B, table, validate=False)
+    return _adjoint(u, "right")
+
+
+def _unpreserved(m: MonotoneMap, s_op: Mapping, t_op: Mapping) -> tuple | None:
+    """The first ``(pair, image of op, op of images)`` at which ``m`` fails to
+    carry the binary operation table ``s_op`` to ``t_op``, or None."""
+    t = m.table
+    for (x, y), xy in s_op.items():
+        of_images = t_op[(t[x], t[y])]
+        if t[xy] != of_images:
+            return [x, y], t[xy], of_images
+    return None
+
+
+def _unpreserved_heyting(m: MonotoneMap, so: LatticeOps,
+                         to: LatticeOps) -> tuple | None:
+    """``(operation name, pair, image of op, op of images)`` for the first
+    meet, join or implication of ``so`` that ``m`` does not carry to the one
+    of ``to``, or None."""
+    for name, s_op, t_op in (("meet", so.meet, to.meet),
+                             ("join", so.join, to.join),
+                             ("implication", so.heyting_implication,
+                              to.heyting_implication)):
+        bad = _unpreserved(m, s_op, t_op)
+        if bad is not None:
+            return (name, *bad)
+    return None
 
 
 def _window(m: MonotoneMap) -> str:
@@ -310,11 +336,11 @@ def is_msl_hom(m: MonotoneMap) -> Verdict:
     if m.table[so.top] != to.top:
         return Verdict.refuted(kind="hom_top", element=so.top,
                                image=m.table[so.top], expected=to.top)
-    for (a, b), ab in so.meet.items():
-        if m.table[ab] != to.meet[(m.table[a], m.table[b])]:
-            return Verdict.refuted(kind="hom_meet", pair=[a, b],
-                                   image_of_meet=m.table[ab],
-                                   meet_of_images=to.meet[(m.table[a], m.table[b])])
+    bad = _unpreserved(m, so.meet, to.meet)
+    if bad is not None:
+        pair, image, expected = bad
+        return Verdict.refuted(kind="hom_meet", pair=pair, image_of_meet=image,
+                               meet_of_images=expected)
     return Verdict.holds(_window(m))
 
 
@@ -329,13 +355,9 @@ def is_heyting_hom(m: MonotoneMap) -> Verdict:
         if m.table[sval] != tval:
             return Verdict.refuted(kind=f"hom_{name}", element=sval,
                                    image=m.table[sval], expected=tval)
-    for op_name, s_op, t_op in (("meet", so.meet, to.meet),
-                                ("join", so.join, to.join),
-                                ("implication", so.heyting_implication,
-                                 to.heyting_implication)):
-        for (a, b), ab in s_op.items():
-            if m.table[ab] != t_op[(m.table[a], m.table[b])]:
-                return Verdict.refuted(kind=f"hom_{op_name}", pair=[a, b],
-                                       image_of_op=m.table[ab],
-                                       op_of_images=t_op[(m.table[a], m.table[b])])
+    bad = _unpreserved_heyting(m, so, to)
+    if bad is not None:
+        op_name, pair, image, expected = bad
+        return Verdict.refuted(kind=f"hom_{op_name}", pair=pair,
+                               image_of_op=image, op_of_images=expected)
     return Verdict.holds(_window(m))

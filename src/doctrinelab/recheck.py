@@ -226,12 +226,6 @@ def _h_implication_axiom(axiom):
     return h
 
 
-def _h_implication_not_stable(d, base, p):
-    # payload embeds both sides; the violation is their disagreement under
-    # one reindexing, re-derivable from the recorded elements
-    return p["lhs"] != p["rhs"]
-
-
 def _h_values_differ(d, base, p):
     return p["lhs"] != p["rhs"]
 
@@ -260,10 +254,35 @@ def _h_eaco_compat(d, base, p):
     return eaco_compat(d, p["arrow"], p["alpha"]).is_refuted
 
 
+def _universal(d, base, a, alpha, m, dual) -> bool:
+    """Is ``m`` a comprehension (co-comprehension, if dual) of ``alpha``
+    over ``a``: it pulls ``alpha`` back to the top (bottom), and every window
+    arrow that does so factors through it exactly once?"""
+    def bound(obj):
+        ops = d.fibers[obj].ops
+        return ops.bottom if dual else ops.top
+    if d.star(m, alpha) != bound(base.dom(m)):
+        return False
+    for x in base.window:
+        for f in base.hom(x, a):
+            if d.star(f, alpha) == bound(x) and len(
+                    [k for k in base.hom(x, base.dom(m))
+                     if base.compose_table.get((m, k)) == f]) != 1:
+                return False
+    return True
+
+
 def _h_no_witness(dual):
     def h(d, base, p):
-        from .logic import _comprehension_search
-        return _comprehension_search(d, p["object"], p["alpha"], dual) is None
+        a, alpha = p["object"], p["alpha"]
+        return not any(_universal(d, base, a, alpha, m, dual)
+                       for x in base.window for m in base.hom(x, a))
+    return h
+
+
+def _h_declared_witness_invalid(dual):
+    def h(d, base, p):
+        return not _universal(d, base, p["object"], p["alpha"], p["arrow"], dual)
     return h
 
 
@@ -311,6 +330,68 @@ def _h_checkers_disagree(d, base, p):
     return bool(is_tripos(d)) != bool(is_tripos_via_characterization(d))
 
 
+def _h_not_a_product(d, base, p):
+    row = base.products[tuple(p["pair"])]
+    return any(sum(base.compose_table.get((row.proj1, h)) == f
+                   and base.compose_table.get((row.proj2, h)) == g
+                   for h in base.hom(x, row.obj)) != 1
+               for x in base.window
+               for f in base.hom(x, row.left) for g in base.hom(x, row.right))
+
+
+def _h_declared_delta_invalid(d, base, p):
+    # delta is an equality predicate iff, over every window X, the left
+    # adjoint of reindexing along <id, p2>: XA -> (XA)A sends psi to
+    # <p1, p2>* psi meet <p2, p3>* delta
+    a, delta = p["object"], p["delta"]
+    for x in base.window:
+        row = base.products[(x, a)]
+        triple = base.products[(row.obj, a)]
+        q1 = triple.proj1
+        left = _fresh_adjoint(d, "sigma",
+                              base.pair(base.identity[row.obj], row.proj2))
+        meet = d.fibers[triple.obj].ops.meet
+        if left is None or meet is None:
+            return True
+        pi23 = base.pair(base.compose(row.proj2, q1), triple.proj2)
+        if any(left.table[psi] != meet[(d.star(q1, psi), d.star(pi23, delta))]
+               for psi in d.fibers[row.obj].elements):
+            return True
+    return False
+
+
+def _h_declared_epsilon_invalid(d, base, p):
+    gamma, psi = p["Gamma"], p["psi"]
+    adj = _fresh_adjoint(d, "sigma", base.products[(gamma, p["A"])].proj1)
+    graph = base.pair(base.identity[gamma], p["arrow"])
+    return adj is None or d.star(graph, psi) != adj.table[psi]
+
+
+def _h_declared_negation_invalid(d, base, p):
+    # the payload names the object; the table is the declared one
+    fiber = d.fibers[p["object"]]
+    ops = fiber.ops
+    if ops.meet is None or ops.bottom is None:
+        return True
+    return any(fiber.leq(alpha, neg) != (ops.meet[(alpha, beta)] == ops.bottom)
+               for beta, neg in d.declared["negation"][p["object"]].items()
+               for alpha in fiber.elements)
+
+
+def _h_declared_power_object_invalid(d, base, p):
+    a, power = p["object"], p["power"]
+    mem = d.declared["power_objects"][a]["membership"]
+    for y in base.window:
+        row = base.products.get((a, y))
+        if row is None:
+            return True
+        reached = {d.star(base.times(base.identity[a], c), mem)
+                   for c in base.hom(y, power)}
+        if not reached.issuperset(d.fibers[row.obj].elements):
+            return True
+    return False
+
+
 _HANDLERS = {
     "identity_law": _h_identity_law,
     "associativity": _h_associativity,
@@ -339,7 +420,7 @@ _HANDLERS = {
     "cocomprehension_order_law": _h_order_law(True),
     "negation_not_natural": _h_negation_not_natural,
     "not_classical": _h_not_classical,
-    "implication_not_stable": _h_implication_not_stable,
+    "implication_not_stable": _h_values_differ,
     "implication_pi_exchange": _h_values_differ,
     "ac_no_witness": _h_ac_no_witness,
     "choice_not_maximal": _h_choice_not_maximal,
@@ -354,4 +435,11 @@ _HANDLERS = {
     "no_finite_joins": _h_no_finite_joins,
     "biconditional": _h_biconditional,
     "tripos_checkers_disagree": _h_checkers_disagree,
+    "not_a_product": _h_not_a_product,
+    "declared_delta_invalid": _h_declared_delta_invalid,
+    "declared_comprehension_invalid": _h_declared_witness_invalid(False),
+    "declared_cocomprehension_invalid": _h_declared_witness_invalid(True),
+    "declared_epsilon_invalid": _h_declared_epsilon_invalid,
+    "declared_negation_invalid": _h_declared_negation_invalid,
+    "declared_power_object_invalid": _h_declared_power_object_invalid,
 }

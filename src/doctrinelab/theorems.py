@@ -30,7 +30,7 @@ from .doctrine import (Doctrine, frobenius, has_bottoms, has_tops, is_existentia
 from .fincat import FinCategory
 from .ioformat import instance_hash
 from .poset import FinPoset, MonotoneMap
-from .verdicts import Verdict, combine
+from .verdicts import ParseError, Verdict, combine
 
 __all__ = [
     "TheoremReport",
@@ -137,14 +137,11 @@ def witness_report(d: Doctrine) -> dict:
     eq = logic.find_equality(d)
     if eq is not None:
         out["delta"] = dict(eq.delta)
-    comp = logic.comprehension_table(d)
-    if comp:
-        out["comprehension"] = {f"{a}|{alpha}": w.arrow
-                                for (a, alpha), w in sorted(comp.items())}
-    cocomp = logic.cocomprehension_table(d)
-    if cocomp:
-        out["cocomprehension"] = {f"{a}|{alpha}": w.arrow
-                                  for (a, alpha), w in sorted(cocomp.items())}
+    for key, table in (("comprehension", logic.comprehension_table(d)),
+                       ("cocomprehension", logic.cocomprehension_table(d))):
+        if table:
+            out[key] = {f"{a}|{alpha}": w.arrow
+                        for (a, alpha), w in sorted(table.items())}
     neg = logic.negation(d)
     if neg is not None:
         out["negation"] = {a: dict(t) for a, t in sorted(neg.tables.items())}
@@ -286,35 +283,21 @@ class TheoremReport:
         return out
 
 
-def _restricted_sigma_comp(d: Doctrine) -> Verdict:
-    comp = logic.has_comprehension(d)
-    if not comp:
-        return Verdict.not_applicable("no comprehension class")
-    return is_sigma_doctrine(d, logic.comprehension_class(d), restricted=True,
-                             squares=logic.comprehension_squares(d))
-
-
-def _restricted_pi_comp(d: Doctrine) -> Verdict:
-    comp = logic.has_comprehension(d)
-    if not comp:
-        return Verdict.not_applicable("no comprehension class")
-    return is_pi_doctrine(d, logic.comprehension_class(d), restricted=True,
-                          squares=logic.comprehension_squares(d))
-
-
-def _restricted_sigma_cocomp(d: Doctrine) -> Verdict:
-    cocomp = logic.has_cocomprehension(d)
-    if not cocomp:
-        return Verdict.not_applicable("no co-comprehension class")
-    return is_sigma_doctrine(d, logic.cocomprehension_class(d), restricted=True,
-                             squares=logic.cocomprehension_squares(d))
-
-
-def _frobenius_comp(d: Doctrine) -> Verdict:
-    comp = logic.has_comprehension(d)
-    if not comp:
-        return Verdict.not_applicable("no comprehension class")
-    return frobenius(d, logic.comprehension_class(d))
+def _over_witness_class(d: Doctrine, side: str, dual: bool) -> Verdict:
+    """The ``side`` check (``"sigma"`` or ``"pi"`` restricted Beck-Chevalley,
+    or ``"frobenius"``) over the comprehension class, or the
+    co-comprehension class if ``dual``."""
+    exists = logic.has_cocomprehension(d) if dual else logic.has_comprehension(d)
+    if not exists:
+        return Verdict.not_applicable(
+            f"no {'co-comprehension' if dual else 'comprehension'} class")
+    cls = logic.cocomprehension_class(d) if dual else logic.comprehension_class(d)
+    if side == "frobenius":
+        return frobenius(d, cls)
+    check = is_sigma_doctrine if side == "sigma" else is_pi_doctrine
+    squares = (logic.cocomprehension_squares(d) if dual
+               else logic.comprehension_squares(d))
+    return check(d, cls, restricted=True, squares=squares)
 
 
 def _nonloso_conclusion(d: Doctrine) -> Verdict:
@@ -329,7 +312,7 @@ def _nonloso_conclusion(d: Doctrine) -> Verdict:
         if adj.table[top] != alpha:
             return Verdict.refuted(kind="image_of_top", object=a, alpha=alpha,
                                    arrow=w.arrow, image=adj.table[top])
-    return combine(d.window_descriptor, _restricted_sigma_comp(d))
+    return combine(d.window_descriptor, _over_witness_class(d, "sigma", False))
 
 
 def _bingo_conclusion(d: Doctrine) -> Verdict:
@@ -337,10 +320,6 @@ def _bingo_conclusion(d: Doctrine) -> Verdict:
     if tables is None:
         return Verdict.not_applicable("derived implication undefined")
     return logic.implication_axioms(d, tables)
-
-
-def _derived_assignment_passes(d: Doctrine) -> Verdict:
-    return _bingo_conclusion(d)
 
 
 def _biconditional(left_name: str, left: Verdict, right_name: str,
@@ -414,20 +393,19 @@ def _bc_lemma_conclusion(d: Doctrine) -> Verdict:
     return Verdict.holds(d.window_descriptor)
 
 
-def _p0_singleton_if_initial(d: Doctrine) -> Verdict:
-    for zero in d.base.stable_initials:
-        if len(d.fibers[zero]) != 1:
-            return Verdict.not_applicable(
-                f"fiber({zero}) of the stable initial is not a singleton")
-    return Verdict.holds(d.window_descriptor)
-
-
 def _p0_singleton_conclusion(d: Doctrine) -> Verdict:
     for zero in d.base.stable_initials:
         if len(d.fibers[zero]) != 1:
             return Verdict.refuted(kind="initial_fiber_not_singleton",
                                    object=zero, size=len(d.fibers[zero]))
     return Verdict.holds(d.window_descriptor)
+
+
+def _p0_singleton_if_initial(d: Doctrine) -> Verdict:
+    """The same condition as a hypothesis: not applicable where it fails."""
+    v = _p0_singleton_conclusion(d)
+    return v if v else Verdict.not_applicable(
+        f"fiber({v.counterexample['object']}) of the stable initial is not a singleton")
 
 
 def _ac_holds(d: Doctrine) -> Verdict:
@@ -474,7 +452,8 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
         "comprehension class gives the restricted Beck-Chevalley condition",
         (("primary", is_primary),
          ("full_comp", logic.is_full_comprehension),
-         ("frobenius_comp", _frobenius_comp)),
+         ("frobenius_comp",
+          lambda d: _over_witness_class(d, "frobenius", False))),
         "restricted_sigma_comp_and_image_of_top", _nonloso_conclusion),
     TheoremCheck(
         "bingo",
@@ -482,14 +461,15 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
         "over the comprehension class is implicational",
         (("pi", is_pi_doctrine),
          ("full_comp", logic.is_full_comprehension),
-         ("restricted_pi_comp", _restricted_pi_comp)),
+         ("restricted_pi_comp",
+          lambda d: _over_witness_class(d, "pi", False))),
         "derived_implication_axioms", _bingo_conclusion),
     TheoremCheck(
         "bingo_converse",
         "if the derived assignment is implicational, comprehension is full",
         (("pi", is_pi_doctrine),
          ("comprehension", logic.has_comprehension),
-         ("derived_assignment_passes", _derived_assignment_passes)),
+         ("derived_assignment_passes", _bingo_conclusion)),
         "full_comp", logic.is_full_comprehension),
     TheoremCheck(
         "negation_i",
@@ -503,8 +483,10 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
         "the co-comprehension class",
         (("comprehension", logic.has_comprehension),
          ("negation", logic.has_negation),
-         ("restricted_sigma_comp", _restricted_sigma_comp)),
-        "restricted_sigma_cocomp", _restricted_sigma_cocomp),
+         ("restricted_sigma_comp",
+          lambda d: _over_witness_class(d, "sigma", False))),
+        "restricted_sigma_cocomp",
+        lambda d: _over_witness_class(d, "sigma", True)),
     TheoremCheck(
         "negation_iii",
         "under full comprehension and negation: full co-comprehension iff "
@@ -551,7 +533,8 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
         (("higher_order", logic.is_higher_order),
          ("sigma", lambda d: is_sigma_doctrine(d)),
          ("full_cocomp", logic.is_full_cocomprehension),
-         ("restricted_sigma_cocomp", _restricted_sigma_cocomp)),
+         ("restricted_sigma_cocomp",
+          lambda d: _over_witness_class(d, "sigma", True))),
         "dual_tripos_with_full_comp", _dual_tripos_conclusion),
     TheoremCheck(
         "checazzo2",
@@ -569,7 +552,8 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
         "every eaco satisfies restricted Beck-Chevalley over the "
         "co-comprehension class",
         (("eaco", is_eaco),),
-        "restricted_sigma_cocomp", _restricted_sigma_cocomp),
+        "restricted_sigma_cocomp",
+        lambda d: _over_witness_class(d, "sigma", True)),
     TheoremCheck(
         "frodo",
         "every heaco is a Pi-doctrine",
@@ -739,6 +723,9 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
     _init_shapes()
     env_budget = os.environ.get("DOCTRINELAB_BUDGET")
     if env_budget:
+        if not env_budget.isdecimal():
+            raise ParseError("DOCTRINELAB_BUDGET must be a non-negative integer,"
+                             f" not {env_budget!r}")
         budget = min(budget, int(env_budget))
     if isinstance(filter_expr, str):
         filter_expr = parse_filter(filter_expr)

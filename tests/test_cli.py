@@ -4,7 +4,18 @@ import sys
 
 import pytest
 
-from doctrinelab import ioformat, theorems
+from doctrinelab import cli, ioformat, theorems
+from doctrinelab.recheck import recheck
+from doctrinelab.verdicts import REFUTED, Verdict
+
+
+def rechecks(path, report) -> bool:
+    """Every refuted check of a validation report re-derives on the instance."""
+    d = ioformat.parse_file(str(path))
+    refuted = [v for v in json.loads(report.read_text())["checks"].values()
+               if v["status"] == REFUTED]
+    return all(recheck(d, Verdict(REFUTED, counterexample=v["counterexample"]))
+               for v in refuted)
 
 
 def run_cli(*args, **kw):
@@ -192,8 +203,10 @@ def test_declared_witness_cross_validation(tmp_path):
     # a wrong declared witness is refuted
     doc["declared"] = {"comprehension": {"L1": {fiber[0]: "L1>L1"}}}
     path.write_text(json.dumps(doc))
-    r = run_cli("validate", str(path))
+    report = tmp_path / "report.json"
+    r = run_cli("validate", str(path), "--json", str(report))
     assert r.returncode == 1
+    assert rechecks(path, report)
 
 
 # (valid, invalid) declared blocks over PS(1,1), whose S2 = {0, 1} is in the
@@ -210,18 +223,73 @@ DECLARED_CASES = {
 }
 
 
+# The payload field that names a declared witness, with its valid value; a
+# refuted negation names only the object, recheck reads the declared table.
+VALID_FIELD = {"delta": ("delta", "e1"), "cocomprehension": ("arrow", "S1>S1:0"),
+               "epsilon": ("arrow", "S1>S2:0"), "negation": (None, None),
+               "power_objects": ("power", "S2")}
+
+
 @pytest.mark.parametrize("kind", sorted(DECLARED_CASES))
 def test_declared_witness_kinds(tmp_path, capsys, kind):
-    from doctrinelab import cli
+    path, out = tmp_path / "inst.json", tmp_path / "report.json"
     for block, status, code in zip(DECLARED_CASES[kind], ("holds", "refuted"),
                                    (0, 1)):
-        path, out = tmp_path / "inst.json", tmp_path / "report.json"
         path.write_text(json.dumps({
             "schema_version": 1, "catalog": {"id": "PS(1,1)", "dual": False},
             "declared": {kind: block}}))
         assert cli.main(["validate", str(path), "--json", str(out)]) == code
         checks = json.loads(out.read_text())["checks"]
-        declared = {k: v for k, v in checks.items() if k.startswith("declared ")}
-        assert len(declared) == 1
-        assert next(iter(declared.values()))["status"] == status
+        declared = [v for k, v in checks.items() if k.startswith("declared ")]
+        assert [v["status"] for v in declared] == [status]
+        assert rechecks(path, out)
     capsys.readouterr()
+    # the refutation with the valid witness in its place does not recheck
+    valid = ioformat.parse_document({
+        "schema_version": 1, "catalog": {"id": "PS(1,1)", "dual": False},
+        "declared": {kind: DECLARED_CASES[kind][0]}})
+    payload = dict(declared[0]["counterexample"])
+    field, value = VALID_FIELD[kind]
+    if field is not None:
+        payload[field] = value
+    assert not recheck(valid, Verdict(REFUTED, counterexample=payload))
+
+
+def test_validate_refutes_a_broken_product_row(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    intact = ioformat.parse_file(str(path))
+    doc = json.loads(path.read_text())
+    # L1 x L1 is L1 in the chain; L0 has no arrow from L1, so no mediator
+    row = next(r for r in doc["base"]["products"]
+               if r["left"] == r["right"] == "L1")
+    row.update(obj="L0", p1="L0>L1", p2="L0>L1")
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert cli.main(["validate", str(path), "--json", str(out)]) == 1
+    capsys.readouterr()
+    verdict = json.loads(out.read_text())["checks"]["chosen_products"]
+    assert verdict["counterexample"]["kind"] == "not_a_product"
+    assert rechecks(path, out)
+    assert not recheck(intact, Verdict(REFUTED,
+                                       counterexample=verdict["counterexample"]))
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_bad_env_budget_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("DOCTRINELAB_BUDGET", value)
+    assert cli.main(["search", "--filter", "tripos"]) == 2
+    err = capsys.readouterr().err
+    assert "DOCTRINELAB_BUDGET" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--budget", "-5"), ("--window", "0"),
+                                        ("--window", "two")])
+def test_out_of_range_search_arguments_exit_2(capsys, flag, value):
+    assert cli.main(["search", "--filter", "tripos", flag, value]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_env_budget_zero_examines_nothing_new(monkeypatch, capsys):
+    monkeypatch.setenv("DOCTRINELAB_BUDGET", "0")
+    assert cli.main(["search", "--filter", "tripos"]) == 0
+    assert "(budget exhausted)" in capsys.readouterr().out

@@ -168,3 +168,16 @@ def test_empty_fiber_validates_but_blocks_choice_lemmas():
     assert validate_doctrine(d)
     r = theorems.check_theorem("zero", d)
     assert not r.hypotheses_hold and r.conclusion.is_na
+
+
+def test_memo_stores_a_none_result_once(triv):
+    d = Doctrine(triv.base, triv.fibers, triv.reindex, name="memo")
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return None
+
+    assert d.cached(("probe",), compute) is None
+    assert d.cached(("probe",), compute) is None
+    assert len(calls) == 1

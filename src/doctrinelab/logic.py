@@ -222,8 +222,9 @@ def _matching(d: Doctrine, a: str, alpha: str, dual: bool) -> list[str]:
 
 def _is_universal(d: Doctrine, w: ComprehensionWitness,
                   matching: list[str]) -> bool:
-    """The (co-)comprehension universal property of ``w.arrow``: it lies in
-    the cone ``matching`` and every member factors through it uniquely."""
+    """The (co-)comprehension universal property of ``w.arrow``: ``alpha``
+    becomes the top (bottom) along it, and every arrow of ``matching``
+    factors through it uniquely."""
     base = d.base
     dm = base.dom(w.arrow)
     return d.star(w.arrow, w.alpha) == _bound(d, dm, w.dual) and all(

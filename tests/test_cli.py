@@ -289,7 +289,7 @@ def test_out_of_range_search_arguments_exit_2(capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-def test_env_budget_zero_examines_nothing_new(monkeypatch, capsys):
+def test_env_budget_zero_is_accepted(monkeypatch, capsys):
     monkeypatch.setenv("DOCTRINELAB_BUDGET", "0")
     assert cli.main(["search", "--filter", "tripos"]) == 0
     assert "(budget exhausted)" in capsys.readouterr().out

@@ -191,14 +191,17 @@ def eaco_compat_all(d: Doctrine) -> Verdict:
     return d.cached(("eaco_compat_all",), compute)
 
 
+def _eaco_clauses(d: Doctrine) -> list[tuple[str, Verdict]]:
+    return [("elementary", is_elementary(d)),
+            ("full_cocomprehension", is_full_cocomprehension(d)),
+            ("ac", ac_check(d)[0]),
+            ("compatibility", eaco_compat_all(d))]
+
+
 def is_eaco(d: Doctrine) -> Verdict:
     """Elementary, full co-comprehension, AC, and the compatibility equation."""
     def compute() -> Verdict:
-        return combine(d.window_descriptor,
-                       is_elementary(d),
-                       is_full_cocomprehension(d),
-                       ac_check(d)[0],
-                       eaco_compat_all(d))
+        return combine(d.window_descriptor, *(v for _, v in _eaco_clauses(d)))
     return d.cached(("is_eaco",), compute)
 
 
@@ -212,11 +215,7 @@ def heaco_to_tripos(d: Doctrine) -> tuple[Doctrine, Verdict]:
     """The dual of a heaco, with the verdict that it is a tripos with full
     comprehension; the restricted Beck-Chevalley condition over the
     co-comprehension class is re-verified directly so a failure localizes."""
-    clauses = [("elementary", is_elementary(d)),
-               ("full_cocomprehension", is_full_cocomprehension(d)),
-               ("ac", ac_check(d)[0]),
-               ("compatibility", eaco_compat_all(d)),
-               ("higher_order", is_higher_order(d))]
+    clauses = _eaco_clauses(d) + [("higher_order", is_higher_order(d))]
     failed = [name for name, v in clauses if not v]
     dual = dualize(d)
     if failed:

@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boolean flag expression, e.g. 'full_comp&!classical'")
     p.add_argument("--budget", type=_at_least(0), default=100_000,
                    help="candidate examination cap")
-    p.add_argument("--limit", type=int, default=5,
+    p.add_argument("--limit", type=_at_least(1), default=5,
                    help="stop after this many matches")
     p.add_argument("--window", type=_at_least(1), default=3,
                    help="enumeration bound: max chain length and fiber size")

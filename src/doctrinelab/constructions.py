@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .doctrine import Doctrine, is_existential, is_sigma_doctrine
+from .doctrine import Doctrine, is_existential, is_sigma_doctrine, memoized
 from .logic import (ComprehensionWitness, EpsilonTable, ac_check,
                     cocomprehension_class, cocomprehension_squares,
                     cocomprehension_table, comprehension_table, find_equality,
@@ -180,15 +180,14 @@ def eaco_compat(d: Doctrine, f: str, alpha: str) -> Verdict:
     return Verdict.holds(d.window_descriptor)
 
 
+@memoized
 def eaco_compat_all(d: Doctrine) -> Verdict:
-    def compute() -> Verdict:
-        for f in d.base.window_arrows:
-            for alpha in d.fibers[d.base.cod(f)].elements:
-                v = eaco_compat(d, f, alpha)
-                if not v:
-                    return v
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("eaco_compat_all",), compute)
+    for f in d.base.window_arrows:
+        for alpha in d.fibers[d.base.cod(f)].elements:
+            v = eaco_compat(d, f, alpha)
+            if not v:
+                return v
+    return Verdict.holds(d.window_descriptor)
 
 
 def _eaco_clauses(d: Doctrine) -> list[tuple[str, Verdict]]:
@@ -198,17 +197,15 @@ def _eaco_clauses(d: Doctrine) -> list[tuple[str, Verdict]]:
             ("compatibility", eaco_compat_all(d))]
 
 
+@memoized
 def is_eaco(d: Doctrine) -> Verdict:
     """Elementary, full co-comprehension, AC, and the compatibility equation."""
-    def compute() -> Verdict:
-        return combine(d.window_descriptor, *(v for _, v in _eaco_clauses(d)))
-    return d.cached(("is_eaco",), compute)
+    return combine(d.window_descriptor, *(v for _, v in _eaco_clauses(d)))
 
 
+@memoized
 def is_heaco(d: Doctrine) -> Verdict:
-    def compute() -> Verdict:
-        return combine(d.window_descriptor, is_eaco(d), is_higher_order(d))
-    return d.cached(("is_heaco",), compute)
+    return combine(d.window_descriptor, is_eaco(d), is_higher_order(d))
 
 
 def heaco_to_tripos(d: Doctrine) -> tuple[Doctrine, Verdict]:

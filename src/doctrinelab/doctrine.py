@@ -3,15 +3,17 @@ contravariant monotone reindexing, plus the structural classification
 predicates (primary, propositional, Sigma/Pi with Beck-Chevalley, Frobenius,
 existential).
 
-All classification entry points are memoized per instance under a
-(check id, arguments) key: the theorem harness re-queries the same
-predicates many times and verdicts embed the window descriptor, so cached
+Every per-doctrine result is memoized in the doctrine by :func:`memoized`:
+the key is the function plus its positional arguments, so callers pass
+arguments in one canonical form (public checks with defaults resolve them
+before calling a memoized core).  The theorem harness re-queries the same
+predicates many times, and verdicts embed the window descriptor, so cached
 results are never silently over-claimed.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Mapping
 
 from .fincat import ArrowClass, FinCategory, Square, _unique_squares
@@ -35,6 +37,14 @@ __all__ = [
 
 # marks a key never computed: None is a result the memo must keep
 _MISSING = object()
+
+
+def memoized(fn: Callable) -> Callable:
+    """Memoize ``fn(d, *args)`` in ``d`` under the key ``(fn, *args)``."""
+    @wraps(fn)
+    def call(d: "Doctrine", *args):
+        return d.cached((fn, *args), lambda: fn(d, *args))
+    return call
 
 
 class Doctrine:
@@ -105,13 +115,11 @@ class Doctrine:
     def bottom(self, obj: str) -> str | None:
         return self.fibers[obj].ops.bottom
 
-    def meet(self, obj: str, a: str, b: str) -> str:
-        return self.fibers[obj].ops.meet[(a, b)]
-
     def __repr__(self) -> str:
         return f"Doctrine({self.name!r}, {self.base!r})"
 
 
+@memoized
 def validate_doctrine(d: Doctrine) -> Verdict:
     """Functoriality and monotonicity of the reindexing over all tables.
 
@@ -119,60 +127,56 @@ def validate_doctrine(d: Doctrine) -> Verdict:
     :class:`ShapeMismatch`; law violations are Refuted with the offending
     arrows and element.
     """
-    def compute() -> Verdict:
-        base = d.base
-        for o in base.objects:
-            if o not in d.fibers:
-                raise ShapeMismatch(f"no fiber for object {o}")
-        for n, a in base.arrows.items():
-            m = d.reindex.get(n)
-            if m is None:
-                raise ShapeMismatch(f"no reindex map for arrow {n}")
-            if not m.source.same_order(d.fibers[a.cod]) and m.source is not d.fibers[a.cod]:
-                raise ShapeMismatch(f"reindex({n}) source is not fiber({a.cod})")
-            if not m.target.same_order(d.fibers[a.dom]) and m.target is not d.fibers[a.dom]:
-                raise ShapeMismatch(f"reindex({n}) target is not fiber({a.dom})")
-        for o in base.objects:
-            m = d.reindex[base.identity[o]]
-            for e in d.fibers[o].elements:
-                if m.table[e] != e:
-                    return Verdict.refuted(kind="functor_identity", object=o,
-                                           element=e, image=m.table[e])
-        for n, a in base.arrows.items():
-            m = d.reindex[n]
-            src, tgt = d.fibers[a.cod], d.fibers[a.dom]
-            it = m.idx_table
-            for i in range(len(src.elements)):
-                mask = src.uppers[i]
-                while mask:
-                    j = (mask & -mask).bit_length() - 1
-                    if not tgt.leq_idx(it[i], it[j]):
-                        return Verdict.refuted(
-                            kind="not_monotone", arrow=n,
-                            pair=[src.elements[i], src.elements[j]],
-                            images=[tgt.elements[it[i]], tgt.elements[it[j]]])
-                    mask &= mask - 1
-        for (g, f), gf in base.compose_table.items():
-            mg, mf, mgf = d.reindex[g], d.reindex[f], d.reindex[gf]
-            for e in mg.source.elements:
-                if mf.table[mg.table[e]] != mgf.table[e]:
-                    return Verdict.refuted(kind="functor_composition", f=f, g=g,
-                                           composite=gf, element=e,
-                                           via_composite=mgf.table[e],
-                                           via_parts=mf.table[mg.table[e]])
-        return Verdict.holds(d.window_descriptor)
-
-    return d.cached(("validate_doctrine",), compute)
+    base = d.base
+    for o in base.objects:
+        if o not in d.fibers:
+            raise ShapeMismatch(f"no fiber for object {o}")
+    for n, a in base.arrows.items():
+        m = d.reindex.get(n)
+        if m is None:
+            raise ShapeMismatch(f"no reindex map for arrow {n}")
+        if not m.source.same_order(d.fibers[a.cod]) and m.source is not d.fibers[a.cod]:
+            raise ShapeMismatch(f"reindex({n}) source is not fiber({a.cod})")
+        if not m.target.same_order(d.fibers[a.dom]) and m.target is not d.fibers[a.dom]:
+            raise ShapeMismatch(f"reindex({n}) target is not fiber({a.dom})")
+    for o in base.objects:
+        m = d.reindex[base.identity[o]]
+        for e in d.fibers[o].elements:
+            if m.table[e] != e:
+                return Verdict.refuted(kind="functor_identity", object=o,
+                                       element=e, image=m.table[e])
+    for n, a in base.arrows.items():
+        m = d.reindex[n]
+        src, tgt = d.fibers[a.cod], d.fibers[a.dom]
+        it = m.idx_table
+        for i in range(len(src.elements)):
+            mask = src.uppers[i]
+            while mask:
+                j = (mask & -mask).bit_length() - 1
+                if not tgt.leq_idx(it[i], it[j]):
+                    return Verdict.refuted(
+                        kind="not_monotone", arrow=n,
+                        pair=[src.elements[i], src.elements[j]],
+                        images=[tgt.elements[it[i]], tgt.elements[it[j]]])
+                mask &= mask - 1
+    for (g, f), gf in base.compose_table.items():
+        mg, mf, mgf = d.reindex[g], d.reindex[f], d.reindex[gf]
+        for e in mg.source.elements:
+            if mf.table[mg.table[e]] != mgf.table[e]:
+                return Verdict.refuted(kind="functor_composition", f=f, g=g,
+                                       composite=gf, element=e,
+                                       via_composite=mgf.table[e],
+                                       via_parts=mf.table[mg.table[e]])
+    return Verdict.holds(d.window_descriptor)
 
 
+@memoized
 def _has_bounds(d: Doctrine, bound: str) -> Verdict:
     """Does every scope fiber have a ``"top"`` (``"bottom"``) element?"""
-    def compute() -> Verdict:
-        for o in d.scope_objects:
-            if getattr(d.fibers[o].ops, bound) is None:
-                return Verdict.not_applicable(f"no {bound} element in fiber({o})")
-        return Verdict.holds(d.window_descriptor)
-    return d.cached((f"has_{bound}s",), compute)
+    for o in d.scope_objects:
+        if getattr(d.fibers[o].ops, bound) is None:
+            return Verdict.not_applicable(f"no {bound} element in fiber({o})")
+    return Verdict.holds(d.window_descriptor)
 
 
 def has_tops(d: Doctrine) -> Verdict:
@@ -183,174 +187,156 @@ def has_bottoms(d: Doctrine) -> Verdict:
     return _has_bounds(d, "bottom")
 
 
+@memoized
 def is_primary(d: Doctrine) -> Verdict:
     """Do all scope fibers have binary meets, preserved by reindexing?"""
-    def compute() -> Verdict:
-        for o in d.scope_objects:
-            if d.fibers[o].ops.meet is None:
-                return Verdict.not_applicable(f"no meets in fiber({o})")
-        for n in d.scope_arrows:
-            a = d.base.arrows[n]
-            bad = _unpreserved(d.reindex[n], d.fibers[a.cod].ops.meet,
-                               d.fibers[a.dom].ops.meet)
-            if bad is not None:
-                pair, image, expected = bad
-                return Verdict.refuted(kind="meet_not_preserved", arrow=n,
-                                       pair=pair, image_of_meet=image,
-                                       meet_of_images=expected)
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("is_primary",), compute)
+    for o in d.scope_objects:
+        if d.fibers[o].ops.meet is None:
+            return Verdict.not_applicable(f"no meets in fiber({o})")
+    for n in d.scope_arrows:
+        a = d.base.arrows[n]
+        bad = _unpreserved(d.reindex[n], d.fibers[a.cod].ops.meet,
+                           d.fibers[a.dom].ops.meet)
+        if bad is not None:
+            pair, image, expected = bad
+            return Verdict.refuted(kind="meet_not_preserved", arrow=n,
+                                   pair=pair, image_of_meet=image,
+                                   meet_of_images=expected)
+    return Verdict.holds(d.window_descriptor)
 
 
+@memoized
 def is_propositional(d: Doctrine) -> Verdict:
     """Are all scope fibers Heyting algebras, with reindexing a Heyting hom?"""
-    def compute() -> Verdict:
-        for o in d.scope_objects:
-            if not d.fibers[o].ops.is_heyting:
-                return Verdict.not_applicable(f"fiber({o}) is not a Heyting algebra")
-        for n in d.scope_arrows:
-            a = d.base.arrows[n]
-            m = d.reindex[n]
-            so = d.fibers[a.cod].ops
-            to = d.fibers[a.dom].ops
-            if m.table[so.top] != to.top or m.table[so.bottom] != to.bottom:
-                return Verdict.refuted(kind="bound_not_preserved", arrow=n,
-                                       top=[m.table[so.top], to.top],
-                                       bottom=[m.table[so.bottom], to.bottom])
-            bad = _unpreserved_heyting(m, so, to)
-            if bad is not None:
-                opname, pair, image, expected = bad
-                return Verdict.refuted(kind=f"{opname}_not_preserved", arrow=n,
-                                       pair=pair, image_of_op=image,
-                                       op_of_images=expected)
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("is_propositional",), compute)
+    for o in d.scope_objects:
+        if not d.fibers[o].ops.is_heyting:
+            return Verdict.not_applicable(f"fiber({o}) is not a Heyting algebra")
+    for n in d.scope_arrows:
+        a = d.base.arrows[n]
+        m = d.reindex[n]
+        so = d.fibers[a.cod].ops
+        to = d.fibers[a.dom].ops
+        if m.table[so.top] != to.top or m.table[so.bottom] != to.bottom:
+            return Verdict.refuted(kind="bound_not_preserved", arrow=n,
+                                   top=[m.table[so.top], to.top],
+                                   bottom=[m.table[so.bottom], to.bottom])
+        bad = _unpreserved_heyting(m, so, to)
+        if bad is not None:
+            opname, pair, image, expected = bad
+            return Verdict.refuted(kind=f"{opname}_not_preserved", arrow=n,
+                                   pair=pair, image_of_op=image,
+                                   op_of_images=expected)
+    return Verdict.holds(d.window_descriptor)
 
 
-def bc_squares(d: Doctrine, cls: ArrowClass,
-               extra: Iterable[Square] = ()) -> tuple[Square, ...]:
-    """The window pullback squares over which Beck-Chevalley is quantified.
-
-    For the projection class these are the product-table squares plus any
-    window pullbacks of window-arrow members found by search; witness-based
-    classes (comprehension, co-comprehension) pass their canonical squares
-    through ``extra``.
-    """
-    def compute() -> tuple[Square, ...]:
-        squares: list[Square] = list(extra)
-        if cls.name == "Prj":
-            squares.extend(d.base.canonical_projection_squares())
-        squares.extend(d.base._window_pullbacks(cls))
-        return _unique_squares(squares)
-
-    return d.cached(("bc_squares", cls.name, cls.members, tuple(extra)), compute)
+@memoized
+def bc_squares(d: Doctrine, cls: ArrowClass) -> tuple[Square, ...]:
+    """The window pullback squares over which Beck-Chevalley is quantified:
+    for the projection class the product-table squares, plus the window
+    pullbacks of window-arrow members found by search."""
+    squares: list[Square] = []
+    if cls.name == "Prj":
+        squares.extend(d.base.canonical_projection_squares())
+    squares.extend(d.base._window_pullbacks(cls))
+    return _unique_squares(squares)
 
 
-def _quantifier_doctrine(d: Doctrine, side: str, cls: ArrowClass | None,
+@memoized
+def _quantifier_doctrine(d: Doctrine, side: str, cls: ArrowClass,
                          restricted: bool,
-                         squares: Iterable[Square] | None) -> Verdict:
+                         squares: tuple[Square, ...] | None) -> Verdict:
     """Adjoints on ``side`` (``"sigma"`` or ``"pi"``) along every member of
-    the class, with (restricted) Beck-Chevalley over the squares: by default
+    the class, with (restricted) Beck-Chevalley over the squares: if None,
     the class's window pullbacks, after checking it is pullback-stable."""
-    if cls is None:
-        cls = d.base.projection_class()
-    if squares is not None:
-        squares = tuple(squares)
     adjoint = d.sigma if side == "sigma" else d.pi
-
-    def compute() -> Verdict:
-        if squares is None:
-            stable = d.base.is_pullback_stable(cls)
-            if stable.is_refuted:
-                return Verdict.not_applicable(
-                    f"class {cls.name} not pullback-stable: {stable.counterexample}")
-        for f in cls.members:
-            if adjoint(f) is None:
-                return Verdict.not_applicable(f"{side} adjoint missing at {f}")
-        for s in squares if squares is not None else bc_squares(d, cls):
-            adj_f, adj_g = adjoint(s.f), adjoint(s.to_g)
-            if adj_f is None:
-                return Verdict.not_applicable(f"{side} adjoint missing at {s.f}")
-            if adj_g is None:
-                return Verdict.not_applicable(f"{side} adjoint missing at {s.to_g}")
-            h_star = d.reindex[s.g].table
-            k_star = d.reindex[s.to_f].table
-            dom_fiber = d.fibers[d.base.dom(s.f)]
-            if restricted:
-                f_star = d.reindex[s.f].table
-                gammas = sorted({f_star[xi]
-                                 for xi in d.fibers[d.base.cod(s.f)].elements},
-                                key=dom_fiber.index.__getitem__)
-            else:
-                gammas = dom_fiber.elements
-            for gamma in gammas:
-                lhs = h_star[adj_f.table[gamma]]
-                rhs = adj_g.table[k_star[gamma]]
-                if lhs != rhs:
-                    return Verdict.refuted(kind="beck_chevalley", which=side,
-                                           arrow_class=cls.name,
-                                           restricted=restricted,
-                                           square=vars(s), gamma=gamma,
-                                           lhs=lhs, rhs=rhs)
-        return Verdict.holds(d.window_descriptor)
-
-    return d.cached((f"is_{side}_doctrine", cls.name, cls.members, restricted,
-                     squares), compute)
+    if squares is None:
+        stable = d.base.is_pullback_stable(cls)
+        if stable.is_refuted:
+            return Verdict.not_applicable(
+                f"class {cls.name} not pullback-stable: {stable.counterexample}")
+    for f in cls.members:
+        if adjoint(f) is None:
+            return Verdict.not_applicable(f"{side} adjoint missing at {f}")
+    for s in squares if squares is not None else bc_squares(d, cls):
+        adj_f, adj_g = adjoint(s.f), adjoint(s.to_g)
+        if adj_f is None:
+            return Verdict.not_applicable(f"{side} adjoint missing at {s.f}")
+        if adj_g is None:
+            return Verdict.not_applicable(f"{side} adjoint missing at {s.to_g}")
+        h_star = d.reindex[s.g].table
+        k_star = d.reindex[s.to_f].table
+        dom_fiber = d.fibers[d.base.dom(s.f)]
+        if restricted:
+            f_star = d.reindex[s.f].table
+            gammas = sorted({f_star[xi]
+                             for xi in d.fibers[d.base.cod(s.f)].elements},
+                            key=dom_fiber.index.__getitem__)
+        else:
+            gammas = dom_fiber.elements
+        for gamma in gammas:
+            lhs = h_star[adj_f.table[gamma]]
+            rhs = adj_g.table[k_star[gamma]]
+            if lhs != rhs:
+                return Verdict.refuted(kind="beck_chevalley", which=side,
+                                       arrow_class=cls.name,
+                                       restricted=restricted,
+                                       square=vars(s), gamma=gamma,
+                                       lhs=lhs, rhs=rhs)
+    return Verdict.holds(d.window_descriptor)
 
 
 def is_sigma_doctrine(d: Doctrine, cls: ArrowClass | None = None,
                       restricted: bool = False,
                       squares: Iterable[Square] | None = None) -> Verdict:
     """Left adjoints along the class with (restricted) Beck-Chevalley."""
-    return _quantifier_doctrine(d, "sigma", cls, restricted, squares)
+    return _quantifier_doctrine(d, "sigma", cls or d.base.projection_class(),
+                                restricted,
+                                None if squares is None else tuple(squares))
 
 
 def is_pi_doctrine(d: Doctrine, cls: ArrowClass | None = None,
                    restricted: bool = False,
                    squares: Iterable[Square] | None = None) -> Verdict:
     """Right adjoints along the class with (restricted) Beck-Chevalley."""
-    return _quantifier_doctrine(d, "pi", cls, restricted, squares)
+    return _quantifier_doctrine(d, "pi", cls or d.base.projection_class(),
+                                restricted,
+                                None if squares is None else tuple(squares))
 
 
 def frobenius(d: Doctrine, cls: ArrowClass | None = None) -> Verdict:
     """Sigma_f(alpha and f*beta) = beta and Sigma_f(alpha) over the class."""
-    if cls is None:
-        cls = d.base.projection_class()
-
-    def compute() -> Verdict:
-        primary = is_primary(d)
-        if not primary:
-            return primary if primary.is_refuted else Verdict.not_applicable(
-                f"not primary: {primary.reason}")
-        for f in cls.members:
-            adj = d.sigma(f)
-            if adj is None:
-                return Verdict.not_applicable(f"sigma adjoint missing at {f}")
-            a = d.base.arrows[f]
-            dom_ops = d.fibers[a.dom].ops
-            cod_ops = d.fibers[a.cod].ops
-            if dom_ops.meet is None or cod_ops.meet is None:
-                return Verdict.not_applicable(f"no meets around {f}")
-            f_star = d.reindex[f].table
-            for alpha in d.fibers[a.dom].elements:
-                for beta in d.fibers[a.cod].elements:
-                    lhs = adj.table[dom_ops.meet[(alpha, f_star[beta])]]
-                    rhs = cod_ops.meet[(beta, adj.table[alpha])]
-                    if lhs != rhs:
-                        return Verdict.refuted(kind="frobenius", arrow=f,
-                                               alpha=alpha, beta=beta,
-                                               lhs=lhs, rhs=rhs)
-        return Verdict.holds(d.window_descriptor)
-
-    return d.cached(("frobenius", cls.name, cls.members), compute)
+    return _frobenius(d, cls or d.base.projection_class())
 
 
+@memoized
+def _frobenius(d: Doctrine, cls: ArrowClass) -> Verdict:
+    primary = is_primary(d)
+    if not primary:
+        return primary if primary.is_refuted else Verdict.not_applicable(
+            f"not primary: {primary.reason}")
+    for f in cls.members:
+        adj = d.sigma(f)
+        if adj is None:
+            return Verdict.not_applicable(f"sigma adjoint missing at {f}")
+        a = d.base.arrows[f]
+        dom_ops = d.fibers[a.dom].ops
+        cod_ops = d.fibers[a.cod].ops
+        if dom_ops.meet is None or cod_ops.meet is None:
+            return Verdict.not_applicable(f"no meets around {f}")
+        f_star = d.reindex[f].table
+        for alpha in d.fibers[a.dom].elements:
+            for beta in d.fibers[a.cod].elements:
+                lhs = adj.table[dom_ops.meet[(alpha, f_star[beta])]]
+                rhs = cod_ops.meet[(beta, adj.table[alpha])]
+                if lhs != rhs:
+                    return Verdict.refuted(kind="frobenius", arrow=f,
+                                           alpha=alpha, beta=beta,
+                                           lhs=lhs, rhs=rhs)
+    return Verdict.holds(d.window_descriptor)
+
+
+@memoized
 def is_existential(d: Doctrine) -> Verdict:
     """Sigma-doctrine over projections satisfying Frobenius reciprocity."""
-    def compute() -> Verdict:
-        prj = d.base.projection_class()
-        return combine(d.window_descriptor,
-                       is_primary(d),
-                       is_sigma_doctrine(d, prj, restricted=False),
-                       frobenius(d, prj))
-    return d.cached(("is_existential",), compute)
+    return combine(d.window_descriptor, is_primary(d), is_sigma_doctrine(d),
+                   frobenius(d))

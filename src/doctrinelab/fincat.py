@@ -79,13 +79,9 @@ def _unique_squares(squares: Iterable[Square]) -> tuple[Square, ...]:
 
 @dataclass(frozen=True)
 class ArrowClass:
-    """A class of arrows given by chosen representative members.
-
-    ``pullback_stable`` records a verified closure flag; None means not yet
-    checked (the Beck-Chevalley machinery re-verifies stability anyway)."""
+    """A class of arrows given by chosen representative members."""
     name: str
     members: tuple[str, ...]
-    pullback_stable: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -153,9 +149,6 @@ class FinCategory:
     def obj_index(self, o: str) -> int:
         return self._obj_index[o]
 
-    def arrow(self, name: str) -> Arrow:
-        return self.arrows[name]
-
     def dom(self, name: str) -> str:
         return self.arrows[name].dom
 
@@ -183,21 +176,11 @@ class FinCategory:
         return self._hom.get((x, y), ())
 
     @cached_property
-    def _from(self) -> dict[str, tuple[str, ...]]:
-        buckets: dict[str, list[str]] = {o: [] for o in self.objects}
-        for n, a in self.arrows.items():
-            buckets[a.dom].append(n)
-        return {k: tuple(self.sort_arrows(v)) for k, v in buckets.items()}
-
-    @cached_property
     def _into(self) -> dict[str, tuple[str, ...]]:
         buckets: dict[str, list[str]] = {o: [] for o in self.objects}
         for n, a in self.arrows.items():
             buckets[a.cod].append(n)
         return {k: tuple(self.sort_arrows(v)) for k, v in buckets.items()}
-
-    def arrows_from(self, o: str) -> tuple[str, ...]:
-        return self._from[o]
 
     def arrows_into(self, o: str) -> tuple[str, ...]:
         return self._into[o]
@@ -220,13 +203,6 @@ class FinCategory:
                 raise ValueError(f"{g} and {f} are not composable")
             raise MalformedCategory(f"incomplete table: ({g}) o ({f}) missing")
         return got
-
-    def compose_many(self, *names: str) -> str:
-        """Composite of a path listed codomain-first: compose_many(h, g, f)."""
-        out = names[0]
-        for f in names[1:]:
-            out = self.compose(out, f)
-        return out
 
     @property
     def window_descriptor(self) -> str:
@@ -344,14 +320,6 @@ class FinCategory:
         if self.terminal_obj is None:
             raise StructureMissing("no terminal object declared")
         return self.terminal_obj
-
-    def bang(self, x: str) -> str:
-        """The unique arrow into the terminal object."""
-        t = self.terminal()
-        hom = self.hom(x, t)
-        if len(hom) != 1:
-            raise MalformedCategory(f"terminal {t} has {len(hom)} arrows from {x}")
-        return hom[0]
 
     def diagonal(self, a: str) -> str:
         return self.pair(self.identity[a], self.identity[a])

@@ -18,7 +18,7 @@ import json
 from typing import Any, Mapping
 
 from . import catalog as _catalog
-from .doctrine import Doctrine
+from .doctrine import Doctrine, memoized
 from .fincat import Arrow, FinCategory, Presentation, Product
 from .poset import FinPoset, MonotoneMap
 from .verdicts import ParseError
@@ -33,7 +33,9 @@ def canonical_json(doc: Mapping) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@memoized
 def to_document(d: Doctrine) -> dict:
+    """The instance document, built once per doctrine: do not mutate it."""
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "meta": {"name": d.name, "window": d.window_descriptor},
@@ -76,10 +78,9 @@ def serialize(d: Doctrine) -> str:
     return canonical_json(to_document(d))
 
 
+@memoized
 def instance_hash(d: Doctrine) -> str:
-    def compute() -> str:
-        return hashlib.sha256(serialize(d).encode()).hexdigest()[:16]
-    return d.cached(("instance_hash",), compute)
+    return hashlib.sha256(serialize(d).encode()).hexdigest()[:16]
 
 
 def _tuplify(value):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .doctrine import (Doctrine, has_bottoms, has_tops, is_pi_doctrine,
-                       is_primary, is_propositional, is_sigma_doctrine)
+                       is_primary, is_propositional, is_sigma_doctrine,
+                       memoized)
 from .fincat import ArrowClass, Square, _unique_squares
 from .verdicts import Verdict, combine
 
@@ -152,24 +153,23 @@ def equality_candidates(d: Doctrine, a: str) -> list[str]:
     return out
 
 
+@memoized
 def _equality(d: Doctrine) -> tuple[Verdict, EqualityWitness | None]:
     """The elementary verdict with the first equality predicate per window
     object, when every one has some."""
-    def compute():
-        primary = is_primary(d)
-        if not primary:
-            return (primary if primary.is_refuted else Verdict.not_applicable(
-                f"not primary: {primary.reason}"), None)
-        delta = {}
-        for a in d.base.window:
-            candidates = equality_candidates(d, a)
-            if not candidates:
-                # candidate pool is the full fiber, each rejection is a
-                # window counterexample, so absence is conclusive
-                return Verdict.refuted(kind="no_equality_predicate", object=a), None
-            delta[a] = candidates[0]
-        return Verdict.holds(d.window_descriptor), EqualityWitness(delta)
-    return d.cached(("equality",), compute)
+    primary = is_primary(d)
+    if not primary:
+        return (primary if primary.is_refuted else Verdict.not_applicable(
+            f"not primary: {primary.reason}"), None)
+    delta = {}
+    for a in d.base.window:
+        candidates = equality_candidates(d, a)
+        if not candidates:
+            # candidate pool is the full fiber, each rejection is a
+            # window counterexample, so absence is conclusive
+            return Verdict.refuted(kind="no_equality_predicate", object=a), None
+        delta[a] = candidates[0]
+    return Verdict.holds(d.window_descriptor), EqualityWitness(delta)
 
 
 def find_equality(d: Doctrine) -> EqualityWitness | None:
@@ -256,28 +256,28 @@ def cocomprehension(d: Doctrine, a: str, alpha: str) -> ComprehensionWitness | N
     return cocomprehension_table(d).get((a, alpha))
 
 
+@memoized
 def _witness_table(d: Doctrine, dual: bool) -> dict:
-    def compute():
-        out = {}
-        for a in d.base.window:
-            if _bound(d, a, dual) is None:
-                continue
-            for alpha in d.fibers[a].elements:
-                w = _comprehension_search(d, a, alpha, dual)
-                if w is not None:
-                    out[(a, alpha)] = w
-        return out
-    return d.cached(("witness_table", dual), compute)
+    out = {}
+    for a in d.base.window:
+        if _bound(d, a, dual) is None:
+            continue
+        for alpha in d.fibers[a].elements:
+            w = _comprehension_search(d, a, alpha, dual)
+            if w is not None:
+                out[(a, alpha)] = w
+    return out
 
 
 def comprehension_table(d: Doctrine) -> dict:
-    return _witness_table(d, dual=False)
+    return _witness_table(d, False)
 
 
 def cocomprehension_table(d: Doctrine) -> dict:
-    return _witness_table(d, dual=True)
+    return _witness_table(d, True)
 
 
+@memoized
 def _has_witnesses(d: Doctrine, dual: bool) -> Verdict:
     name = "co-comprehension" if dual else "comprehension"
     bounds = has_bottoms(d) if dual else has_tops(d)
@@ -294,13 +294,14 @@ def _has_witnesses(d: Doctrine, dual: bool) -> Verdict:
 
 
 def has_comprehension(d: Doctrine) -> Verdict:
-    return d.cached(("has_comprehension",), lambda: _has_witnesses(d, False))
+    return _has_witnesses(d, False)
 
 
 def has_cocomprehension(d: Doctrine) -> Verdict:
-    return d.cached(("has_cocomprehension",), lambda: _has_witnesses(d, True))
+    return _has_witnesses(d, True)
 
 
+@memoized
 def _fullness(d: Doctrine, dual: bool) -> Verdict:
     exists = has_cocomprehension(d) if dual else has_comprehension(d)
     if not exists:
@@ -331,11 +332,11 @@ def _fullness(d: Doctrine, dual: bool) -> Verdict:
 
 
 def is_full_comprehension(d: Doctrine) -> Verdict:
-    return d.cached(("is_full_comprehension",), lambda: _fullness(d, False))
+    return _fullness(d, False)
 
 
 def is_full_cocomprehension(d: Doctrine) -> Verdict:
-    return d.cached(("is_full_cocomprehension",), lambda: _fullness(d, True))
+    return _fullness(d, True)
 
 
 def _witness_class(d: Doctrine, dual: bool) -> ArrowClass:
@@ -353,28 +354,27 @@ def cocomprehension_class(d: Doctrine) -> ArrowClass:
     return _witness_class(d, True)
 
 
+@memoized
 def _witness_squares(d: Doctrine, dual: bool) -> tuple[Square, ...]:
     """The canonical square of each witness pulled back along each window
     arrow; its limiting property is a separate verifiable invariant."""
-    def compute():
-        table = _witness_table(d, dual)
-        base = d.base
-        squares = []
-        for (a, alpha), w in sorted(table.items()):
-            for f in base.window_arrows_into(a):
-                x = base.dom(f)
-                pulled = table.get((x, d.star(f, alpha)))
-                if pulled is None:
-                    continue
-                via = base.compose(f, pulled.arrow)
-                qs = [k for k in base.hom(base.dom(pulled.arrow), base.dom(w.arrow))
-                      if base.compose(w.arrow, k) == via]
-                if len(qs) != 1:
-                    continue
-                squares.append(Square(apex=base.dom(pulled.arrow), to_f=qs[0],
-                                      to_g=pulled.arrow, f=w.arrow, g=f))
-        return _unique_squares(squares)
-    return d.cached(("witness_squares", dual), compute)
+    table = _witness_table(d, dual)
+    base = d.base
+    squares = []
+    for (a, alpha), w in sorted(table.items()):
+        for f in base.window_arrows_into(a):
+            x = base.dom(f)
+            pulled = table.get((x, d.star(f, alpha)))
+            if pulled is None:
+                continue
+            via = base.compose(f, pulled.arrow)
+            qs = [k for k in base.hom(base.dom(pulled.arrow), base.dom(w.arrow))
+                  if base.compose(w.arrow, k) == via]
+            if len(qs) != 1:
+                continue
+            squares.append(Square(apex=base.dom(pulled.arrow), to_f=qs[0],
+                                  to_g=pulled.arrow, f=w.arrow, g=f))
+    return _unique_squares(squares)
 
 
 def comprehension_squares(d: Doctrine) -> tuple[Square, ...]:
@@ -408,54 +408,52 @@ def _pseudocomplement(fiber, beta: str) -> str | None:
     return None if g is None else fiber.elements[g]
 
 
+@memoized
 def _negation_impl(d: Doctrine) -> tuple[Verdict, NegationTable | None]:
-    def compute():
-        primary = is_primary(d)
-        if not primary:
-            return (primary if primary.is_refuted else Verdict.not_applicable(
-                f"negation needs a primary doctrine: {primary.reason}"), None)
-        bottoms = has_bottoms(d)
-        if not bottoms:
-            return (Verdict.not_applicable(
-                f"negation needs bottoms: {bottoms.reason}"), None)
-        tables: dict[str, dict[str, str]] = {}
-        for a in d.base.window:
-            fiber = d.fibers[a]
-            tab = {}
-            for beta in fiber.elements:
-                neg = _pseudocomplement(fiber, beta)
-                if neg is None:
-                    return (Verdict.not_applicable(
-                        f"no pseudocomplement for {beta} in fiber({a})"), None)
-                tab[beta] = neg
-            tables[a] = tab
-        for f in d.base.window_arrows:
-            a = d.base.arrows[f]
-            star = d.reindex[f].table
-            for beta in d.fibers[a.cod].elements:
-                if star[tables[a.cod][beta]] != tables[a.dom][star[beta]]:
-                    return (Verdict.refuted(
-                        kind="negation_not_natural", arrow=f, beta=beta,
-                        reindexed_negation=star[tables[a.cod][beta]],
-                        negation_of_reindexed=tables[a.dom][star[beta]]), None)
-        return Verdict.holds(d.window_descriptor), NegationTable(tables)
-    return d.cached(("negation",), compute)
+    primary = is_primary(d)
+    if not primary:
+        return (primary if primary.is_refuted else Verdict.not_applicable(
+            f"negation needs a primary doctrine: {primary.reason}"), None)
+    bottoms = has_bottoms(d)
+    if not bottoms:
+        return (Verdict.not_applicable(
+            f"negation needs bottoms: {bottoms.reason}"), None)
+    tables: dict[str, dict[str, str]] = {}
+    for a in d.base.window:
+        fiber = d.fibers[a]
+        tab = {}
+        for beta in fiber.elements:
+            neg = _pseudocomplement(fiber, beta)
+            if neg is None:
+                return (Verdict.not_applicable(
+                    f"no pseudocomplement for {beta} in fiber({a})"), None)
+            tab[beta] = neg
+        tables[a] = tab
+    for f in d.base.window_arrows:
+        a = d.base.arrows[f]
+        star = d.reindex[f].table
+        for beta in d.fibers[a.cod].elements:
+            if star[tables[a.cod][beta]] != tables[a.dom][star[beta]]:
+                return (Verdict.refuted(
+                    kind="negation_not_natural", arrow=f, beta=beta,
+                    reindexed_negation=star[tables[a.cod][beta]],
+                    negation_of_reindexed=tables[a.dom][star[beta]]), None)
+    return Verdict.holds(d.window_descriptor), NegationTable(tables)
 
 
+@memoized
 def is_classical(d: Doctrine) -> Verdict:
-    def compute() -> Verdict:
-        verdict, table = _negation_impl(d)
-        if not verdict:
-            return verdict if verdict.is_refuted else Verdict.not_applicable(
-                f"no negation: {verdict.reason}")
-        for a in d.base.window:
-            for alpha in d.fibers[a].elements:
-                nn = table.tables[a][table.tables[a][alpha]]
-                if nn != alpha:
-                    return Verdict.refuted(kind="not_classical", object=a,
-                                           alpha=alpha, double_negation=nn)
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("is_classical",), compute)
+    verdict, table = _negation_impl(d)
+    if not verdict:
+        return verdict if verdict.is_refuted else Verdict.not_applicable(
+            f"no negation: {verdict.reason}")
+    for a in d.base.window:
+        for alpha in d.fibers[a].elements:
+            nn = table.tables[a][table.tables[a][alpha]]
+            if nn != alpha:
+                return Verdict.refuted(kind="not_classical", object=a,
+                                       alpha=alpha, double_negation=nn)
+    return Verdict.holds(d.window_descriptor)
 
 
 # -- implication --------------------------------------------------------------
@@ -564,30 +562,28 @@ def _power_cover(d: Doctrine, a: str, p: str,
     return chi
 
 
+@memoized
 def weak_power_object(d: Doctrine, a: str) -> PowerObjectWitness | None:
-    def compute():
-        base = d.base
-        pool = list(dict.fromkeys(list(base.window) + list(base.power_pool)))
-        pool.sort(key=base.obj_index)
-        for p in pool:
-            row = base.products.get((a, p))
-            if row is None:
-                continue
-            for mem in d.fibers[row.obj].elements:
-                chi = _power_cover(d, a, p, mem)
-                if chi is not None:
-                    return PowerObjectWitness(a, p, mem, chi)
-        return None
-    return d.cached(("weak_power_object", a), compute)
+    base = d.base
+    pool = list(dict.fromkeys(list(base.window) + list(base.power_pool)))
+    pool.sort(key=base.obj_index)
+    for p in pool:
+        row = base.products.get((a, p))
+        if row is None:
+            continue
+        for mem in d.fibers[row.obj].elements:
+            chi = _power_cover(d, a, p, mem)
+            if chi is not None:
+                return PowerObjectWitness(a, p, mem, chi)
+    return None
 
 
+@memoized
 def is_higher_order(d: Doctrine) -> Verdict:
-    def compute() -> Verdict:
-        for a in d.base.window:
-            if weak_power_object(d, a) is None:
-                return _search_failure(d, "no_weak_power_object", object=a)
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("is_higher_order",), compute)
+    for a in d.base.window:
+        if weak_power_object(d, a) is None:
+            return _search_failure(d, "no_weak_power_object", object=a)
+    return Verdict.holds(d.window_descriptor)
 
 
 # -- axiom of choice ----------------------------------------------------------
@@ -605,33 +601,32 @@ def _epsilon_search(d: Doctrine, gamma: str, a: str, psi: str,
                  if _chooses(d, gamma, e, psi, target)), None)
 
 
+@memoized
 def ac_check(d: Doctrine) -> tuple[Verdict, EpsilonTable]:
-    def compute():
-        base = d.base
-        entries: dict[tuple[str, str, str], str] = {}
-        initials = set(base.stable_initials)
-        for a in base.window:
-            if a in initials:
-                continue
-            for gamma in base.window:
-                row = base.products[(gamma, a)]
-                adj = d.sigma(row.proj1)
-                if adj is None:
-                    return (Verdict.not_applicable(
-                        f"sigma missing along projection {row.proj1}"),
+    base = d.base
+    entries: dict[tuple[str, str, str], str] = {}
+    initials = set(base.stable_initials)
+    for a in base.window:
+        if a in initials:
+            continue
+        for gamma in base.window:
+            row = base.products[(gamma, a)]
+            adj = d.sigma(row.proj1)
+            if adj is None:
+                return (Verdict.not_applicable(
+                    f"sigma missing along projection {row.proj1}"),
+                    EpsilonTable(entries))
+            for psi in d.fibers[row.obj].elements:
+                target = adj.table[psi]
+                found = _epsilon_search(d, gamma, a, psi, target)
+                if found is None:
+                    return (Verdict.refuted(
+                        kind="ac_no_witness", Gamma=gamma, A=a, psi=psi,
+                        sigma_psi=target,
+                        candidates=len(base.hom(gamma, a))),
                         EpsilonTable(entries))
-                for psi in d.fibers[row.obj].elements:
-                    target = adj.table[psi]
-                    found = _epsilon_search(d, gamma, a, psi, target)
-                    if found is None:
-                        return (Verdict.refuted(
-                            kind="ac_no_witness", Gamma=gamma, A=a, psi=psi,
-                            sigma_psi=target,
-                            candidates=len(base.hom(gamma, a))),
-                            EpsilonTable(entries))
-                    entries[(gamma, a, psi)] = found
-        return Verdict.holds(d.window_descriptor), EpsilonTable(entries)
-    return d.cached(("ac_check",), compute)
+                entries[(gamma, a, psi)] = found
+    return Verdict.holds(d.window_descriptor), EpsilonTable(entries)
 
 
 def epsilon(d: Doctrine, gamma: str, a: str, psi: str) -> str | None:
@@ -665,44 +660,37 @@ def _tripos_delta(d: Doctrine, x: str) -> str | None:
     return None
 
 
+@memoized
 def is_tripos(d: Doctrine) -> Verdict:
     """Propositional + Sigma- and Pi-doctrine + equality by the adjoint-free
     characterization + weak power objects."""
-    def compute() -> Verdict:
-        prop = is_propositional(d)
-        if not prop:
-            return prop if prop.is_refuted else Verdict.not_applicable(
-                f"not propositional: {prop.reason}")
-        prj = d.base.projection_class()
-        parts = [is_sigma_doctrine(d, prj), is_pi_doctrine(d, prj)]
-        for part in parts:
-            if not part:
-                return part
-        for x in d.base.window:
-            if _tripos_delta(d, x) is None:
-                return Verdict.refuted(kind="no_tripos_equality", object=x)
-        ho = is_higher_order(d)
-        if not ho:
-            return ho
-        return Verdict.holds(d.window_descriptor)
-    return d.cached(("is_tripos",), compute)
+    prop = is_propositional(d)
+    if not prop:
+        return prop if prop.is_refuted else Verdict.not_applicable(
+            f"not propositional: {prop.reason}")
+    for part in [is_sigma_doctrine(d), is_pi_doctrine(d)]:
+        if not part:
+            return part
+    for x in d.base.window:
+        if _tripos_delta(d, x) is None:
+            return Verdict.refuted(kind="no_tripos_equality", object=x)
+    ho = is_higher_order(d)
+    if not ho:
+        return ho
+    return Verdict.holds(d.window_descriptor)
 
 
-def is_tripos_via_characterization(
-        d: Doctrine, impl: Mapping[str, Mapping] | None = None) -> Verdict:
-    """Pi-doctrine + implicational (supplied or Heyting tables) + higher order."""
-    def compute() -> Verdict:
-        tables = impl if impl is not None else heyting_implication_tables(d)
-        if tables is None:
-            return Verdict.not_applicable(
-                "no implication tables: fibers are not Heyting algebras")
-        return combine(d.window_descriptor,
-                       is_pi_doctrine(d),
-                       implication_axioms(d, tables),
-                       is_higher_order(d))
-    if impl is not None:
-        return compute()
-    return d.cached(("is_tripos_via_characterization",), compute)
+@memoized
+def is_tripos_via_characterization(d: Doctrine) -> Verdict:
+    """Pi-doctrine + implicational (Heyting tables) + higher order."""
+    tables = heyting_implication_tables(d)
+    if tables is None:
+        return Verdict.not_applicable(
+            "no implication tables: fibers are not Heyting algebras")
+    return combine(d.window_descriptor,
+                   is_pi_doctrine(d),
+                   implication_axioms(d, tables),
+                   is_higher_order(d))
 
 
 # -- declared witnesses ---------------------------------------------------------

@@ -140,10 +140,6 @@ class LatticeOps:
     heyting_implication: Mapping[tuple[str, str], str] | None
 
     @property
-    def is_meet_semilattice(self) -> bool:
-        return self.meet is not None
-
-    @property
     def is_heyting(self) -> bool:
         return (self.meet is not None and self.join is not None
                 and self.top is not None and self.bottom is not None
@@ -238,20 +234,9 @@ class MonotoneMap:
     def __call__(self, e: str) -> str:
         return self.table[e]
 
-    def then(self, other: "MonotoneMap") -> "MonotoneMap":
-        """Composite other . self (first self, then other)."""
-        if other.source is not self.target and other.source.elements != self.target.elements:
-            raise ValueError("composition shape mismatch")
-        return MonotoneMap(self.source, other.target,
-                           {e: other.table[v] for e, v in self.table.items()},
-                           validate=False)
-
     @classmethod
     def identity(cls, p: FinPoset) -> "MonotoneMap":
         return cls(p, p, {e: e for e in p.elements}, validate=False)
-
-    def same_table(self, other: "MonotoneMap") -> bool:
-        return self.table == other.table
 
     def __repr__(self) -> str:
         return f"MonotoneMap({len(self.source)}->{len(self.target)})"

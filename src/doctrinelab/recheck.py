@@ -125,6 +125,25 @@ def _h_class_not_stable(d, base, p):
             and not base.class_contains(cls, s.to_g))
 
 
+def _h_square_not_commuting(d, base, p):
+    s = p["square"]
+    return (base.compose_table.get((s["f"], s["to_f"]))
+            != base.compose_table.get((s["g"], s["to_g"])))
+
+
+def _h_square_not_limiting(d, base, p):
+    # a commuting window cone (y, u, v) over the cospan that does not factor
+    # through the square's apex exactly once
+    s = p["square"]
+    y, u, v = p["cone"]
+    fu = base.compose_table.get((s["f"], u))
+    cone = (y in base.window and base.dom(u) == y == base.dom(v)
+            and fu is not None and fu == base.compose_table.get((s["g"], v)))
+    return cone and sum(base.compose_table.get((s["to_f"], k)) == u
+                        and base.compose_table.get((s["to_g"], k)) == v
+                        for k in base.hom(y, s["apex"])) != 1
+
+
 def _h_beck_chevalley(d, base, p):
     sq = p["square"]
     which = p["which"]
@@ -406,6 +425,8 @@ _HANDLERS = {
     "not_initial": _h_not_initial,
     "unstable_initial": _h_unstable_initial,
     "class_not_stable": _h_class_not_stable,
+    "square_not_commuting": _h_square_not_commuting,
+    "square_not_limiting": _h_square_not_limiting,
     "implication_axiom_a": _h_implication_axiom("a"),
     "implication_axiom_b": _h_implication_axiom("b"),
     "implication_axiom_c": _h_implication_axiom("c"),

@@ -26,9 +26,9 @@ from .constructions import (derived_implication_tables, dualize, is_eaco,
                             is_heaco)
 from .doctrine import (Doctrine, frobenius, has_bottoms, has_tops, is_existential,
                        is_pi_doctrine, is_primary, is_propositional,
-                       is_sigma_doctrine, validate_doctrine)
+                       is_sigma_doctrine, memoized, validate_doctrine)
 from .fincat import FinCategory
-from .ioformat import instance_hash
+from .ioformat import instance_hash, to_document
 from .poset import FinPoset, MonotoneMap
 from .verdicts import ParseError, Verdict, combine
 
@@ -58,17 +58,16 @@ def _substitutive(d: Doctrine) -> Verdict:
     return logic.check_substitutive(d, w)
 
 
+@memoized
 def is_implicational(d: Doctrine) -> Verdict:
     """Implication axioms for the canonical candidate operation: the Heyting
     table when fibers are Heyting, else the comprehension-derived table."""
-    def compute() -> Verdict:
-        tables = logic.heyting_implication_tables(d)
-        if tables is None:
-            tables = derived_implication_tables(d)
-        if tables is None:
-            return Verdict.not_applicable("no candidate implication tables")
-        return logic.implication_axioms(d, tables)
-    return d.cached(("is_implicational",), compute)
+    tables = logic.heyting_implication_tables(d)
+    if tables is None:
+        tables = derived_implication_tables(d)
+    if tables is None:
+        return Verdict.not_applicable("no candidate implication tables")
+    return logic.implication_axioms(d, tables)
 
 
 def _finite_joins(d: Doctrine) -> Verdict:
@@ -589,7 +588,6 @@ def check_theorem(tid: str, d: Doctrine) -> TheoremReport:
         failed = hyps[-1][0]
         conclusion = Verdict.not_applicable(f"hypothesis {failed!r} not satisfied")
     wall = (time.perf_counter() - start) * 1000.0
-    from .ioformat import to_document
     return TheoremReport(tid, d.name, instance_hash(d), tuple(hyps),
                          conclusion, wall, instance_document=to_document(d))
 
@@ -724,7 +722,6 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
     counters = stats if stats is not None else {}
     counters.update({"candidates": 0, "emitted": 0, "budget_exhausted": False})
     seen: set = set()
-    emitted = 0
     for base in bases:
         n = len(base.objects)
         objs = base.objects
@@ -733,10 +730,12 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
             cover_options = [_MONO[(shape_assign[i + 1], shape_assign[i])]
                              for i in range(n - 1)]
             for covers in itertools.product(*cover_options):
-                counters["candidates"] += 1
-                if counters["candidates"] > budget:
+                if max_emit is not None and counters["emitted"] >= max_emit:
+                    return
+                if counters["candidates"] >= budget:
                     counters["budget_exhausted"] = True
                     return
+                counters["candidates"] += 1
                 key = (id(base),) + _canonical_key(shape_assign, covers)
                 if key in seen:
                     continue
@@ -746,10 +745,7 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
                 if filter_expr is not None and not filter_expr.evaluate(d):
                     continue
                 counters["emitted"] += 1
-                emitted += 1
                 yield d
-                if max_emit is not None and emitted >= max_emit:
-                    return
 
 
 def _build_thin_doctrine(base: FinCategory, shapes: Sequence[str],

@@ -41,10 +41,6 @@ class WindowExceeded(DoctrineError):
     """An object or arrow outside the declared window was demanded."""
 
 
-class BudgetExceeded(DoctrineError):
-    """Enumeration hit its candidate cap."""
-
-
 class InvalidTopology(DoctrineError):
     """Open-set table not closed under union/intersection."""
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import doctrinelab
 from doctrinelab import cli, ioformat, theorems
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import REFUTED, Verdict
@@ -283,7 +286,8 @@ def test_bad_env_budget_exits_2(monkeypatch, capsys, value):
 
 
 @pytest.mark.parametrize("flag,value", [("--budget", "-5"), ("--window", "0"),
-                                        ("--window", "two")])
+                                        ("--window", "two"), ("--limit", "0"),
+                                        ("--limit", "-4")])
 def test_out_of_range_search_arguments_exit_2(capsys, flag, value):
     assert cli.main(["search", "--filter", "tripos", flag, value]) == 2
     assert f"argument {flag}" in capsys.readouterr().err
@@ -293,3 +297,17 @@ def test_env_budget_zero_is_accepted(monkeypatch, capsys):
     monkeypatch.setenv("DOCTRINELAB_BUDGET", "0")
     assert cli.main(["search", "--filter", "tripos"]) == 0
     assert "(budget exhausted)" in capsys.readouterr().out
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S leaves site-packages and its start-up hooks out, so a third-party
+    # import fails outright; the package is found through PYTHONPATH
+    code = ("import sys, doctrinelab.cli; "
+            "print(*sorted({m.split('.')[0] for m in sys.modules}))")
+    parent = str(Path(doctrinelab.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": parent})
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split()) - {"__main__"}
+    assert "doctrinelab" in loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"doctrinelab"}) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from doctrinelab import catalog, theorems
 from doctrinelab.doctrine import (Doctrine, frobenius, has_bottoms, has_tops,
                                   is_existential, is_pi_doctrine, is_primary,
                                   is_propositional, is_sigma_doctrine,
@@ -181,3 +182,42 @@ def test_memo_stores_a_none_result_once(triv):
     assert d.cached(("probe",), compute) is None
     assert d.cached(("probe",), compute) is None
     assert len(calls) == 1
+
+
+def _fresh(s: Doctrine) -> Doctrine:
+    return Doctrine(s.base, s.fibers, s.reindex, name=s.name, source=s.source)
+
+
+def _memo_entries(d: Doctrine) -> int:
+    theorems.classify(d)
+    theorems.witness_report(d)
+    reports = theorems.check_all(d)
+    assert all(r.instance_document is reports[0].instance_document
+               for r in reports)
+    return len(d._cache)
+
+
+@pytest.mark.parametrize("cid,entries", [("PS(1,1)", 55), ("SIER", 82),
+                                         ("TRIV", 55), ("SL3", 52)])
+def test_memo_entries_per_catalog_doctrine(cid, entries):
+    # one entry per distinct check, plus the instance document that
+    # instance_hash and every report of check_all share
+    assert _memo_entries(_fresh(catalog.instance(cid))) == entries
+
+
+def test_memo_entries_over_enumerated_doctrines():
+    found = theorems.enumerate_doctrines(max_base=4, max_fiber=3,
+                                         budget=500_000, max_emit=500)
+    assert sum(_memo_entries(_fresh(s)) for s in found) == 19_743
+
+
+def test_defaulted_arguments_share_one_memo_entry(triv):
+    d = _fresh(triv)
+    prj = d.base.projection_class()
+    first = is_sigma_doctrine(d)
+    assert is_sigma_doctrine(d, prj, False) is first
+    assert is_sigma_doctrine(d, prj, squares=None) is first
+    assert frobenius(d, prj) is frobenius(d)
+    checks = [key[0].__name__ for key in d._cache if callable(key[0])]
+    assert sorted(checks) == ["_frobenius", "_quantifier_doctrine",
+                              "bc_squares", "is_primary"]

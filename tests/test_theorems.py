@@ -103,7 +103,7 @@ def test_budget_cap():
     stats = {}
     list(theorems.enumerate_doctrines(max_base=3, max_fiber=3, budget=100,
                                       stats=stats))
-    assert stats["budget_exhausted"] and stats["candidates"] == 101
+    assert stats["budget_exhausted"] and stats["candidates"] == 100
 
 
 def test_budget_env_override(monkeypatch):
@@ -111,7 +111,11 @@ def test_budget_env_override(monkeypatch):
     stats = {}
     list(theorems.enumerate_doctrines(max_base=3, max_fiber=3, budget=100_000,
                                       stats=stats))
-    assert stats["budget_exhausted"] and stats["candidates"] == 51
+    assert stats["budget_exhausted"] and stats["candidates"] == 50
+
+
+def test_max_emit_zero_emits_nothing():
+    assert list(theorems.enumerate_doctrines(max_emit=0)) == []
 
 
 def test_filter_full_comp_not_full_cocomp():

@@ -76,16 +76,66 @@ def _preimage_map(images: Sequence[int], src: FinPoset, tgt: FinPoset,
     return MonotoneMap(src, tgt, table, validate=False)
 
 
+# The builder materialises the whole window category, and validation visits
+# every composable pair, so a window that must hold more arrows than this is
+# refused before anything is built.  PS(2,0), the largest catalog base, has
+# 534 arrows (floor 126); the next window up, PS(3,0), has a floor of 31,920.
+MAX_ARROWS = 4096
+
+
+def _arrow_floor(window: Sequence[int], scope: Sequence[int],
+                 rows: Iterable[tuple[int, int]]) -> int:
+    """A lower bound on the arrows of the powerset window, counted from the
+    set sizes alone; objects are sets named by size, so an arrow is a
+    function between two sizes.  It counts, per pair of sizes, the most of:
+
+    * every function out of a window set: pairing into the product rows
+      makes each of these hom-sets full;
+    * every function between scope sets: the generators;
+    * ``f x g`` for generators ``f``, ``g`` between the factors of two
+      scope-by-scope product rows (distinct unless the domain is empty).
+    """
+    objects = set(scope) | {a * c for a, c in rows}
+    floor: dict[tuple[int, int], int] = {}
+
+    def at_least(dom: int, cod: int, count: int) -> None:
+        floor[(dom, cod)] = max(floor.get((dom, cod), 0), count)
+
+    for a in window:
+        for k in objects:
+            at_least(a, k, k ** a)
+    for a in scope:
+        for c in scope:
+            at_least(a, c, c ** a)
+    for a1 in scope:
+        for a2 in scope:
+            if a1 * a2:
+                for c1 in scope:
+                    for c2 in scope:
+                        at_least(a1 * a2, c1 * c2, c1 ** a1 * c2 ** a2)
+    return sum(floor.values())
+
+
 def powerset_finset(max_size: int, power_depth: int = 0,
                     ceiling: int = 256) -> Doctrine:
-    """The powerset doctrine over a window of finite sets."""
+    """The powerset doctrine over a window of finite sets.
+
+    Raises :class:`WindowExceeded` before building anything when a carrier
+    exceeds ``ceiling`` or the window needs more than ``MAX_ARROWS`` arrows.
+    """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
+    if max_size > ceiling:
+        raise WindowExceeded(f"window size {max_size} exceeds ceiling {ceiling}")
     window_sizes = list(range(max_size + 1))
     pool_sizes: set[int] = set()
     reachable = set(window_sizes)
     for _ in range(power_depth):
-        step = {1 << s for s in sorted(reachable)}
+        # a size above the ceiling fails the product scan; its powerset
+        # need not be formed
+        step = {1 << s for s in sorted(reachable) if s <= ceiling}
+        if step <= pool_sizes:
+            break
         pool_sizes |= step
         reachable |= step
     scope = sorted(set(window_sizes) | pool_sizes)
@@ -94,6 +144,22 @@ def powerset_finset(max_size: int, power_depth: int = 0,
             if a * b > ceiling:
                 raise WindowExceeded(
                     f"product of sizes {a}x{b} exceeds ceiling {ceiling}")
+    rows: set[tuple[int, int]] = set()
+    for a in scope:
+        for c in scope:
+            rows.add((a, c))
+    for x in window_sizes:
+        for a in window_sizes:
+            rows.add((x * a, a))  # triple carrier for the equality functor
+    sizes_needed = sorted({a * c for a, c in rows} - set(scope))
+    for s in sizes_needed:
+        if s > ceiling:
+            raise WindowExceeded(f"carrier size {s} exceeds ceiling {ceiling}")
+    floor = _arrow_floor(window_sizes, scope, rows)
+    if floor > MAX_ARROWS:
+        raise WindowExceeded(
+            f"PS({max_size},{power_depth}) needs at least {floor} arrows; "
+            f"the builder's limit is {MAX_ARROWS}")
 
     b = ConcreteBuilder(Presentation(
         "finset", (max_size, power_depth), truncated=True))
@@ -117,17 +183,7 @@ def powerset_finset(max_size: int, power_depth: int = 0,
                     img.append(x % c)
                     x //= c
                 b.add_arrow(f"S{a}", f"S{c}", tuple(img))
-    rows: set[tuple[int, int]] = set()
-    for a in scope:
-        for c in scope:
-            rows.add((a, c))
-    for x in window_sizes:
-        for a in window_sizes:
-            rows.add((x * a, a))  # triple carrier for the equality functor
-    sizes_needed = sorted({a * c for a, c in rows} - set(scope))
     for s in sizes_needed:
-        if s > ceiling:
-            raise WindowExceeded(f"carrier size {s} exceeds ceiling {ceiling}")
         b.add_object(f"S{s}", s)
     for a, c in sorted(rows):
         b.declare_product(f"S{a}", f"S{c}", f"S{a * c}")
@@ -396,7 +452,7 @@ def subsets_over_semilattice(elements: Sequence[str],
                     source={"kind": "catalog", "id": name, "dual": False})
 
 
-_PS_RE = re.compile(r"PS\((\d+),(\d+)\)$")
+_PS_RE = re.compile(r"PS\(([1-9]\d*),(\d+)\)$")
 _CACHE: dict[str, Doctrine] = {}
 
 

@@ -11,7 +11,8 @@ Subcommands::
 
 ``<instance>`` is a file path or a catalog id.  Exit codes: 0 all requested
 checks hold or are not applicable, 1 some verdict is refuted, 2 usage or
-parse error.  Machine reports go to ``--json PATH`` (reports are
+parse error (or an instance beyond the builder's window), 3 internal error
+(a one-line ``internal error:`` message on stderr).  Machine reports go to ``--json PATH`` (reports are
 byte-deterministic; timings only with ``--timing``).
 """
 
@@ -32,6 +33,7 @@ from .verdicts import (DoctrineError, ParseError, Verdict, HOLDS, NOT_APPLICABLE
 
 USAGE_ERROR = 2
 REFUTED_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 def load_instance(spec: str) -> Doctrine:
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
     except (DoctrineError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # 1 means "refuted": a crash must not say so
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ from functools import cached_property, wraps
 from typing import Callable, Iterable, Mapping
 
 from .fincat import ArrowClass, FinCategory, Square, _unique_squares
-from .poset import (FinPoset, MonotoneMap, _unpreserved, _unpreserved_heyting,
-                    left_adjoint, right_adjoint)
+from .poset import (FinPoset, MonotoneMap, _composes_to, _monotone_break,
+                    _unpreserved, _unpreserved_heyting, left_adjoint,
+                    right_adjoint)
 from .verdicts import ShapeMismatch, Verdict, combine
 
 __all__ = [
@@ -147,20 +148,18 @@ def validate_doctrine(d: Doctrine) -> Verdict:
                                        element=e, image=m.table[e])
     for n, a in base.arrows.items():
         m = d.reindex[n]
-        src, tgt = d.fibers[a.cod], d.fibers[a.dom]
-        it = m.idx_table
-        for i in range(len(src.elements)):
-            mask = src.uppers[i]
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                if not tgt.leq_idx(it[i], it[j]):
-                    return Verdict.refuted(
-                        kind="not_monotone", arrow=n,
-                        pair=[src.elements[i], src.elements[j]],
-                        images=[tgt.elements[it[i]], tgt.elements[it[j]]])
-                mask &= mask - 1
+        bad = _monotone_break(m)
+        if bad is not None:
+            src, tgt, it = m.source, m.target, m.idx_table
+            i, j = bad
+            return Verdict.refuted(
+                kind="not_monotone", arrow=n,
+                pair=[src.elements[i], src.elements[j]],
+                images=[tgt.elements[it[i]], tgt.elements[it[j]]])
     for (g, f), gf in base.compose_table.items():
         mg, mf, mgf = d.reindex[g], d.reindex[f], d.reindex[gf]
+        if _composes_to(mg, mf, mgf):
+            continue
         for e in mg.source.elements:
             if mf.table[mg.table[e]] != mgf.table[e]:
                 return Verdict.refuted(kind="functor_composition", f=f, g=g,

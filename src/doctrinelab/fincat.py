@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .poset import FinPoset
@@ -245,6 +246,19 @@ class FinCategory:
                 if c_i != a_i:
                     return Verdict.refuted(kind="identity_law", object=o,
                                            arrow=names[a_i], composite=names[c_i])
+        # h(gf) = (hg)f for all f as one row comparison per composable
+        # (g, h): the row of g holds its composites gf with every f into its
+        # domain; h after the row of g must be the row of hg
+        pick = {o: itemgetter(*fs) for o, fs in into.items()}
+        rows = [pick[self.arrows[g].dom](table[g_i])
+                for g_i, g in enumerate(names)]
+        after = [itemgetter(*[table[g_i][f_i] for f_i in into[self.arrows[g].dom]])
+                 for g_i, g in enumerate(names)]
+        if all(after[g_i](table[h_i]) == rows[table[h_i][g_i]]
+               for g_i, g in enumerate(names)
+               for h_i in outof[self.arrows[g].cod]):
+            return Verdict.holds(self.window_descriptor)
+        # some triple fails: the first one, in (f, g, h) order
         for f_i, f in enumerate(names):
             cf = self.arrows[f].cod
             for g_i in outof[cf]:
@@ -462,7 +476,12 @@ class FinCategory:
 
     def canonical_projection_squares(self) -> tuple[Square, ...]:
         """Each chosen projection pulled back along every window arrow into
-        its codomain, with the apex taken from the product table."""
+        its codomain, with the apex taken from the product table; computed
+        once per base, which the doctrines over it share."""
+        return self._projection_squares
+
+    @cached_property
+    def _projection_squares(self) -> tuple[Square, ...]:
         squares: list[Square] = []
         for r in self.first_level_rows:
             for h in self.window_arrows_into(r.left):
@@ -617,8 +636,7 @@ class ConcreteBuilder:
             projections[(a, b)] = (p1, p2)
 
         def comp_img(g: str, f: str) -> tuple[int, ...]:
-            gi = images[g]
-            return tuple(gi[x] for x in images[f])
+            return tuple(map(images[g].__getitem__, images[f]))
 
         window_set = set(self.window)
 

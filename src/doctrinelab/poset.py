@@ -4,7 +4,9 @@ Fibers of a doctrine are instances of :class:`FinPoset`.  The order is held
 as per-element bitmasks so that meets, joins and adjoints reduce to integer
 arithmetic; an up-closed (down-closed) subset has a least (greatest) element
 exactly when its mask coincides with a principal filter (ideal), which is a
-single dictionary lookup.
+single dictionary lookup.  The hot checks work on integer index tables:
+Heyting implication by bitmask rows, monotonicity on Hasse covers, and
+composites of reindexing maps by byte-table translation.
 """
 
 from __future__ import annotations
@@ -90,6 +92,23 @@ class FinPoset:
         return bool(self.uppers[i] >> j & 1)
 
     @cached_property
+    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every ``(i, j)`` with ``j`` covering ``i``, above it with nothing
+        strictly between (the Hasse diagram), in index order."""
+        strict = [m & ~(1 << i) for i, m in enumerate(self.uppers)]
+        pairs = []
+        for i, m in enumerate(strict):
+            covers = m
+            mm = m
+            while mm:
+                j = (mm & -mm).bit_length() - 1
+                covers &= ~strict[j]
+                mm &= mm - 1
+            pairs.extend((i, j) for j in range(covers.bit_length())
+                         if covers >> j & 1)
+        return tuple(pairs)
+
+    @cached_property
     def _principal_filters(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.uppers)}
 
@@ -146,58 +165,66 @@ class LatticeOps:
                 and self.heyting_implication is not None)
 
 
+def _op_rows(masks: tuple[int, ...], extremum) -> list[list[int]] | None:
+    """``rows[i][j] = extremum(masks[i] & masks[j])``: meets from the down-set
+    masks, joins from the up-set masks; None if one is missing."""
+    rows = []
+    for mi in masks:
+        row = [extremum(mi & mj) for mj in masks]
+        if None in row:
+            return None
+        rows.append(row)
+    return rows
+
+
+def _named(p: FinPoset, rows: list[list[int]] | None) -> dict | None:
+    names = p.elements
+    if rows is None:
+        return None
+    return {(names[i], names[j]): names[k]
+            for i, row in enumerate(rows) for j, k in enumerate(row)}
+
+
+def _implication_rows(p: FinPoset, meet: list[list[int]]) -> list[list[int]] | None:
+    """``a -> b``, the greatest ``c`` with ``meet(c, a) <= b``, row by row:
+    ``below[m]`` starts as the ``c`` with ``meet(c, a) = m``; walking ``b``
+    upwards, the ``c`` with ``meet(c, a) <= b`` are those and the ones
+    already collected at the lower covers of ``b``."""
+    n = len(p.elements)
+    lower_covers: list[list[int]] = [[] for _ in range(n)]
+    for i, j in p.cover_pairs:
+        lower_covers[j].append(i)
+    upwards = sorted(range(n), key=lambda b: p.lowers[b].bit_count())
+    bits = [1 << c for c in range(n)]
+    greatest = p._principal_ideals.get
+    rows = []
+    for a in range(n):
+        below = [0] * n
+        for c in range(n):
+            below[meet[c][a]] |= bits[c]
+        for b in upwards:
+            s = below[b]
+            for j in lower_covers[b]:
+                s |= below[j]
+            below[b] = s
+        row = [greatest(s) for s in below]
+        if None in row:
+            return None
+        rows.append(row)
+    return rows
+
+
 def lattice_ops(p: FinPoset) -> LatticeOps:
     n = len(p.elements)
     full = (1 << n) - 1
     top = p.greatest_of_downset(full) if n else None
     bottom = p.least_of_upset(full) if n else None
-
-    meet: dict[tuple[str, str], str] | None = {}
-    meet_idx: list[list[int]] = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            g = p.greatest_of_downset(p.lowers[i] & p.lowers[j])
-            if g is None:
-                meet = None
-                break
-            meet_idx[i][j] = g
-            meet[(p.elements[i], p.elements[j])] = p.elements[g]
-        if meet is None:
-            break
-
-    join: dict[tuple[str, str], str] | None = {}
-    for i in range(n):
-        for j in range(n):
-            l = p.least_of_upset(p.uppers[i] & p.uppers[j])
-            if l is None:
-                join = None
-                break
-            join[(p.elements[i], p.elements[j])] = p.elements[l]
-        if join is None:
-            break
-
-    impl: dict[tuple[str, str], str] | None
-    if meet is None:
-        impl = None
-    else:
-        impl = {}
-        for a in range(n):
-            for b in range(n):
-                mask = 0
-                for c in range(n):
-                    if p.leq_idx(meet_idx[c][a], b):
-                        mask |= 1 << c
-                g = p.greatest_of_downset(mask)
-                if g is None:
-                    impl = None
-                    break
-                impl[(p.elements[a], p.elements[b])] = p.elements[g]
-            if impl is None:
-                break
-
+    join = _named(p, _op_rows(p.uppers, p._principal_filters.get))
+    meet_rows = _op_rows(p.lowers, p._principal_ideals.get)
+    impl = None if meet_rows is None else _implication_rows(p, meet_rows)
     top_e = p.elements[top] if top is not None else None
     bot_e = p.elements[bottom] if bottom is not None else None
-    return LatticeOps(meet, join, top_e, bot_e, impl)
+    return LatticeOps(_named(p, meet_rows), join, top_e, bot_e, _named(p, impl))
 
 
 class MonotoneMap:
@@ -217,19 +244,28 @@ class MonotoneMap:
             for e in self.table.values():
                 if e not in target.index:
                     raise ValueError(f"table value {e!r} not in target poset")
-            it = self.idx_table
-            for i in range(len(source.elements)):
-                m = source.uppers[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    if not target.leq_idx(it[i], it[j]):
-                        raise ValueError(
-                            f"not monotone at {source.elements[i]} <= {source.elements[j]}")
-                    m &= m - 1
+            bad = _monotone_break(self)
+            if bad is not None:
+                i, j = bad
+                raise ValueError(
+                    f"not monotone at {source.elements[i]} <= {source.elements[j]}")
 
     @cached_property
     def idx_table(self) -> tuple[int, ...]:
         return tuple(self.target.index[self.table[e]] for e in self.source.elements)
+
+    @cached_property
+    def _idx_bytes(self) -> bytes:
+        """``idx_table`` as bytes; only for a target of at most 256 elements."""
+        return bytes(self.idx_table)
+
+    @cached_property
+    def _translation(self) -> bytes | None:
+        """``idx_table`` as a ``bytes.translate`` table; None when the source
+        or the target has more than 256 elements."""
+        if len(self.source) > 256 or len(self.target) > 256:
+            return None
+        return self._idx_bytes.ljust(256, b"\0")
 
     def __call__(self, e: str) -> str:
         return self.table[e]
@@ -240,6 +276,39 @@ class MonotoneMap:
 
     def __repr__(self) -> str:
         return f"MonotoneMap({len(self.source)}->{len(self.target)})"
+
+
+def _monotone_break(m: MonotoneMap) -> tuple[int, int] | None:
+    """The first source pair ``i <= j``, in index order, whose images are not
+    ordered in the target, as indices; None when ``m`` is monotone.
+
+    The target order is transitive, so the Hasse covers of the source decide
+    whether such a pair exists; only then is the whole order scanned.
+    """
+    it, up = m.idx_table, m.target.uppers
+    if all(up[it[i]] >> it[j] & 1 for i, j in m.source.cover_pairs):
+        return None
+    for i, mask in enumerate(m.source.uppers):
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            if not up[it[i]] >> it[j] & 1:
+                return i, j
+            mask &= mask - 1
+    return None
+
+
+def _composes_to(first: MonotoneMap, then: MonotoneMap,
+                composite: MonotoneMap) -> bool:
+    """Is ``then`` after ``first`` equal to ``composite``?  The maps must
+    chain: ``first.target``, ``then.source`` and ``composite.target``,
+    ``then.target`` have the same elements.  When the middle and last posets
+    have at most 256 elements the index tables compare as bytes, by one
+    ``bytes.translate``; otherwise as tuples."""
+    table = then._translation
+    if table is not None:
+        return first._idx_bytes.translate(table) == composite._idx_bytes
+    return (tuple(map(then.idx_table.__getitem__, first.idx_table))
+            == composite.idx_table)
 
 
 def _adjoint(u: MonotoneMap, side: str) -> MonotoneMap | None:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from doctrinelab import catalog, ioformat, logic, theorems
@@ -123,6 +125,25 @@ def test_invalid_topology_rejected():
 def test_ps_window_guard():
     with pytest.raises(WindowExceeded):
         catalog.powerset_finset(2, 0, ceiling=4)
+
+
+@pytest.mark.parametrize("cid", ["PS(3,0)", "PS(9,0)"])
+def test_oversized_powerset_window_refused_before_building(cid):
+    # PS(3,0) needs at least 31,920 arrows; PS(9,0) a carrier of 729 points
+    start = time.perf_counter()
+    with pytest.raises(WindowExceeded):
+        catalog.instance(cid)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_arrow_floor_bounds_the_built_windows():
+    for m, depth in ((1, 0), (2, 0), (1, 1)):
+        d = catalog.powerset_finset(m, depth)
+        window = list(range(m + 1))
+        scope = sorted({s for s in d.base.sizes.values()
+                        if f"S{s}" in d.base.window + d.base.power_pool})
+        rows = {(d.base.sizes[a], d.base.sizes[b]) for a, b in d.base.products}
+        assert catalog._arrow_floor(window, scope, rows) <= len(d.base.arrows)
 
 
 def test_roundtrip_bit_exact_all_catalog():

@@ -311,3 +311,31 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(r.stdout.split()) - {"__main__"}
     assert "doctrinelab" in loaded
     assert sorted(loaded - set(sys.stdlib_module_names) - {"doctrinelab"}) == []
+
+
+# an address-space cap, so that a regression of the window guard fails
+# this test instead of exhausting the machine's memory
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from doctrinelab import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("cid", ["PS(3,0)", "PS(9,0)"])
+def test_oversized_powerset_window_exits_2(cid):
+    parent = str(Path(doctrinelab.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", CAPPED_CLI, "validate", cid],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": parent})
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    assert cli.main(["validate", "TRIV"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

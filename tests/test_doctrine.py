@@ -5,6 +5,7 @@ from doctrinelab.doctrine import (Doctrine, frobenius, has_bottoms, has_tops,
                                   is_existential, is_pi_doctrine, is_primary,
                                   is_propositional, is_sigma_doctrine,
                                   validate_doctrine)
+from doctrinelab.fincat import Arrow, FinCategory
 from doctrinelab.poset import FinPoset, MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import ShapeMismatch
@@ -37,10 +38,70 @@ def test_fault_injected_composite_refuted(ps20):
         return name, table
     broken = _fault_injected(ps20, b)
     v = validate_doctrine(broken)
-    assert v.is_refuted
-    assert v.counterexample["kind"] in ("functor_composition", "not_monotone",
-                                        "functor_identity")
+    assert v.counterexample == {
+        "kind": "functor_composition", "f": "S2>S4:3,0", "g": "S4>S2:0,0,1,1",
+        "composite": "S2>S2:1,0", "element": "e1", "via_composite": "e1",
+        "via_parts": "e2"}
     assert recheck(broken, v)
+
+
+def _one_cell(d, name, element, image):
+    table = dict(d.reindex[name].table)
+    table[element] = image
+    return name, table
+
+
+def test_fault_injected_s8_cell_breaks_composition(ps20):
+    # preimage along 0,7: 2 -> 8 of {1..7} is {1}; {0, 1} keeps the map
+    # monotone but no longer the composite of the preimages along 2 -> 4 -> 8
+    broken = _fault_injected(
+        ps20, lambda d: _one_cell(d, "S2>S8:0,7", "e254", "e3"))
+    v = validate_doctrine(broken)
+    assert v.counterexample == {
+        "kind": "functor_composition", "f": "S2>S4:0,1",
+        "g": "S4>S8:0,7,0,7", "composite": "S2>S8:0,7", "element": "e254",
+        "via_composite": "e3", "via_parts": "e2"}
+    assert recheck(broken, v)
+
+
+def test_fault_injected_image_breaks_monotonicity(ps20):
+    # the top of fiber(S2) sent to the bottom of fiber(S8)
+    broken = _fault_injected(
+        ps20, lambda d: _one_cell(d, "S8>S2:0,0,0,0,1,1,1,1", "e3", "e0"))
+    v = validate_doctrine(broken)
+    assert v.counterexample == {
+        "kind": "not_monotone", "arrow": "S8>S2:0,0,0,0,1,1,1,1",
+        "pair": ["e1", "e3"], "images": ["e15", "e0"]}
+    assert recheck(broken, v)
+
+
+def chain_doctrine(n, image_of_top):
+    """One object with an idempotent endo-arrow ``e``; the fiber is an
+    n-chain, reindexing along ``e`` clamps at the middle except that the top
+    goes to ``image_of_top``."""
+    elems = [f"c{i}" for i in range(n)]
+    fiber = FinPoset(elems, [(elems[i], elems[j])
+                             for i in range(n) for j in range(i, n)])
+    base = FinCategory(["X"], [Arrow("id", "X", "X"), Arrow("e", "X", "X")],
+                       {"X": "id"}, {("id", "id"): "id", ("id", "e"): "e",
+                                     ("e", "id"): "e", ("e", "e"): "e"})
+    clamp = {x: elems[min(i, n // 2)] for i, x in enumerate(elems)}
+    clamp[elems[-1]] = image_of_top
+    return Doctrine(base, {"X": fiber},
+                    {"id": MonotoneMap.identity(fiber),
+                     "e": MonotoneMap(fiber, fiber, clamp)})
+
+
+def test_fiber_above_256_elements_checks_composites_as_tuples():
+    # 300 elements: past the byte tables, the composites compare as tuples
+    assert validate_doctrine(chain_doctrine(300, "c150"))
+    broken = chain_doctrine(300, "c151")
+    v = validate_doctrine(broken)
+    assert v.counterexample == {
+        "kind": "functor_composition", "f": "e", "g": "e", "composite": "e",
+        "element": "c299", "via_composite": "c151", "via_parts": "c150"}
+    assert recheck(broken, v)
+    assert "_idx_bytes" not in vars(broken.reindex["e"])
 
 
 def test_shape_mismatch_distinct(ps20):

@@ -1,5 +1,6 @@
 import pytest
 
+from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import Arrow, ArrowClass, FinCategory
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import MalformedCategory
@@ -155,3 +156,18 @@ def test_unmaterialized_product_window_exceeded(ps20):
     from doctrinelab.verdicts import WindowExceeded
     with pytest.raises(WindowExceeded):
         ps20.base.product("S4", "S4")
+
+
+def test_fault_injected_composite_cell_breaks_associativity(ps20):
+    base = ps20.base
+    table = dict(base.compose_table)
+    table[("S2>S2:1,0", "S1>S2:0")] = "S1>S2:0"  # the swap fixes a point
+    broken = FinCategory(base.objects, base.arrows.values(), base.identity,
+                         table, window=base.window, products=base.products,
+                         terminal=base.terminal_obj,
+                         presentation=base.presentation)
+    v = broken.validate()
+    assert v.counterexample == {
+        "kind": "associativity", "f": "S1>S2:0", "g": "S2>S2:0,0",
+        "h": "S2>S2:1,0", "left": "S1>S2:0", "right": "S1>S2:1"}
+    assert recheck(Doctrine(broken, ps20.fibers, ps20.reindex), v)

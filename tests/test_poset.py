@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doctrinelab.poset import (FinPoset, MonotoneMap, is_heyting_hom, is_msl_hom,
+from doctrinelab.poset import (FinPoset, MonotoneMap, _composes_to,
+                               _monotone_break, is_heyting_hom, is_msl_hom,
                                lattice_ops, left_adjoint, right_adjoint)
 from doctrinelab.verdicts import StructureMissing
 
@@ -195,8 +196,123 @@ def test_heyting_implication_residuation(p):
     """c <= (a -> b) iff c meet a <= b, over every triple."""
     ops = p.ops
     assert ops.heyting_implication is not None
+    # the reference's table, in its insertion order: first-failure scans
+    # read the table in order
+    assert (list(ops.heyting_implication.items())
+            == list(reference_implication(p).items()))
     for a in p.elements:
         for b in p.elements:
             impl = ops.heyting_implication[(a, b)]
             for c in p.elements:
                 assert p.leq(c, impl) == p.leq(ops.meet[(c, a)], b)
+
+
+def reference_implication(p):
+    """a -> b as the greatest c with c meet a <= b, one order test per
+    (a, b, c): the O(n^3) loop the bitmask rows of lattice_ops replace.
+    None when a meet or some greatest c is missing."""
+    n = len(p.elements)
+    meet = [[p.greatest_of_downset(p.lowers[i] & p.lowers[j]) for j in range(n)]
+            for i in range(n)]
+    if any(m is None for row in meet for m in row):
+        return None
+    table = {}
+    for a in range(n):
+        for b in range(n):
+            mask = 0
+            for c in range(n):
+                if p.leq_idx(meet[c][a], b):
+                    mask |= 1 << c
+            g = p.greatest_of_downset(mask)
+            if g is None:
+                return None
+            table[(p.elements[a], p.elements[b])] = p.elements[g]
+    return table
+
+
+def pentagon():
+    # N5: 0 < a < b < 1 and 0 < c < 1, a lattice that is not distributive
+    return FinPoset(["0", "a", "b", "c", "1"],
+                    [("0", x) for x in "0abc1"] + [("a", "a"), ("a", "b"),
+                     ("a", "1"), ("b", "b"), ("b", "1"), ("c", "c"),
+                     ("c", "1"), ("1", "1")])
+
+
+def test_non_heyting_posets_have_no_implication():
+    # the pentagon is a lattice but not distributive; an antichain has no
+    # meets at all
+    for p in (pentagon(), FinPoset(["a", "b"], [])):
+        assert lattice_ops(p).heyting_implication is None
+        assert reference_implication(p) is None
+
+
+@st.composite
+def posets(draw, max_size=7):
+    """A random order: a random relation on indices, closed upwards, with
+    i <= j only for i < j in a random relabelling (so it is antisymmetric)."""
+    n = draw(st.integers(1, max_size))
+    uppers = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                uppers[i] |= 1 << j
+    for i in reversed(range(n)):
+        m = uppers[i]
+        for j in range(i + 1, n):
+            if m >> j & 1:
+                m |= uppers[j]
+        uppers[i] = m
+    perm = draw(st.permutations(range(n)))
+    elems = [f"x{perm[i]}" for i in range(n)]
+    leq = [(elems[i], elems[j]) for i in range(n) for j in range(n)
+           if uppers[i] >> j & 1]
+    return FinPoset(sorted(elems), leq)
+
+
+@given(posets())
+@settings(max_examples=200, deadline=None)
+def test_implication_matches_reference_on_random_posets(p):
+    impl = lattice_ops(p).heyting_implication
+    expected = reference_implication(p)
+    assert (None if impl is None else list(impl.items())) == (
+        None if expected is None else list(expected.items()))
+
+
+@given(posets())
+@settings(max_examples=200, deadline=None)
+def test_covers_generate_the_order(p):
+    n = len(p.elements)
+    strictly = [[i != j and p.leq_idx(i, j) for j in range(n)] for i in range(n)]
+    expected = [(i, j) for i in range(n) for j in range(n) if strictly[i][j]
+                and not any(strictly[i][k] and strictly[k][j] for k in range(n))]
+    assert list(p.cover_pairs) == expected
+
+
+def full_scan_break(m):
+    """The first pair i <= j, in index order, with unordered images."""
+    src, tgt = m.source, m.target
+    for i in range(len(src)):
+        for j in range(len(src)):
+            if src.leq_idx(i, j) and not tgt.leq_idx(m.idx_table[i],
+                                                     m.idx_table[j]):
+                return i, j
+    return None
+
+
+@given(posets(5), posets(5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_monotone_break_is_the_first_in_scan_order(src, tgt, data):
+    table = {e: data.draw(st.sampled_from(tgt.elements)) for e in src.elements}
+    m = MonotoneMap(src, tgt, table, validate=False)
+    assert _monotone_break(m) == full_scan_break(m)
+
+
+def test_composes_to_on_byte_and_tuple_tables():
+    for n in (4, 300):  # bytes up to 256 elements, tuples above
+        c = chain(n)
+        def clamp(k):
+            return MonotoneMap(c, c, {f"c{i}": f"c{min(i, k)}" for i in range(n)},
+                               validate=False)
+        low, high = clamp(1), clamp(n - 2)
+        assert _composes_to(high, low, low) and _composes_to(low, high, low)
+        assert not _composes_to(low, high, high)

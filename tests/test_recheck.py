@@ -1,8 +1,12 @@
 import re
 from pathlib import Path
 
+from doctrinelab import logic
 from doctrinelab import recheck as recheck_module
+from doctrinelab.constructions import derived_implication_tables
+from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import Square
+from doctrinelab.poset import MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import Verdict
 
@@ -47,3 +51,53 @@ def test_every_literal_refutation_kind_has_a_handler():
     kinds -= {"hom_top", "hom_meet"}
     assert "square_not_limiting" in kinds and "no_weak_power_object" in kinds
     assert sorted(kinds - set(recheck_module._HANDLERS)) == []
+
+
+def _with_sides(v, lhs, rhs):
+    return Verdict.refuted(**{**v.counterexample, "lhs": lhs, "rhs": rhs})
+
+
+def test_implication_stability_rechecks_from_the_fiber_order(sier):
+    # preimage along the point U -> S at b does not preserve {a} -> empty
+    expected = {"kind": "implication_not_stable", "arrow": "U>S:1",
+                "pair": ["e1", "e0"], "lhs": "e0", "rhs": "e1"}
+    for tables in (logic.heyting_implication_tables(sier),
+                   derived_implication_tables(sier)):
+        v = logic.implication_axioms(sier, tables)
+        assert v.counterexample == expected
+        assert recheck(sier, v)
+    assert not recheck(sier, _with_sides(v, "e1", "e0"))
+    assert not recheck(sier, _with_sides(v, "e1", "e1"))
+
+
+def test_implication_pi_exchange_rechecks_from_the_fiber_order(ps11):
+    # reindexing along a projection S4 -> S2 that keeps joins (so Pi exists)
+    # but not meets: {a} and {b} go to overlapping sets
+    base = ps11.base
+    proj = base.products[("S2", "S2")].proj1
+    old = ps11.reindex[proj]
+    reindex = dict(ps11.reindex)
+    reindex[proj] = MonotoneMap(old.source, old.target,
+                                {**old.table, "e1": "e7"})
+    broken = Doctrine(base, ps11.fibers, reindex, name="PS-broken")
+    v = logic.implication_axioms(broken, logic.heyting_implication_tables(broken))
+    assert v.counterexample == {
+        "kind": "implication_pi_exchange", "projection": proj, "alpha": "e1",
+        "beta": "e0", "lhs": "e0", "rhs": "e2"}
+    assert recheck(broken, v)
+    assert not recheck(broken, _with_sides(v, "e2", "e0"))
+    assert not recheck(broken, _with_sides(v, "e0", "e3"))
+    # on the intact instance the law holds at that point
+    assert not recheck(ps11, v)
+
+
+def test_implication_oracles_match_the_checked_tables(sier, sl3, ps11):
+    for d in (sier, sl3, ps11):
+        for tables, oracle in (
+                (derived_implication_tables(d), recheck_module._derived_implication),
+                (logic.heyting_implication_tables(d),
+                 recheck_module._heyting_implication)):
+            assert tables is not None, d.name
+            for obj, table in tables.items():
+                for (a, b), value in table.items():
+                    assert oracle(d, obj, a, b) == value, (d.name, obj, a, b)

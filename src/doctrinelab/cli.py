@@ -12,8 +12,9 @@ Subcommands::
 ``<instance>`` is a file path or a catalog id.  Exit codes: 0 all requested
 checks hold or are not applicable, 1 some verdict is refuted, 2 usage or
 parse error (or an instance beyond the builder's window), 3 internal error
-(a one-line ``internal error:`` message on stderr).  Machine reports go to ``--json PATH`` (reports are
-byte-deterministic; timings only with ``--timing``).
+(one ``internal error:`` line on stderr).  Machine reports go to
+``--json PATH`` (reports are byte-deterministic; timings only with
+``--timing``).
 """
 
 from __future__ import annotations

@@ -127,9 +127,11 @@ def test_ps_window_guard():
         catalog.powerset_finset(2, 0, ceiling=4)
 
 
-@pytest.mark.parametrize("cid", ["PS(3,0)", "PS(9,0)"])
+@pytest.mark.parametrize("cid", ["PS(3,0)", "PS(9,0)", "PS(1000,0)", "PS(1,6)"])
 def test_oversized_powerset_window_refused_before_building(cid):
-    # PS(3,0) needs at least 31,920 arrows; PS(9,0) a carrier of 729 points
+    # PS(3,0) needs at least 31,920 arrows, PS(9,0) a carrier of 729 points;
+    # PS(1000,0) exceeds the ceiling with its window alone, and PS(1,6)
+    # would form the powerset of a 65,536-point set
     start = time.perf_counter()
     with pytest.raises(WindowExceeded):
         catalog.instance(cid)

@@ -248,8 +248,9 @@ def test_non_heyting_posets_have_no_implication():
 
 @st.composite
 def posets(draw, max_size=7):
-    """A random order: a random relation on indices, closed upwards, with
-    i <= j only for i < j in a random relabelling (so it is antisymmetric)."""
+    """A random order: a random relation that only puts i below j for
+    i < j (so it is antisymmetric), closed under transitivity, on elements
+    relabelled at random, so index order need not extend the order."""
     n = draw(st.integers(1, max_size))
     uppers = [1 << i for i in range(n)]
     for i in range(n):

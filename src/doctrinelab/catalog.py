@@ -15,8 +15,9 @@ cached per id so the classification memo is shared across a session.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .doctrine import Doctrine
 from .fincat import ConcreteBuilder, FinCategory, Arrow, Presentation, Product
@@ -263,6 +264,73 @@ def _upset_masks(uppers: Sequence[int]) -> list[int]:
     return out
 
 
+def _continuous_maps(ups: Sequence[int],
+                     upd: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every continuous map between two finite spaces given by their
+    specialization orders (``uppers`` masks), in lexicographic order."""
+    ns, nd = len(ups), len(upd)
+    if ns == 0:
+        yield ()
+        return
+    if nd == 0:
+        return
+    def rec(i: int, acc: list[int]):
+        if i == ns:
+            yield tuple(acc)
+            return
+        for y in range(nd):
+            ok = True
+            for j in range(i):
+                if ups[j] >> i & 1 and not upd[acc[j]] >> y & 1:
+                    ok = False
+                    break
+                if ups[i] >> j & 1 and not upd[y] >> acc[j] & 1:
+                    ok = False
+                    break
+            if ok:
+                acc.append(y)
+                yield from rec(i + 1, acc)
+                acc.pop()
+    yield from rec(0, [])
+
+
+def _openset_floor(uppers: Mapping[str, Sequence[int]],
+                   rows: Sequence[tuple[str, str]]) -> int:
+    """A lower bound on the arrows of the open-set window over the spaces
+    ``uppers`` and the product ``rows`` ``(left, right)``, carried by
+    ``(leftxright)``; counted from the point counts and specialization
+    orders before anything is built.  It counts, per pair of objects:
+
+    * every continuous map out of a window space: pairing into the product
+      rows makes each of these hom-sets full, and a map into a product is a
+      pair of maps into its factors;
+    * out of a nonempty product, the arrows out of either factor composed
+      with the projection onto it, which is onto, so they stay distinct;
+      an arrow composed both ways is constant, and there are only as many
+      constants as the codomain has points.
+
+    Counts of maps between window spaces stop above ``MAX_ARROWS``.
+    """
+    size = {nm: len(ups) for nm, ups in uppers.items()}
+    out = {w: {v: sum(1 for _ in itertools.islice(
+                   _continuous_maps(uppers[w], uppers[v]), MAX_ARROWS + 1))
+               for v in uppers}
+           for w in uppers}
+    products = []
+    for left, right in rows:
+        nm = f"({left}x{right})"
+        size[nm] = size[left] * size[right]
+        products.append((nm, left, right))
+        for w in uppers:
+            out[w][nm] = out[w][left] * out[w][right]
+    for nm, left, right in products:
+        if size[nm]:
+            out[nm] = {k: max(out[left][k], out[right][k],
+                              out[left][k] + out[right][k] - size[k])
+                       for k in size}
+    return sum(sum(row.values()) for row in out.values())
+
+
 def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[str]]]],
                   name: str = "opens") -> Doctrine:
     """Open-set doctrine over the given finite spaces and all continuous maps.
@@ -270,6 +338,9 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
     The window is exactly the named spaces; pairwise products and the triple
     carriers are materialized with the product topology (continuity between
     finite spaces is monotonicity for the specialization orders).
+
+    Raises :class:`WindowExceeded` before building anything when the window
+    needs more than ``MAX_ARROWS`` arrows.
     """
     names = list(spaces)
     uppers: dict[str, list[int]] = {}
@@ -281,41 +352,22 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
         npoints[nm] = len(points)
 
     order = sorted(names, key=lambda nm: (npoints[nm], nm))
+    rows = ([(a, c) for a in order for c in order]
+            + [(f"({x}x{a})", a) for x in order for a in order])
+    floor = _openset_floor(uppers, rows)
+    if floor > MAX_ARROWS:
+        raise WindowExceeded(
+            f"{name} needs at least {floor} arrows; "
+            f"the builder's limit is {MAX_ARROWS}")
+
     b = ConcreteBuilder(Presentation(
         "opens", tuple((nm, npoints[nm]) for nm in order), truncated=True))
     for nm in order:
         b.add_object(nm, npoints[nm], window=True)
 
-    def monotone_maps(src: str, dst: str) -> Iterable[tuple[int, ...]]:
-        ns, nd = npoints[src], npoints[dst]
-        if ns == 0:
-            yield ()
-            return
-        if nd == 0:
-            return
-        ups, upd = uppers[src], uppers[dst]
-        def rec(i: int, acc: list[int]):
-            if i == ns:
-                yield tuple(acc)
-                return
-            for y in range(nd):
-                ok = True
-                for j in range(i):
-                    if ups[j] >> i & 1 and not upd[acc[j]] >> y & 1:
-                        ok = False
-                        break
-                    if ups[i] >> j & 1 and not upd[y] >> acc[j] & 1:
-                        ok = False
-                        break
-                if ok:
-                    acc.append(y)
-                    yield from rec(i + 1, acc)
-                    acc.pop()
-        yield from rec(0, [])
-
     for src in order:
         for dst in order:
-            for img in monotone_maps(src, dst):
+            for img in _continuous_maps(uppers[src], uppers[dst]):
                 b.add_arrow(src, dst, img)
 
     def product_uppers(ua: list[int], ub: list[int]) -> list[int]:
@@ -341,12 +393,8 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
             b.declare_product(a, c, nm)
         return nm
 
-    for a in order:
-        for c in order:
-            ensure_product(a, c)
-    for x in order:
-        for a in order:
-            ensure_product(f"({x}x{a})", a)
+    for a, c in rows:
+        ensure_product(a, c)
     for nm in order:
         if npoints[nm] == 1:
             b.terminal = nm

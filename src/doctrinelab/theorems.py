@@ -8,7 +8,8 @@ release blocker by the acceptance suite.
 
 The enumerator walks doctrines over thin bases (chains of bounded meet
 semilattices), assigning canonical fiber posets and cover reindex maps, and
-prunes isomorphic instances by minimizing the reindex tables over fiber
+rejects isomorphic instances by orderly generation: a candidate is emitted
+only when its reindex tables are the least of their orbit under the fiber
 automorphisms.
 """
 
@@ -673,26 +674,55 @@ def chain_base(n: int) -> FinCategory:
     return got
 
 
-def _canonical_key(shapes: tuple[str, ...],
-                   covers: tuple[tuple[int, ...], ...]) -> tuple:
-    """Minimal encoding of the cover tables over fiber automorphisms."""
-    _init_shapes()
-    best = None
-    aut_lists = [_AUTS[s] for s in shapes]
-    for auts in itertools.product(*aut_lists):
-        invs = []
-        for a in auts:
-            inv = [0] * len(a)
-            for i, v in enumerate(a):
-                inv[v] = i
-            invs.append(tuple(inv))
-        encoded = tuple(
-            tuple(auts[i][covers[i][invs[i + 1][x]]]
-                  for x in range(len(covers[i])))
-            for i in range(len(covers)))
-        if best is None or encoded < best:
-            best = encoded
-    return (shapes, best)
+_ACTIONS: dict[tuple[str, str], tuple[tuple[tuple[int, ...], ...], ...]] = {}
+
+
+def _action(src_shape: str, dst_shape: str) -> tuple:
+    """``t[a][b][k]``: the index in ``_MONO[(src_shape, dst_shape)]`` of
+    ``a . m_k . b^-1``, for the ``a``-th automorphism of the target and the
+    ``b``-th of the source; built on first use of the shape pair."""
+    got = _ACTIONS.get((src_shape, dst_shape))
+    if got is None:
+        maps = _MONO[(src_shape, dst_shape)]
+        index = {m: k for k, m in enumerate(maps)}
+        inverses = []
+        for b in _AUTS[src_shape]:
+            inv = [0] * len(b)
+            for x, y in enumerate(b):
+                inv[y] = x
+            inverses.append(inv)
+        got = tuple(
+            tuple(tuple(index[tuple([a[m[x]] for x in inv])] for m in maps)
+                  for inv in inverses)
+            for a in _AUTS[dst_shape])
+        _ACTIONS[(src_shape, dst_shape)] = got
+    return got
+
+
+def _orbit_least(shapes: Sequence[str], ks: Sequence[int]) -> bool:
+    """Whether the cover indices ``ks`` (``ks[i]`` into
+    ``_MONO[(shapes[i + 1], shapes[i])]``) are the lexicographically least
+    member of their orbit under the product of the fibers' automorphism
+    groups.
+
+    The orbit member for automorphisms ``(a_0, ..., a_n-1)`` has
+    ``a_i . m . a_i+1^-1`` at position ``i``, so its least prefix is found
+    position by position, carrying the automorphisms of the next fiber that
+    reach it; the work is a sum, not a product, of the group sizes.
+    """
+    reach = range(len(_AUTS[shapes[0]]))
+    for i, k in enumerate(ks):
+        table = _action(shapes[i + 1], shapes[i])
+        nxt = set()
+        for a in reach:
+            for b, row in enumerate(table[a]):
+                image = row[k]
+                if image < k:
+                    return False
+                if image == k:
+                    nxt.add(b)
+        reach = nxt
+    return True
 
 
 def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
@@ -700,9 +730,17 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
                         filter_expr: FilterExpr | str | None = None,
                         budget: int = 100_000,
                         max_emit: int | None = None,
-                        bases: Sequence[FinCategory] | None = None,
                         stats: dict | None = None) -> Iterator[Doctrine]:
     """Pairwise non-isomorphic doctrines over thin chain bases.
+
+    Candidates are a base, a fiber shape per object and a cover map per
+    consecutive pair, in lexicographic order of the cover indices; one is
+    emitted exactly when it is the least member of its orbit under the
+    fibers' automorphisms (orderly generation).  An orbit never leaves its
+    base and shape assignment, each ``_MONO`` list is in lexicographic
+    order and the candidates of one assignment come in lexicographic order,
+    so the least member of an orbit is also the first one met: every
+    doctrine is emitted once, under the name of its first candidate.
 
     ``budget`` caps the raw candidates examined; ``stats`` (if given) is
     filled with candidate/emitted counts and whether the budget ran out.
@@ -717,29 +755,24 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
     if isinstance(filter_expr, str):
         filter_expr = parse_filter(filter_expr)
     shapes = fiber_shapes(max_fiber, min_fiber)
-    if bases is None:
-        bases = [chain_base(n) for n in range(1, max_base + 1)]
     counters = stats if stats is not None else {}
     counters.update({"candidates": 0, "emitted": 0, "budget_exhausted": False})
-    seen: set = set()
-    for base in bases:
-        n = len(base.objects)
-        objs = base.objects
-        cover_arrows = [base.hom(objs[i], objs[i + 1])[0] for i in range(n - 1)]
+    for n in range(1, max_base + 1):
+        base = chain_base(n)
         for shape_assign in itertools.product(shapes, repeat=n):
             cover_options = [_MONO[(shape_assign[i + 1], shape_assign[i])]
                              for i in range(n - 1)]
-            for covers in itertools.product(*cover_options):
+            for ks in itertools.product(*(range(len(opts))
+                                        for opts in cover_options)):
                 if max_emit is not None and counters["emitted"] >= max_emit:
                     return
                 if counters["candidates"] >= budget:
                     counters["budget_exhausted"] = True
                     return
                 counters["candidates"] += 1
-                key = (id(base),) + _canonical_key(shape_assign, covers)
-                if key in seen:
+                if not _orbit_least(shape_assign, ks):
                     continue
-                seen.add(key)
+                covers = [opts[k] for opts, k in zip(cover_options, ks)]
                 d = _build_thin_doctrine(base, shape_assign, covers,
                                          f"enum-{n}-{counters['candidates']}")
                 if filter_expr is not None and not filter_expr.evaluate(d):

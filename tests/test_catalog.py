@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,48 @@ def test_arrow_floor_bounds_the_built_windows():
                         if f"S{s}" in d.base.window + d.base.power_pool})
         rows = {(d.base.sizes[a], d.base.sizes[b]) for a, b in d.base.products}
         assert catalog._arrow_floor(window, scope, rows) <= len(d.base.arrows)
+
+
+CAPPED_OPENSET = """
+import ast, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from doctrinelab import catalog
+from doctrinelab.verdicts import WindowExceeded
+start = time.perf_counter()
+try:
+    catalog.openset_space(ast.literal_eval(sys.argv[1]))
+except WindowExceeded:
+    print(time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("spaces", [
+    # products of up to 27 points: building it ran out of a 1.5 GB address
+    # space after about 40 s
+    {"E": ((), ((),)), "U": (("u",), ((), ("u",))),
+     "T": (("a", "b", "c"), ((), ("a",), ("b",), ("a", "b"), ("a", "b", "c")))},
+    # the 3-chain alone: maps out of it give only 1,110 arrows
+    {"C": (("a", "b", "c"), ((), ("a",), ("a", "b"), ("a", "b", "c")))},
+])
+def test_oversized_openset_window_refused_before_building(spaces):
+    parent = str(Path(catalog.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", CAPPED_OPENSET, repr(spaces)],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": parent})
+    assert r.returncode == 0 and r.stdout, r.stderr
+    assert float(r.stdout) < 1.0
+
+
+def test_openset_floor_bounds_the_built_windows():
+    spaces = catalog.SIERPINSKI_SPACES
+    for subset in (("S",), ("U", "S"), ("E", "U", "S")):
+        d = catalog.openset_space({nm: spaces[nm] for nm in subset})
+        uppers = {nm: catalog._specialization(
+                      spaces[nm][0],
+                      catalog._validate_topology(nm, *spaces[nm]))
+                  for nm in subset}
+        floor = catalog._openset_floor(uppers, list(d.base.products))
+        assert floor <= len(d.base.arrows), subset
 
 
 def test_roundtrip_bit_exact_all_catalog():

@@ -59,22 +59,26 @@ def _mask_fiber(masks: Sequence[int]) -> FinPoset:
     return FinPoset(elements, (), validate=False, _masks=tuple(uppers))
 
 
-def _preimage_map(images: Sequence[int], src: FinPoset, tgt: FinPoset,
-                  dom_size: int) -> MonotoneMap:
-    """Preimage along a function, onto the masks (all subsets, or the
-    opens) that the target fiber holds."""
-    table = {}
-    for e in src.elements:
-        mb = int(e[1:])
-        ma = 0
-        for x in range(dom_size):
-            if mb >> images[x] & 1:
-                ma |= 1 << x
-        key = f"e{ma}"
-        if key not in tgt.index:
-            raise InvalidTopology(f"preimage {ma} not an admissible fiber element")
-        table[e] = key
-    return MonotoneMap(src, tgt, table, validate=False)
+def _preimage_maps(base: FinCategory, fibers: Mapping[str, FinPoset],
+                   masks: Mapping[str, Sequence[int]]) -> dict[str, MonotoneMap]:
+    """Preimage along the function of each arrow (``base.tables``), where
+    ``masks[o]`` are the point sets of ``fibers[o]`` in index order (all
+    subsets, or the opens)."""
+    index = {o: {m: i for i, m in enumerate(ms)} for o, ms in masks.items()}
+    reindex = {}
+    for n, arr in base.arrows.items():
+        table = []
+        for mb in masks[arr.cod]:
+            ma = 0
+            for x, y in enumerate(base.tables[n]):
+                if mb >> y & 1:
+                    ma |= 1 << x
+            i = index[arr.dom].get(ma)
+            if i is None:
+                raise InvalidTopology(f"preimage {ma} not an admissible fiber element")
+            table.append(i)
+        reindex[n] = MonotoneMap(fibers[arr.cod], fibers[arr.dom], table)
+    return reindex
 
 
 # The builder materialises the whole window category, and validation visits
@@ -192,10 +196,8 @@ def powerset_finset(max_size: int, power_depth: int = 0,
     base = b.close()
 
     fibers = {o: _powerset_fiber(base.sizes[o]) for o in base.objects}
-    reindex = {}
-    for n, arr in base.arrows.items():
-        reindex[n] = _preimage_map(base.tables[n], fibers[arr.cod],
-                                   fibers[arr.dom], base.sizes[arr.dom])
+    reindex = _preimage_maps(
+        base, fibers, {o: range(1 << base.sizes[o]) for o in base.objects})
     return Doctrine(base, fibers, reindex, name=f"PS({max_size},{power_depth})",
                     source={"kind": "catalog", "id": f"PS({max_size},{power_depth})",
                             "dual": False})
@@ -402,11 +404,9 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
     base = b.close()
 
     all_uppers = {nm: carriers.get(nm, uppers.get(nm)) for nm in base.objects}
-    fibers = {o: _mask_fiber(_upset_masks(all_uppers[o])) for o in base.objects}
-    reindex = {}
-    for n, arr in base.arrows.items():
-        reindex[n] = _preimage_map(
-            base.tables[n], fibers[arr.cod], fibers[arr.dom], base.sizes[arr.dom])
+    masks = {o: _upset_masks(all_uppers[o]) for o in base.objects}
+    fibers = {o: _mask_fiber(masks[o]) for o in base.objects}
+    reindex = _preimage_maps(base, fibers, masks)
     return Doctrine(base, fibers, reindex, name=name,
                     source={"kind": "catalog", "id": name, "dual": False})
 
@@ -415,9 +415,7 @@ def trivial_fiber(base: FinCategory, name: str = "TRIV",
                   source: Mapping | None = None) -> Doctrine:
     """All fibers singletons; every law collapses."""
     fibers = {o: _SINGLETON_FIBER for o in base.objects}
-    reindex = {n: MonotoneMap(_SINGLETON_FIBER, _SINGLETON_FIBER, {"t": "t"},
-                              validate=False)
-               for n in base.arrows}
+    reindex = {n: MonotoneMap.identity(_SINGLETON_FIBER) for n in base.arrows}
     return Doctrine(base, fibers, reindex, name=name,
                     source=dict(source) if source else {"kind": "catalog",
                                                         "id": name, "dual": False})
@@ -449,9 +447,9 @@ def semilattice_category(elements: Sequence[str],
             if g.dom == a.cod:
                 compose[(g.name, a.name)] = arrow_name[(a.dom, g.cod)]
     products = {}
-    for v in objs:
-        for u in objs:
-            m = ops.meet[(v, u)]
+    for v, meets in zip(objs, ops.meet):
+        for u, k in zip(objs, meets):
+            m = objs[k]
             products[(v, u)] = Product(v, u, m, arrow_name[(m, v)],
                                        arrow_name[(m, u)])
     base = FinCategory(objs, arrows, identity, compose,
@@ -490,12 +488,13 @@ def subsets_over_semilattice(elements: Sequence[str],
                 masks.append(m)
         downset_masks[u] = masks
         fibers[u] = _mask_fiber(masks)
+    index = {u: {m: i for i, m in enumerate(masks)}
+             for u, masks in downset_masks.items()}
     reindex = {}
     for a in base.arrows.values():
         ideal_v = order.lowers[idx[a.dom]]
-        table = {f"e{m}": f"e{m & ideal_v}" for m in downset_masks[a.cod]}
-        reindex[a.name] = MonotoneMap(fibers[a.cod], fibers[a.dom], table,
-                                      validate=False)
+        table = [index[a.dom][m & ideal_v] for m in downset_masks[a.cod]]
+        reindex[a.name] = MonotoneMap(fibers[a.cod], fibers[a.dom], table)
     return Doctrine(base, fibers, reindex, name=name,
                     source={"kind": "catalog", "id": name, "dual": False})
 

@@ -125,9 +125,12 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
         if tables is None:
             raise DoctrineError("derived implication undefined "
                                 "(missing comprehension witness or adjoint)")
-        return "derived implication", {
-            obj: {f"{a}->{b}": v for (a, b), v in sorted(tab.items())}
-            for obj, tab in sorted(tables.items())}
+        out = {}
+        for obj, rows in sorted(tables.items()):
+            names = d.fibers[obj].elements
+            out[obj] = {f"{names[a]}->{names[b]}": names[v]
+                        for a, row in enumerate(rows) for b, v in enumerate(row)}
+        return "derived implication", out
     if what == "cocomp":
         table = {}
         for a in base.window:

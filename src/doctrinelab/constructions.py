@@ -6,8 +6,6 @@ manufactures a tripos on the dual.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .doctrine import Doctrine, is_existential, is_sigma_doctrine, memoized
 from .logic import (ComprehensionWitness, EpsilonTable, ac_check,
                     cocomprehension_class, cocomprehension_squares,
@@ -43,14 +41,14 @@ def derived_sigma(d: Doctrine, f: str, alpha: str) -> str:
     base = d.base
     a, b = base.dom(f), base.cod(f)
     row = base.products[(a, b)]
-    ops = d.fibers[row.obj].ops
+    fiber = d.fibers[row.obj]
     f_times_id = base.times(f, base.identity[b])
-    graph_part = d.star(f_times_id, eq.over(b))
-    alpha_part = d.star(row.proj1, alpha)
+    graph_part = fiber.index[d.star(f_times_id, eq.over(b))]
+    alpha_part = fiber.index[d.star(row.proj1, alpha)]
     adj = d.sigma(row.proj2)
     if adj is None:
         raise StructureMissing(f"no left adjoint along projection {row.proj2}")
-    return adj.table[ops.meet[(graph_part, alpha_part)]]
+    return adj.target.elements[adj.idx_table[fiber.ops.meet[graph_part][alpha_part]]]
 
 
 def derived_implication(d: Doctrine, obj: str, phi: str, psi: str) -> str:
@@ -65,25 +63,23 @@ def derived_implication(d: Doctrine, obj: str, phi: str, psi: str) -> str:
     return adj.table[d.star(w.arrow, psi)]
 
 
-def derived_implication_tables(d: Doctrine) -> dict[str, Mapping] | None:
-    """The comprehension-derived implication on every window fiber, or None
-    when some witness or adjoint is missing."""
+def derived_implication_tables(d: Doctrine) -> dict[str, list[list[int]]] | None:
+    """The comprehension-derived implication rows on every window fiber
+    (``out[obj][i][j]`` is the index of ``i -> j``), or None when some
+    witness or adjoint is missing."""
     table = comprehension_table(d)
-    out: dict[str, Mapping] = {}
+    out: dict[str, list[list[int]]] = {}
     for obj in d.base.window:
-        fiber = d.fibers[obj]
-        tab: dict[tuple[str, str], str] = {}
-        for phi in fiber.elements:
+        rows = out[obj] = []
+        for phi in d.fibers[obj].elements:
             w = table.get((obj, phi))
             if w is None:
                 return None
             adj = d.pi(w.arrow)
             if adj is None:
                 return None
-            restrict = d.reindex[w.arrow].table
-            for psi in fiber.elements:
-                tab[(phi, psi)] = adj.table[restrict[psi]]
-        out[obj] = tab
+            rows.append(list(map(adj.idx_table.__getitem__,
+                                 d.reindex[w.arrow].idx_table)))
     return out
 
 
@@ -123,8 +119,7 @@ def dualize(d: Doctrine) -> Doctrine:
     reindex = {}
     for n, m in d.reindex.items():
         arr = d.base.arrows[n]
-        reindex[n] = MonotoneMap(fibers[arr.cod], fibers[arr.dom], m.table,
-                                 validate=False)
+        reindex[n] = MonotoneMap(fibers[arr.cod], fibers[arr.dom], m.idx_table)
     source = dict(d.source)
     source["dual"] = not source.get("dual", False)
     suffix = "^op"

@@ -18,8 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 from .fincat import ArrowClass, FinCategory, Square, _unique_squares
 from .poset import (FinPoset, MonotoneMap, _composes_to, _monotone_break,
-                    _unpreserved, _unpreserved_heyting, left_adjoint,
-                    right_adjoint)
+                    _unpreserved, left_adjoint, right_adjoint)
 from .verdicts import ShapeMismatch, Verdict, combine
 
 __all__ = [
@@ -67,8 +66,9 @@ class Doctrine:
         return self.fibers[obj]
 
     def star(self, f: str, element: str) -> str:
-        """Reindex a single fiber element along the arrow ``f``."""
-        return self.reindex[f].table[element]
+        """Reindex a single fiber element along the arrow ``f``, by name."""
+        m = self.reindex[f]
+        return m.target.elements[m.idx_table[m.source.index[element]]]
 
     def cached(self, key, compute: Callable):
         got = self._cache.get(key, _MISSING)
@@ -142,10 +142,11 @@ def validate_doctrine(d: Doctrine) -> Verdict:
             raise ShapeMismatch(f"reindex({n}) target is not fiber({a.dom})")
     for o in base.objects:
         m = d.reindex[base.identity[o]]
-        for e in d.fibers[o].elements:
-            if m.table[e] != e:
-                return Verdict.refuted(kind="functor_identity", object=o,
-                                       element=e, image=m.table[e])
+        i = next((i for i, k in enumerate(m.idx_table) if k != i), None)
+        if i is not None:
+            return Verdict.refuted(kind="functor_identity", object=o,
+                                   element=m.source.elements[i],
+                                   image=m.target.elements[m.idx_table[i]])
     for n, a in base.arrows.items():
         m = d.reindex[n]
         bad = _monotone_break(m)
@@ -160,12 +161,14 @@ def validate_doctrine(d: Doctrine) -> Verdict:
         mg, mf, mgf = d.reindex[g], d.reindex[f], d.reindex[gf]
         if _composes_to(mg, mf, mgf):
             continue
-        for e in mg.source.elements:
-            if mf.table[mg.table[e]] != mgf.table[e]:
+        for i, k in enumerate(mgf.idx_table):
+            parts = mf.idx_table[mg.idx_table[i]]
+            if parts != k:
                 return Verdict.refuted(kind="functor_composition", f=f, g=g,
-                                       composite=gf, element=e,
-                                       via_composite=mgf.table[e],
-                                       via_parts=mf.table[mg.table[e]])
+                                       composite=gf,
+                                       element=mg.source.elements[i],
+                                       via_composite=mgf.target.elements[k],
+                                       via_parts=mf.target.elements[parts])
     return Verdict.holds(d.window_descriptor)
 
 
@@ -215,16 +218,20 @@ def is_propositional(d: Doctrine) -> Verdict:
         m = d.reindex[n]
         so = d.fibers[a.cod].ops
         to = d.fibers[a.dom].ops
-        if m.table[so.top] != to.top or m.table[so.bottom] != to.bottom:
+        top, bottom = d.star(n, so.top), d.star(n, so.bottom)
+        if top != to.top or bottom != to.bottom:
             return Verdict.refuted(kind="bound_not_preserved", arrow=n,
-                                   top=[m.table[so.top], to.top],
-                                   bottom=[m.table[so.bottom], to.bottom])
-        bad = _unpreserved_heyting(m, so, to)
-        if bad is not None:
-            opname, pair, image, expected = bad
-            return Verdict.refuted(kind=f"{opname}_not_preserved", arrow=n,
-                                   pair=pair, image_of_op=image,
-                                   op_of_images=expected)
+                                   top=[top, to.top], bottom=[bottom, to.bottom])
+        for opname, s_op, t_op in (("meet", so.meet, to.meet),
+                                   ("join", so.join, to.join),
+                                   ("implication", so.heyting_implication,
+                                    to.heyting_implication)):
+            bad = _unpreserved(m, s_op, t_op)
+            if bad is not None:
+                pair, image, expected = bad
+                return Verdict.refuted(kind=f"{opname}_not_preserved", arrow=n,
+                                       pair=pair, image_of_op=image,
+                                       op_of_images=expected)
     return Verdict.holds(d.window_descriptor)
 
 
@@ -262,25 +269,23 @@ def _quantifier_doctrine(d: Doctrine, side: str, cls: ArrowClass,
             return Verdict.not_applicable(f"{side} adjoint missing at {s.f}")
         if adj_g is None:
             return Verdict.not_applicable(f"{side} adjoint missing at {s.to_g}")
-        h_star = d.reindex[s.g].table
-        k_star = d.reindex[s.to_f].table
+        h_star = d.reindex[s.g]
+        k_star = d.reindex[s.to_f].idx_table
         dom_fiber = d.fibers[d.base.dom(s.f)]
         if restricted:
-            f_star = d.reindex[s.f].table
-            gammas = sorted({f_star[xi]
-                             for xi in d.fibers[d.base.cod(s.f)].elements},
-                            key=dom_fiber.index.__getitem__)
+            gammas = sorted(set(d.reindex[s.f].idx_table))
         else:
-            gammas = dom_fiber.elements
+            gammas = range(len(dom_fiber))
         for gamma in gammas:
-            lhs = h_star[adj_f.table[gamma]]
-            rhs = adj_g.table[k_star[gamma]]
+            lhs = h_star.idx_table[adj_f.idx_table[gamma]]
+            rhs = adj_g.idx_table[k_star[gamma]]
             if lhs != rhs:
                 return Verdict.refuted(kind="beck_chevalley", which=side,
                                        arrow_class=cls.name,
-                                       restricted=restricted,
-                                       square=vars(s), gamma=gamma,
-                                       lhs=lhs, rhs=rhs)
+                                       restricted=restricted, square=vars(s),
+                                       gamma=dom_fiber.elements[gamma],
+                                       lhs=h_star.target.elements[lhs],
+                                       rhs=adj_g.target.elements[rhs])
     return Verdict.holds(d.window_descriptor)
 
 
@@ -322,15 +327,17 @@ def _frobenius(d: Doctrine, cls: ArrowClass) -> Verdict:
         cod_ops = d.fibers[a.cod].ops
         if dom_ops.meet is None or cod_ops.meet is None:
             return Verdict.not_applicable(f"no meets around {f}")
-        f_star = d.reindex[f].table
-        for alpha in d.fibers[a.dom].elements:
-            for beta in d.fibers[a.cod].elements:
-                lhs = adj.table[dom_ops.meet[(alpha, f_star[beta])]]
-                rhs = cod_ops.meet[(beta, adj.table[alpha])]
+        f_star, sigma = d.reindex[f].idx_table, adj.idx_table
+        for alpha, meet_alpha in enumerate(dom_ops.meet):
+            for beta, f_beta in enumerate(f_star):
+                lhs = sigma[meet_alpha[f_beta]]
+                rhs = cod_ops.meet[beta][sigma[alpha]]
                 if lhs != rhs:
+                    names = d.fibers[a.cod].elements
                     return Verdict.refuted(kind="frobenius", arrow=f,
-                                           alpha=alpha, beta=beta,
-                                           lhs=lhs, rhs=rhs)
+                                           alpha=d.fibers[a.dom].elements[alpha],
+                                           beta=names[beta], lhs=names[lhs],
+                                           rhs=names[rhs])
     return Verdict.holds(d.window_descriptor)
 
 

@@ -67,8 +67,7 @@ def to_document(d: Doctrine) -> dict:
             o: {"elements": list(p.elements),
                 "leq": sorted([a, b] for a, b in p.pairs() if a != b)}
             for o, p in d.fibers.items()}
-        doc["reindex"] = {n: {e: m.table[e] for e in m.source.elements}
-                          for n, m in sorted(d.reindex.items())}
+        doc["reindex"] = {n: m.table for n, m in sorted(d.reindex.items())}
     if d.declared:
         doc["declared"] = d.declared
     return doc
@@ -221,7 +220,7 @@ def parse_document(doc: Mapping) -> Doctrine:
                 raise ParseError(f"table key {e!r} not in fiber({a.cod})", pos)
             if v not in tgt.index:
                 raise ParseError(f"table value {v!r} not in fiber({a.dom})", pos)
-        reindex[a.name] = MonotoneMap(src, tgt, table, validate=False)
+        reindex[a.name] = MonotoneMap.from_names(src, tgt, table)
     name = meta.get("name", "instance")
     return Doctrine(base, fibers, reindex, name=name,
                     source={"kind": "explicit"}, declared=declared)

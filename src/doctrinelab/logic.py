@@ -12,7 +12,7 @@ by the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .doctrine import (Doctrine, has_bottoms, has_tops, is_pi_doctrine,
                        is_primary, is_propositional, is_sigma_doctrine,
@@ -119,20 +119,14 @@ def _delta_validates(d: Doctrine, a: str, delta: str) -> bool:
         q1 = triple.proj1
         pi23 = base.pair(base.compose(row.proj2, q1), triple.proj2)
         mono = base.pair(base.identity[p_obj], row.proj2)  # id_X x Delta_A
-        q1_star = d.reindex[q1].table
-        pi23_star = d.reindex[pi23].table
-        r = d.reindex[mono]
-        delta_pull = pi23_star[delta]
+        pi23_star = d.reindex[pi23]
+        r = d.reindex[mono].idx_table
+        meet_delta = ops.meet[pi23_star.idx_table[pi23_star.source.index[delta]]]
         # L(psi) = <pi1,pi2>*psi  meet  <pi2,pi3>*delta
-        l_idx = {}
-        for psi in pf.elements:
-            l_idx[psi] = tf.index[ops.meet[(q1_star[psi], delta_pull)]]
-        r_idx = {phi: pf.index[r.table[phi]] for phi in tf.elements}
-        for psi in pf.elements:
-            pi = pf.index[psi]
-            li = l_idx[psi]
-            for phi in tf.elements:
-                if tf.leq_idx(li, tf.index[phi]) != pf.leq_idx(pi, r_idx[phi]):
+        for psi, q1_psi in enumerate(d.reindex[q1].idx_table):
+            li = meet_delta[q1_psi]
+            for phi, r_phi in enumerate(r):
+                if tf.leq_idx(li, phi) != pf.leq_idx(psi, r_phi):
                     return False
     return True
 
@@ -142,11 +136,12 @@ def equality_candidates(d: Doctrine, a: str) -> list[str]:
     base = d.base
     row_aa = base.products[(a, a)]
     fiber_aa = d.fibers[row_aa.obj]
-    diag_star = d.reindex[base.diagonal(a)].table
-    top_a = d.top(a)
+    diag_star = d.reindex[base.diagonal(a)].idx_table
+    fiber_a, top_a = d.fibers[a], d.top(a)
+    above_top = None if top_a is None else fiber_a.uppers[fiber_a.index[top_a]]
     out = []
-    for delta in fiber_aa.elements:
-        if top_a is not None and not d.fibers[a].leq(top_a, diag_star[delta]):
+    for delta, image in zip(fiber_aa.elements, diag_star):
+        if above_top is not None and not above_top >> image & 1:
             continue  # reflexivity is necessary whenever a top exists
         if _delta_validates(d, a, delta):
             out.append(delta)
@@ -189,15 +184,15 @@ def check_substitutive(d: Doctrine, witness: EqualityWitness) -> Verdict:
         ops = d.fibers[row.obj].ops
         if ops.meet is None:
             return Verdict.not_applicable(f"no meets in fiber({row.obj})")
-        delta = witness.delta[a]
-        p1_star = d.reindex[row.proj1].table
-        p2_star = d.reindex[row.proj2].table
-        for psi in d.fibers[a].elements:
-            lhs = ops.meet[(p1_star[psi], delta)]
-            rhs = ops.meet[(p2_star[psi], delta)]
+        names = d.fibers[row.obj].elements
+        meet_delta = ops.meet[d.fibers[row.obj].index[witness.delta[a]]]
+        p2_star = d.reindex[row.proj2].idx_table
+        for psi, p1_psi in enumerate(d.reindex[row.proj1].idx_table):
+            lhs, rhs = meet_delta[p1_psi], meet_delta[p2_star[psi]]
             if lhs != rhs:
                 return Verdict.refuted(kind="not_substitutive", object=a,
-                                       psi=psi, lhs=lhs, rhs=rhs)
+                                       psi=d.fibers[a].elements[psi],
+                                       lhs=names[lhs], rhs=names[rhs])
     return Verdict.holds(d.window_descriptor)
 
 
@@ -396,16 +391,15 @@ def has_negation(d: Doctrine) -> Verdict:
     return _negation_impl(d)[0]
 
 
-def _pseudocomplement(fiber, beta: str) -> str | None:
-    """The greatest element whose meet with ``beta`` is the bottom, if any;
-    the fiber must have meets and a bottom."""
-    ops = fiber.ops
+def _pseudocomplement(fiber, beta: int) -> int | None:
+    """The index of the greatest element whose meet with the ``beta``-th is
+    the bottom, if any; the fiber must have meets and a bottom."""
+    bottom = fiber.index[fiber.ops.bottom]
     mask = 0
-    for ci, c in enumerate(fiber.elements):
-        if ops.meet[(c, beta)] == ops.bottom:
-            mask |= 1 << ci
-    g = fiber.greatest_of_downset(mask)
-    return None if g is None else fiber.elements[g]
+    for c, m in enumerate(fiber.ops.meet[beta]):
+        if m == bottom:
+            mask |= 1 << c
+    return fiber.greatest_of_downset(mask)
 
 
 @memoized
@@ -418,26 +412,31 @@ def _negation_impl(d: Doctrine) -> tuple[Verdict, NegationTable | None]:
     if not bottoms:
         return (Verdict.not_applicable(
             f"negation needs bottoms: {bottoms.reason}"), None)
+    rows: dict[str, list[int]] = {}
     tables: dict[str, dict[str, str]] = {}
     for a in d.base.window:
         fiber = d.fibers[a]
-        tab = {}
-        for beta in fiber.elements:
+        names = fiber.elements
+        row = rows[a] = []
+        for beta in range(len(fiber)):
             neg = _pseudocomplement(fiber, beta)
             if neg is None:
                 return (Verdict.not_applicable(
-                    f"no pseudocomplement for {beta} in fiber({a})"), None)
-            tab[beta] = neg
-        tables[a] = tab
+                    f"no pseudocomplement for {names[beta]} in fiber({a})"), None)
+            row.append(neg)
+        tables[a] = {e: names[neg] for e, neg in zip(names, row)}
     for f in d.base.window_arrows:
         a = d.base.arrows[f]
-        star = d.reindex[f].table
-        for beta in d.fibers[a.cod].elements:
-            if star[tables[a.cod][beta]] != tables[a.dom][star[beta]]:
+        star = d.reindex[f].idx_table
+        neg_cod, neg_dom = rows[a.cod], rows[a.dom]
+        for beta, neg in enumerate(neg_cod):
+            if star[neg] != neg_dom[star[beta]]:
+                names = d.fibers[a.dom].elements
                 return (Verdict.refuted(
-                    kind="negation_not_natural", arrow=f, beta=beta,
-                    reindexed_negation=star[tables[a.cod][beta]],
-                    negation_of_reindexed=tables[a.dom][star[beta]]), None)
+                    kind="negation_not_natural", arrow=f,
+                    beta=d.fibers[a.cod].elements[beta],
+                    reindexed_negation=names[star[neg]],
+                    negation_of_reindexed=names[neg_dom[star[beta]]]), None)
     return Verdict.holds(d.window_descriptor), NegationTable(tables)
 
 
@@ -458,8 +457,8 @@ def is_classical(d: Doctrine) -> Verdict:
 
 # -- implication --------------------------------------------------------------
 
-def heyting_implication_tables(d: Doctrine) -> dict[str, Mapping] | None:
-    """Fiberwise Heyting implication on every scope fiber, if available."""
+def heyting_implication_tables(d: Doctrine) -> dict[str, list[list[int]]] | None:
+    """Fiberwise Heyting implication rows on every scope fiber, if available."""
     out = {}
     for o in d.scope_objects:
         impl = d.fibers[o].ops.heyting_implication
@@ -469,22 +468,27 @@ def heyting_implication_tables(d: Doctrine) -> dict[str, Mapping] | None:
     return out
 
 
-def implication_axioms(d: Doctrine, impl: Mapping[str, Mapping]) -> Verdict:
+def implication_axioms(d: Doctrine,
+                       impl: Mapping[str, Sequence[Sequence[int]]]) -> Verdict:
     """Stability under reindexing, the exchange law with Pi along projections,
-    and the four pointwise axioms, over the fibers the tables cover."""
+    and the four pointwise axioms, over the fibers the tables cover.
+    ``impl[o][i][j]`` is the index of ``i -> j`` in fiber ``o``."""
     covered = set(impl)
     base = d.base
     for f in base.window_arrows:
         a = base.arrows[f]
         if a.dom not in covered or a.cod not in covered:
             continue
-        star = d.reindex[f].table
-        for (x, y), xy in impl[a.cod].items():
-            if star[xy] != impl[a.dom][(star[x], star[y])]:
-                return Verdict.refuted(kind="implication_not_stable", arrow=f,
-                                       pair=[x, y], lhs=star[xy],
-                                       rhs=impl[a.dom][(star[x], star[y])])
-    checked_pi = False
+        star = d.reindex[f].idx_table
+        src, tgt = d.fibers[a.cod].elements, d.fibers[a.dom].elements
+        for x, row in enumerate(impl[a.cod]):
+            of_images = impl[a.dom][star[x]]
+            for y, xy in enumerate(row):
+                if star[xy] != of_images[star[y]]:
+                    return Verdict.refuted(
+                        kind="implication_not_stable", arrow=f,
+                        pair=[src[x], src[y]], lhs=tgt[star[xy]],
+                        rhs=tgt[of_images[star[y]]])
     for row in base.first_level_rows:
         if row.obj not in covered:
             continue
@@ -494,48 +498,57 @@ def implication_axioms(d: Doctrine, impl: Mapping[str, Mapping]) -> Verdict:
             adj = d.pi(proj)
             if adj is None:
                 return Verdict.not_applicable(f"no Pi along projection {proj}")
-            checked_pi = True
-            star = d.reindex[proj].table
-            for alpha in d.fibers[factor].elements:
-                pa = star[alpha]
-                for beta in d.fibers[row.obj].elements:
-                    lhs = adj.table[impl[row.obj][(pa, beta)]]
-                    rhs = impl[factor][(alpha, adj.table[beta])]
+            pi = adj.idx_table
+            names = d.fibers[factor].elements
+            for alpha, p_alpha in enumerate(d.reindex[proj].idx_table):
+                for beta, pb in enumerate(pi):
+                    lhs = pi[impl[row.obj][p_alpha][beta]]
+                    rhs = impl[factor][alpha][pb]
                     if lhs != rhs:
-                        return Verdict.refuted(kind="implication_pi_exchange",
-                                               projection=proj, alpha=alpha,
-                                               beta=beta, lhs=lhs, rhs=rhs)
+                        return Verdict.refuted(
+                            kind="implication_pi_exchange", projection=proj,
+                            alpha=names[alpha],
+                            beta=d.fibers[row.obj].elements[beta],
+                            lhs=names[lhs], rhs=names[rhs])
     for o in sorted(covered, key=lambda o: base.obj_index(o)
                     if o in base._obj_index else 0):
         fiber = d.fibers[o]
+        names, up = fiber.elements, fiber.uppers
         tab = impl[o]
-        for phi in fiber.elements:
-            for psi in fiber.elements:
-                if not fiber.leq(phi, tab[(psi, phi)]):
+        n = len(names)
+        for phi in range(n):
+            for psi in range(n):
+                if not up[phi] >> tab[psi][phi] & 1:
                     return Verdict.refuted(kind="implication_axiom_a", object=o,
-                                           phi=phi, psi=psi,
-                                           value=tab[(psi, phi)])
-                if fiber.leq(phi, psi):
-                    for gamma in fiber.elements:
-                        if not fiber.leq(gamma, tab[(phi, psi)]):
+                                           phi=names[phi], psi=names[psi],
+                                           value=names[tab[psi][phi]])
+                if up[phi] >> psi & 1:
+                    for gamma in range(n):
+                        if not up[gamma] >> tab[phi][psi] & 1:
                             return Verdict.refuted(kind="implication_axiom_d",
-                                                   object=o, phi=phi, psi=psi,
-                                                   gamma=gamma,
-                                                   value=tab[(phi, psi)])
-        for gamma in fiber.elements:
-            for phi in fiber.elements:
-                for psi in fiber.elements:
-                    lhs = tab[(gamma, tab[(phi, psi)])]
-                    rhs = tab[(tab[(gamma, phi)], tab[(gamma, psi)])]
-                    if not fiber.leq(lhs, rhs):
+                                                   object=o, phi=names[phi],
+                                                   psi=names[psi],
+                                                   gamma=names[gamma],
+                                                   value=names[tab[phi][psi]])
+        for gamma in range(n):
+            tab_gamma = tab[gamma]
+            for phi in range(n):
+                tab_phi, rhs_row = tab[phi], tab[tab_gamma[phi]]
+                below_phi = up[gamma] >> phi & 1
+                for psi in range(n):
+                    lhs = tab_gamma[tab_phi[psi]]
+                    rhs = rhs_row[tab_gamma[psi]]
+                    if not up[lhs] >> rhs & 1:
                         return Verdict.refuted(kind="implication_axiom_b",
-                                               object=o, gamma=gamma, phi=phi,
-                                               psi=psi, lhs=lhs, rhs=rhs)
-                    if (fiber.leq(gamma, tab[(phi, psi)]) and fiber.leq(gamma, phi)
-                            and not fiber.leq(gamma, psi)):
+                                               object=o, gamma=names[gamma],
+                                               phi=names[phi], psi=names[psi],
+                                               lhs=names[lhs], rhs=names[rhs])
+                    if (up[gamma] >> tab_phi[psi] & 1 and below_phi
+                            and not up[gamma] >> psi & 1):
                         return Verdict.refuted(kind="implication_axiom_c",
-                                               object=o, gamma=gamma, phi=phi,
-                                               psi=psi, value=tab[(phi, psi)])
+                                               object=o, gamma=names[gamma],
+                                               phi=names[phi], psi=names[psi],
+                                               value=names[tab_phi[psi]])
     return Verdict.holds(d.window_descriptor)
 
 
@@ -650,14 +663,14 @@ def _tripos_delta(d: Doctrine, x: str) -> str | None:
     top_x = d.top(x)
     if top_x is None:
         return None
-    diag_star = d.reindex[base.diagonal(x)].table
-    fx = d.fibers[x]
-    for delta in fiber_xx.elements:
-        di = fiber_xx.index[delta]
-        if all((fx.leq(top_x, diag_star[alpha])) == fiber_xx.leq_idx(di, fiber_xx.index[alpha])
-               for alpha in fiber_xx.elements):
-            return delta
-    return None
+    above_top = d.fibers[x].uppers[d.fibers[x].index[top_x]]
+    # the alpha with top <= Delta*(alpha), as a mask: delta's up-set
+    mask = 0
+    for alpha, image in enumerate(d.reindex[base.diagonal(x)].idx_table):
+        if above_top >> image & 1:
+            mask |= 1 << alpha
+    delta = fiber_xx.least_of_upset(mask)
+    return None if delta is None else fiber_xx.elements[delta]
 
 
 @memoized
@@ -726,7 +739,8 @@ def declared_checks(d: Doctrine) -> list[tuple[str, Verdict]]:
     for a, table in sorted(declared.get("negation", {}).items()):
         fiber = d.fibers[a]
         ok = (fiber.ops.meet is not None and fiber.ops.bottom is not None
-              and all(_pseudocomplement(fiber, beta) == neg
+              and all(_pseudocomplement(fiber, fiber.index[beta])
+                      == fiber.index.get(neg, -1)
                       for beta, neg in table.items()))
         record(f"declared negation[{a}]", ok, "negation", object=a)
     for a, rec in sorted(declared.get("power_objects", {}).items()):

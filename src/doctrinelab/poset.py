@@ -4,18 +4,22 @@ Fibers of a doctrine are instances of :class:`FinPoset`.  The order is held
 as per-element bitmasks so that meets, joins and adjoints reduce to integer
 arithmetic; an up-closed (down-closed) subset has a least (greatest) element
 exactly when its mask coincides with a principal filter (ideal), which is a
-single dictionary lookup.  The hot checks work on integer index tables:
-Heyting implication by bitmask rows, monotonicity on Hasse covers, and
-composites of reindexing maps by byte-table translation.
+single dictionary lookup.
+
+Monotone maps and lattice operations are stored only as integer index
+tables: ``MonotoneMap.idx_table`` holds the index of each source element's
+image, and the meet, join and Heyting-implication tables of
+:class:`LatticeOps` are rows of indices.  The checks walk these tables
+(implication by bitmask rows, monotonicity on Hasse covers, composites of
+reindexing maps by byte-table translation); element names appear only in
+documents, reports and counterexample payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
-
-from .verdicts import StructureMissing, Verdict
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "FinPoset",
@@ -24,8 +28,6 @@ __all__ = [
     "lattice_ops",
     "left_adjoint",
     "right_adjoint",
-    "is_msl_hom",
-    "is_heyting_hom",
 ]
 
 
@@ -150,13 +152,15 @@ class FinPoset:
 @dataclass(frozen=True)
 class LatticeOps:
     """Partial lattice structure; each table is present only when the
-    defining universal property holds for every required argument."""
+    defining universal property holds for every required argument.  A table
+    is index rows, ``meet[i][j]`` being the index of the meet of elements
+    ``i`` and ``j``; ``top`` and ``bottom`` are element names."""
 
-    meet: Mapping[tuple[str, str], str] | None
-    join: Mapping[tuple[str, str], str] | None
+    meet: list[list[int]] | None
+    join: list[list[int]] | None
     top: str | None
     bottom: str | None
-    heyting_implication: Mapping[tuple[str, str], str] | None
+    heyting_implication: list[list[int]] | None
 
     @property
     def is_heyting(self) -> bool:
@@ -175,14 +179,6 @@ def _op_rows(masks: tuple[int, ...], extremum) -> list[list[int]] | None:
             return None
         rows.append(row)
     return rows
-
-
-def _named(p: FinPoset, rows: list[list[int]] | None) -> dict | None:
-    names = p.elements
-    if rows is None:
-        return None
-    return {(names[i], names[j]): names[k]
-            for i, row in enumerate(rows) for j, k in enumerate(row)}
 
 
 def _implication_rows(p: FinPoset, meet: list[list[int]]) -> list[list[int]] | None:
@@ -219,40 +215,38 @@ def lattice_ops(p: FinPoset) -> LatticeOps:
     full = (1 << n) - 1
     top = p.greatest_of_downset(full) if n else None
     bottom = p.least_of_upset(full) if n else None
-    join = _named(p, _op_rows(p.uppers, p._principal_filters.get))
-    meet_rows = _op_rows(p.lowers, p._principal_ideals.get)
-    impl = None if meet_rows is None else _implication_rows(p, meet_rows)
+    join = _op_rows(p.uppers, p._principal_filters.get)
+    meet = _op_rows(p.lowers, p._principal_ideals.get)
+    impl = None if meet is None else _implication_rows(p, meet)
     top_e = p.elements[top] if top is not None else None
     bot_e = p.elements[bottom] if bottom is not None else None
-    return LatticeOps(_named(p, meet_rows), join, top_e, bot_e, _named(p, impl))
+    return LatticeOps(meet, join, top_e, bot_e, impl)
 
 
 class MonotoneMap:
-    """A monotone function between finite posets, tabulated elementwise."""
+    """A monotone function between finite posets: ``idx_table[i]`` is the
+    index in ``target`` of the image of the ``i``-th element of ``source``.
+    Monotonicity is not checked here; ``validate_doctrine`` checks it."""
 
-    __slots__ = ("source", "target", "table", "__dict__")
+    __slots__ = ("source", "target", "idx_table", "__dict__")
 
     def __init__(self, source: FinPoset, target: FinPoset,
-                 table: Mapping[str, str], validate: bool = True):
+                 idx_table: Iterable[int]):
         self.source = source
         self.target = target
-        self.table = dict(table)
-        if validate:
-            missing = [e for e in source.elements if e not in self.table]
-            if missing:
-                raise ValueError(f"table missing entries for {missing}")
-            for e in self.table.values():
-                if e not in target.index:
-                    raise ValueError(f"table value {e!r} not in target poset")
-            bad = _monotone_break(self)
-            if bad is not None:
-                i, j = bad
-                raise ValueError(
-                    f"not monotone at {source.elements[i]} <= {source.elements[j]}")
+        self.idx_table: tuple[int, ...] = tuple(idx_table)
+
+    @classmethod
+    def from_names(cls, source: FinPoset, target: FinPoset,
+                   table: Mapping[str, str]) -> "MonotoneMap":
+        """The map sending each source element ``e`` to ``table[e]``."""
+        return cls(source, target, (target.index[table[e]] for e in source.elements))
 
     @cached_property
-    def idx_table(self) -> tuple[int, ...]:
-        return tuple(self.target.index[self.table[e]] for e in self.source.elements)
+    def table(self) -> dict[str, str]:
+        """The map by element names, for documents, reports and payloads."""
+        names = self.target.elements
+        return {e: names[i] for e, i in zip(self.source.elements, self.idx_table)}
 
     @cached_property
     def _idx_bytes(self) -> bytes:
@@ -267,12 +261,9 @@ class MonotoneMap:
             return None
         return self._idx_bytes.ljust(256, b"\0")
 
-    def __call__(self, e: str) -> str:
-        return self.table[e]
-
     @classmethod
     def identity(cls, p: FinPoset) -> "MonotoneMap":
-        return cls(p, p, {e: e for e in p.elements}, validate=False)
+        return cls(p, p, range(len(p)))
 
     def __repr__(self) -> str:
         return f"MonotoneMap({len(self.source)}->{len(self.target)})"
@@ -325,9 +316,8 @@ def _adjoint(u: MonotoneMap, side: str) -> MonotoneMap | None:
         allowed, extremum = A.uppers, B.least_of_upset
     else:
         allowed, extremum = A.lowers, B.greatest_of_downset
-    table: dict[str, str] = {}
-    for ia, a in enumerate(A.elements):
-        region = allowed[ia]
+    table = []
+    for region in allowed:
         mask = 0
         for ib, image in enumerate(it):
             if region >> image & 1:
@@ -335,8 +325,8 @@ def _adjoint(u: MonotoneMap, side: str) -> MonotoneMap | None:
         best = extremum(mask)
         if best is None:
             return None
-        table[a] = B.elements[best]
-    return MonotoneMap(A, B, table, validate=False)
+        table.append(best)
+    return MonotoneMap(A, B, table)
 
 
 def left_adjoint(u: MonotoneMap) -> MonotoneMap | None:
@@ -350,68 +340,15 @@ def right_adjoint(u: MonotoneMap) -> MonotoneMap | None:
     return _adjoint(u, "right")
 
 
-def _unpreserved(m: MonotoneMap, s_op: Mapping, t_op: Mapping) -> tuple | None:
-    """The first ``(pair, image of op, op of images)`` at which ``m`` fails to
-    carry the binary operation table ``s_op`` to ``t_op``, or None."""
-    t = m.table
-    for (x, y), xy in s_op.items():
-        of_images = t_op[(t[x], t[y])]
-        if t[xy] != of_images:
-            return [x, y], t[xy], of_images
+def _unpreserved(m: MonotoneMap, s_op: Sequence[Sequence[int]],
+                 t_op: Sequence[Sequence[int]]) -> tuple | None:
+    """The first ``(pair, image of op, op of images)``, as element names, at
+    which ``m`` fails to carry the binary operation rows ``s_op`` to
+    ``t_op``, or None.  Pairs are scanned row by row in index order."""
+    it, s, t = m.idx_table, m.source.elements, m.target.elements
+    for x, row in enumerate(s_op):
+        of_images = t_op[it[x]]
+        for y, xy in enumerate(row):
+            if it[xy] != of_images[it[y]]:
+                return [s[x], s[y]], t[it[xy]], t[of_images[it[y]]]
     return None
-
-
-def _unpreserved_heyting(m: MonotoneMap, so: LatticeOps,
-                         to: LatticeOps) -> tuple | None:
-    """``(operation name, pair, image of op, op of images)`` for the first
-    meet, join or implication of ``so`` that ``m`` does not carry to the one
-    of ``to``, or None."""
-    for name, s_op, t_op in (("meet", so.meet, to.meet),
-                             ("join", so.join, to.join),
-                             ("implication", so.heyting_implication,
-                              to.heyting_implication)):
-        bad = _unpreserved(m, s_op, t_op)
-        if bad is not None:
-            return (name, *bad)
-    return None
-
-
-def _window(m: MonotoneMap) -> str:
-    return f"poset map {len(m.source)}->{len(m.target)}"
-
-
-def is_msl_hom(m: MonotoneMap) -> Verdict:
-    """Does ``m`` preserve binary meets and the top element?"""
-    so, to = m.source.ops, m.target.ops
-    if so.meet is None or so.top is None:
-        raise StructureMissing("source is not a meet-semilattice with top")
-    if to.meet is None or to.top is None:
-        raise StructureMissing("target is not a meet-semilattice with top")
-    if m.table[so.top] != to.top:
-        return Verdict.refuted(kind="hom_top", element=so.top,
-                               image=m.table[so.top], expected=to.top)
-    bad = _unpreserved(m, so.meet, to.meet)
-    if bad is not None:
-        pair, image, expected = bad
-        return Verdict.refuted(kind="hom_meet", pair=pair, image_of_meet=image,
-                               meet_of_images=expected)
-    return Verdict.holds(_window(m))
-
-
-def is_heyting_hom(m: MonotoneMap) -> Verdict:
-    """Does ``m`` preserve meets, joins, top, bottom and implication?"""
-    so, to = m.source.ops, m.target.ops
-    if not so.is_heyting:
-        raise StructureMissing("source is not a Heyting algebra")
-    if not to.is_heyting:
-        raise StructureMissing("target is not a Heyting algebra")
-    for name, sval, tval in (("top", so.top, to.top), ("bottom", so.bottom, to.bottom)):
-        if m.table[sval] != tval:
-            return Verdict.refuted(kind=f"hom_{name}", element=sval,
-                                   image=m.table[sval], expected=tval)
-    bad = _unpreserved_heyting(m, so, to)
-    if bad is not None:
-        op_name, pair, image, expected = bad
-        return Verdict.refuted(kind=f"hom_{op_name}", pair=pair,
-                               image_of_op=image, op_of_images=expected)
-    return Verdict.holds(_window(m))

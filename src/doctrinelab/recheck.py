@@ -8,6 +8,8 @@ the payload still witnesses a genuine violation on the instance.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .doctrine import Doctrine
 from .poset import left_adjoint, right_adjoint
 from .verdicts import Verdict
@@ -20,17 +22,23 @@ def _fresh_adjoint(d: Doctrine, which: str, f: str):
     return fn(d.reindex[f])
 
 
-def _pseudocomplement(d: Doctrine, obj: str, beta: str) -> str | None:
+def _meet(d: Doctrine, obj: str, a: str, b: str, join: bool = False) -> str | None:
+    """The meet (join) of ``a`` and ``b`` in fiber(obj), read from the fiber
+    order: the greatest element below (least above) both; None if none."""
     fiber = d.fibers[obj]
-    ops = fiber.ops
+    masks, extremum = ((fiber.uppers, fiber.least_of_upset) if join
+                       else (fiber.lowers, fiber.greatest_of_downset))
+    m = extremum(masks[fiber.index[a]] & masks[fiber.index[b]])
+    return None if m is None else fiber.elements[m]
+
+
+def _pseudocomplement(d: Doctrine, obj: str, beta: str) -> str | None:
+    """``beta -> bottom``: the greatest element whose meet with ``beta`` is
+    the bottom."""
+    ops = d.fibers[obj].ops
     if ops.meet is None or ops.bottom is None:
         return None
-    mask = 0
-    for ci, c in enumerate(fiber.elements):
-        if ops.meet[(c, beta)] == ops.bottom:
-            mask |= 1 << ci
-    g = fiber.greatest_of_downset(mask)
-    return None if g is None else fiber.elements[g]
+    return _heyting_implication(d, obj, beta, ops.bottom)
 
 
 def recheck(d: Doctrine, verdict: Verdict) -> bool:
@@ -77,19 +85,16 @@ def _h_not_monotone(d, base, p):
                                           d.star(p["arrow"], b)))
 
 
-def _h_op_not_preserved(op_name):
+def _h_op_not_preserved(op):
+    """``op(d, obj, a, b)`` is the operation in fiber(obj)."""
     def h(d, base, p):
-        arr = base.arrows[p["arrow"]]
+        f = p["arrow"]
+        arr = base.arrows[f]
         x, y = p["pair"]
-        src_ops = d.fibers[arr.cod].ops
-        tgt_ops = d.fibers[arr.dom].ops
-        table = {"meet": (src_ops.meet, tgt_ops.meet),
-                 "join": (src_ops.join, tgt_ops.join),
-                 "implication": (src_ops.heyting_implication,
-                                 tgt_ops.heyting_implication)}[op_name]
-        s_op, t_op = table
-        return d.star(p["arrow"], s_op[(x, y)]) != t_op[
-            (d.star(p["arrow"], x), d.star(p["arrow"], y))]
+        xy = op(d, arr.cod, x, y)
+        of_images = op(d, arr.dom, d.star(f, x), d.star(f, y))
+        return (xy is not None and of_images is not None
+                and d.star(f, xy) != of_images)
     return h
 
 
@@ -163,11 +168,9 @@ def _h_frobenius(d, base, p):
     if adj is None:
         return False
     arr = base.arrows[f]
-    dom_ops = d.fibers[arr.dom].ops
-    cod_ops = d.fibers[arr.cod].ops
-    lhs = adj.table[dom_ops.meet[(p["alpha"], d.star(f, p["beta"]))]]
-    rhs = cod_ops.meet[(p["beta"], adj.table[p["alpha"]])]
-    return lhs != rhs
+    inner = _meet(d, arr.dom, p["alpha"], d.star(f, p["beta"]))
+    rhs = _meet(d, arr.cod, p["beta"], adj.table[p["alpha"]])
+    return inner is not None and rhs is not None and adj.table[inner] != rhs
 
 
 def _h_no_equality_predicate(d, base, p):
@@ -182,9 +185,8 @@ def _h_not_substitutive(d, base, p):
         return False
     a = p["object"]
     row = base.products[(a, a)]
-    ops = d.fibers[row.obj].ops
-    lhs = ops.meet[(d.star(row.proj1, p["psi"]), eq.over(a))]
-    rhs = ops.meet[(d.star(row.proj2, p["psi"]), eq.over(a))]
+    lhs = _meet(d, row.obj, d.star(row.proj1, p["psi"]), eq.over(a))
+    rhs = _meet(d, row.obj, d.star(row.proj2, p["psi"]), eq.over(a))
     return lhs != rhs
 
 
@@ -434,11 +436,11 @@ def _h_declared_delta_invalid(d, base, p):
         q1 = triple.proj1
         left = _fresh_adjoint(d, "sigma",
                               base.pair(base.identity[row.obj], row.proj2))
-        meet = d.fibers[triple.obj].ops.meet
-        if left is None or meet is None:
+        if left is None or d.fibers[triple.obj].ops.meet is None:
             return True
         pi23 = base.pair(base.compose(row.proj2, q1), triple.proj2)
-        if any(left.table[psi] != meet[(d.star(q1, psi), d.star(pi23, delta))]
+        if any(left.table[psi]
+               != _meet(d, triple.obj, d.star(q1, psi), d.star(pi23, delta))
                for psi in d.fibers[row.obj].elements):
             return True
     return False
@@ -457,7 +459,8 @@ def _h_declared_negation_invalid(d, base, p):
     ops = fiber.ops
     if ops.meet is None or ops.bottom is None:
         return True
-    return any(fiber.leq(alpha, neg) != (ops.meet[(alpha, beta)] == ops.bottom)
+    return any(fiber.leq(alpha, neg)
+               != (_meet(d, p["object"], alpha, beta) == ops.bottom)
                for beta, neg in d.declared["negation"][p["object"]].items()
                for alpha in fiber.elements)
 
@@ -482,9 +485,9 @@ _HANDLERS = {
     "functor_identity": _h_functor_identity,
     "functor_composition": _h_functor_composition,
     "not_monotone": _h_not_monotone,
-    "meet_not_preserved": _h_op_not_preserved("meet"),
-    "join_not_preserved": _h_op_not_preserved("join"),
-    "implication_not_preserved": _h_op_not_preserved("implication"),
+    "meet_not_preserved": _h_op_not_preserved(_meet),
+    "join_not_preserved": _h_op_not_preserved(partial(_meet, join=True)),
+    "implication_not_preserved": _h_op_not_preserved(_heyting_implication),
     "bound_not_preserved": _h_bound_not_preserved,
     "not_monic": _h_not_monic,
     "not_initial": _h_not_initial,

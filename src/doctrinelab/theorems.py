@@ -652,10 +652,7 @@ def _interned_map(src_shape: str, dst_shape: str,
     key = (src_shape, dst_shape, table)
     got = _MAP_CACHE.get(key)
     if got is None:
-        src, dst = _SHAPES[src_shape], _SHAPES[dst_shape]
-        got = MonotoneMap(src, dst,
-                          {src.elements[i]: dst.elements[t]
-                           for i, t in enumerate(table)}, validate=False)
+        got = MonotoneMap(_SHAPES[src_shape], _SHAPES[dst_shape], table)
         _MAP_CACHE[key] = got
     return got
 

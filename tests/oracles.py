@@ -74,3 +74,11 @@ def pair_code(i: int, j: int, nb: int) -> int:
 
 def pair_decode(p: int, nb: int):
     return p // nb, p % nb
+
+
+def named(poset, rows):
+    """A binary-operation table of index rows as a dict from name pairs to
+    names, in row-major order, for comparison with name-level oracles."""
+    names = poset.elements
+    return {(names[i], names[j]): names[k]
+            for i, row in enumerate(rows) for j, k in enumerate(row)}

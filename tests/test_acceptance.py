@@ -12,7 +12,7 @@ from doctrinelab import catalog, constructions as cons
 from doctrinelab import ioformat, logic, theorems
 
 import conftest
-from oracles import direct_image, forall_image, parse_arrow
+from oracles import direct_image, forall_image, named, parse_arrow
 
 
 def criterion(number, description, ok, seconds, limit=None):
@@ -79,8 +79,9 @@ def test_criterion_3_implication_lemma_suite(ps20, ps11, sier, triv, sl3):
     for d in (ps20, ps11):
         tables = cons.derived_implication_tables(d)
         for obj in d.base.window:
-            heyting = d.fibers[obj].ops.heyting_implication
-            for key, value in tables[obj].items():
+            fiber = d.fibers[obj]
+            heyting = named(fiber, fiber.ops.heyting_implication)
+            for key, value in named(fiber, tables[obj]).items():
                 if heyting[key] != value:
                     boolean_agrees = False
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ from doctrinelab import logic
 from doctrinelab.ioformat import serialize
 from doctrinelab.verdicts import StructureMissing
 
-from oracles import direct_image, mask_of, pair_code, parse_arrow
+from oracles import direct_image, mask_of, named, pair_code, parse_arrow
 
 
 # -- derived existential quantification ----------------------------------------
@@ -64,15 +64,16 @@ def test_derived_implication_is_heyting(ps20, sl3):
         assert tables is not None
         for obj in d.base.window:
             fiber = d.fibers[obj]
-            ops = fiber.ops
+            meet = named(fiber, fiber.ops.meet)
+            table = named(fiber, tables[obj])
             for phi in fiber.elements:
                 for psi in fiber.elements:
                     # oracle: greatest gamma with gamma meet phi <= psi
                     sols = [c for c in fiber.elements
-                            if fiber.leq(ops.meet[(c, phi)], psi)]
+                            if fiber.leq(meet[(c, phi)], psi)]
                     greatest = [c for c in sols
                                 if all(fiber.leq(o, c) for o in sols)]
-                    assert tables[obj][(phi, psi)] == greatest[0]
+                    assert table[(phi, psi)] == greatest[0]
 
 
 # -- co-comprehension from negation ------------------------------------------------

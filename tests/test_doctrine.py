@@ -26,7 +26,7 @@ def _fault_injected(ps20, breaker):
     reindex = dict(ps20.reindex)
     name, table = breaker(ps20)
     old = reindex[name]
-    reindex[name] = MonotoneMap(old.source, old.target, table, validate=False)
+    reindex[name] = MonotoneMap.from_names(old.source, old.target, table)
     return Doctrine(ps20.base, ps20.fibers, reindex, name="PS-broken")
 
 
@@ -89,7 +89,7 @@ def chain_doctrine(n, image_of_top):
     clamp[elems[-1]] = image_of_top
     return Doctrine(base, {"X": fiber},
                     {"id": MonotoneMap.identity(fiber),
-                     "e": MonotoneMap(fiber, fiber, clamp)})
+                     "e": MonotoneMap.from_names(fiber, fiber, clamp)})
 
 
 def test_fiber_above_256_elements_checks_composites_as_tuples():
@@ -176,7 +176,7 @@ def test_missing_adjoint_not_applicable():
     reindex = {
         base.identity["a"]: MonotoneMap.identity(three),
         base.identity["b"]: MonotoneMap.identity(two),
-        "a>b": MonotoneMap(two, three, {"c0": "d0", "c1": "d1"}),
+        "a>b": MonotoneMap.from_names(two, three, {"c0": "d0", "c1": "d1"}),
     }
     d = Doctrine(base, fibers, reindex, name="no-adjoint")
     assert validate_doctrine(d)
@@ -224,8 +224,7 @@ def test_empty_fiber_validates_but_blocks_choice_lemmas():
     base, _ = semilattice_category(["a"], [("a", "a")])
     empty = FinPoset((), ())
     d = Doctrine(base, {"a": empty},
-                 {base.identity["a"]: MonotoneMap(empty, empty, {},
-                                                  validate=False)},
+                 {base.identity["a"]: MonotoneMap.from_names(empty, empty, {})},
                  name="empty-fiber")
     assert validate_doctrine(d)
     r = theorems.check_theorem("zero", d)

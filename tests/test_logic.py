@@ -1,7 +1,7 @@
 from doctrinelab import logic
 from doctrinelab.recheck import recheck
 
-from oracles import mask_of, pair_code
+from oracles import mask_of, named, pair_code
 
 
 def test_ps_equality_is_the_diagonal(ps20):
@@ -39,9 +39,9 @@ def test_substitutive_frozen_example(ps20):
     base = ps20.base
     row = base.products[("S2", "S2")]
     psi = "e1"  # the subset {0}
-    ops = ps20.fibers[row.obj].ops
-    lhs = ops.meet[(ps20.star(row.proj1, psi), eq.over("S2"))]
-    rhs = ops.meet[(ps20.star(row.proj2, psi), eq.over("S2"))]
+    meet = named(ps20.fibers[row.obj], ps20.fibers[row.obj].ops.meet)
+    lhs = meet[(ps20.star(row.proj1, psi), eq.over("S2"))]
+    rhs = meet[(ps20.star(row.proj2, psi), eq.over("S2"))]
     # both sides are {(0,0)}, the single product point 0
     assert lhs == rhs == f"e{1 << pair_code(0, 0, 2)}"
 
@@ -178,9 +178,9 @@ def test_projection_implication_refuted(ps20):
     first = {}
     second = {}
     for o in ps20.scope_objects:
-        fiber = ps20.fibers[o]
-        first[o] = {(a, b): a for a in fiber.elements for b in fiber.elements}
-        second[o] = {(a, b): b for a in fiber.elements for b in fiber.elements}
+        n = len(ps20.fibers[o])
+        first[o] = [[a for b in range(n)] for a in range(n)]
+        second[o] = [[b for b in range(n)] for a in range(n)]
     v = logic.implication_axioms(ps20, first)
     assert v.is_refuted
     # axiom iii and iv-a both genuinely fail; the checker reports the first

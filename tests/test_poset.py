@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctrinelab.poset import (FinPoset, MonotoneMap, _composes_to,
-                               _monotone_break, is_heyting_hom, is_msl_hom,
-                               lattice_ops, left_adjoint, right_adjoint)
-from doctrinelab.verdicts import StructureMissing
+                               _monotone_break, lattice_ops, left_adjoint,
+                               right_adjoint)
 
-from oracles import direct_image, preimage
+from oracles import direct_image, named, preimage
 
 
 def chain(n):
@@ -33,13 +32,15 @@ def test_poset_rejects_non_orders():
 def test_two_chain_ops():
     ops = lattice_ops(TWO)
     bot, top = "c0", "c1"
+    meet, join = named(TWO, ops.meet), named(TWO, ops.join)
+    impl = named(TWO, ops.heyting_implication)
     assert ops.top == top and ops.bottom == bot
-    assert ops.meet[(top, bot)] == bot and ops.join[(top, bot)] == top
+    assert meet[(top, bot)] == bot and join[(top, bot)] == top
     # a -> b is top unless a = top and b = bot
     for a in TWO.elements:
         for b in TWO.elements:
             expected = bot if (a == top and b == bot) else top
-            assert ops.heyting_implication[(a, b)] == expected
+            assert impl[(a, b)] == expected
 
 
 def sierpinski_frame():
@@ -52,13 +53,14 @@ def sierpinski_frame():
 def test_sierpinski_negation_by_greatest_oracle():
     p = sierpinski_frame()
     ops = p.ops
+    meet = named(p, ops.meet)
     # oracle: greatest c with c meet {a} <= empty, by brute force
     candidates = [c for c in p.elements
-                  if p.leq(ops.meet[(c, "a")], "empty")]
+                  if p.leq(meet[(c, "a")], "empty")]
     greatest = [c for c in candidates
                 if all(p.leq(o, c) for o in candidates)]
     assert greatest == ["empty"]
-    assert ops.heyting_implication[("a", "empty")] == "empty"
+    assert named(p, ops.heyting_implication)[("a", "empty")] == "empty"
 
 
 def test_two_maximal_elements_no_top():
@@ -88,8 +90,9 @@ def test_preimage_left_adjoint_is_direct_image():
     # fiber(G) -> fiber(GxA); its left adjoint must be the direct image
     images = tuple(p // 2 for p in range(4))
     fiber_g, fiber_ga = powerset_poset(2), powerset_poset(4)
-    u = MonotoneMap(fiber_g, fiber_ga, {f"e{m}": f"e{preimage(images, m)}"
-                                        for m in range(4)})
+    u = MonotoneMap.from_names(fiber_g, fiber_ga,
+                               {f"e{m}": f"e{preimage(images, m)}"
+                                for m in range(4)})
     adj = left_adjoint(u)
     assert adj is not None
     for m in range(16):
@@ -98,14 +101,14 @@ def test_preimage_left_adjoint_is_direct_image():
 
 def test_missing_left_adjoint():
     # bottom |-> bottom, top |-> middle: nothing lies above the 3-chain top
-    u = MonotoneMap(TWO, THREE, {"c0": "c0", "c1": "c1"})
+    u = MonotoneMap.from_names(TWO, THREE, {"c0": "c0", "c1": "c1"})
     assert left_adjoint(u) is None
     # the right adjoint exists: greatest b with u(b) <= a
     assert right_adjoint(u) is not None
 
 
 def test_adjoint_uniqueness_exhaustive():
-    u = MonotoneMap(TWO, THREE, {"c0": "c0", "c1": "c2"})
+    u = MonotoneMap.from_names(TWO, THREE, {"c0": "c0", "c1": "c2"})
     adj = left_adjoint(u)
     assert adj is not None
     satisfying = []
@@ -137,7 +140,9 @@ def monotone_maps(draw):
             if src.leq(a, b) and not tgt.leq(table[a], table[b]):
                 table = {e: table[src.elements[0]] for e in src.elements}
                 break
-    return MonotoneMap(src, tgt, table)
+    m = MonotoneMap.from_names(src, tgt, table)
+    assert _monotone_break(m) is None
+    return m
 
 
 @given(monotone_maps())
@@ -157,33 +162,6 @@ def test_adjunction_laws(u):
             assert u.source.leq(b, radj.table[u.table[b]])
 
 
-def test_msl_hom_identity_and_failure():
-    assert is_msl_hom(MonotoneMap.identity(THREE))
-    with pytest.raises(StructureMissing):
-        topless = FinPoset(["a", "b"], [("a", "a"), ("b", "b")])
-        is_msl_hom(MonotoneMap.identity(topless))
-
-
-def test_heyting_hom_sierpinski_point_failure():
-    # preimage along the closed-point inclusion 1 -> S: sends empty, {a} to
-    # empty and X to the point; implication is not preserved
-    frame_s = sierpinski_frame()
-    frame_1 = chain(2)
-    m = MonotoneMap(frame_s, frame_1,
-                    {"empty": "c0", "a": "c0", "X": "c1"})
-    v = is_heyting_hom(m)
-    assert v.is_refuted
-    assert v.counterexample["kind"] == "hom_implication"
-
-
-def test_heyting_hom_boolean_preimage():
-    images = (0, 1, 1)
-    big, small = powerset_poset(2), powerset_poset(3)
-    m = MonotoneMap(big, small, {f"e{mask}": f"e{preimage(images, mask)}"
-                                 for mask in range(4)})
-    assert is_heyting_hom(m)
-
-
 def test_reversed_swaps_bounds():
     ops = THREE.reversed().ops
     assert ops.top == "c0" and ops.bottom == "c2"
@@ -198,13 +176,13 @@ def test_heyting_implication_residuation(p):
     assert ops.heyting_implication is not None
     # the reference's table, in its insertion order: first-failure scans
     # read the table in order
-    assert (list(ops.heyting_implication.items())
-            == list(reference_implication(p).items()))
+    table, meet = named(p, ops.heyting_implication), named(p, ops.meet)
+    assert list(table.items()) == list(reference_implication(p).items())
     for a in p.elements:
         for b in p.elements:
-            impl = ops.heyting_implication[(a, b)]
+            impl = table[(a, b)]
             for c in p.elements:
-                assert p.leq(c, impl) == p.leq(ops.meet[(c, a)], b)
+                assert p.leq(c, impl) == p.leq(meet[(c, a)], b)
 
 
 def reference_implication(p):
@@ -275,7 +253,7 @@ def posets(draw, max_size=7):
 def test_implication_matches_reference_on_random_posets(p):
     impl = lattice_ops(p).heyting_implication
     expected = reference_implication(p)
-    assert (None if impl is None else list(impl.items())) == (
+    assert (None if impl is None else list(named(p, impl).items())) == (
         None if expected is None else list(expected.items()))
 
 
@@ -304,7 +282,7 @@ def full_scan_break(m):
 @settings(max_examples=200, deadline=None)
 def test_monotone_break_is_the_first_in_scan_order(src, tgt, data):
     table = {e: data.draw(st.sampled_from(tgt.elements)) for e in src.elements}
-    m = MonotoneMap(src, tgt, table, validate=False)
+    m = MonotoneMap.from_names(src, tgt, table)
     assert _monotone_break(m) == full_scan_break(m)
 
 
@@ -312,8 +290,8 @@ def test_composes_to_on_byte_and_tuple_tables():
     for n in (4, 300):  # bytes up to 256 elements, tuples above
         c = chain(n)
         def clamp(k):
-            return MonotoneMap(c, c, {f"c{i}": f"c{min(i, k)}" for i in range(n)},
-                               validate=False)
+            return MonotoneMap.from_names(
+                c, c, {f"c{i}": f"c{min(i, k)}" for i in range(n)})
         low, high = clamp(1), clamp(n - 2)
         assert _composes_to(high, low, low) and _composes_to(low, high, low)
         assert not _composes_to(low, high, high)

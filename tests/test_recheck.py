@@ -10,6 +10,8 @@ from doctrinelab.poset import MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import Verdict
 
+from oracles import named
+
 SRC = Path(recheck_module.__file__).parent
 
 
@@ -41,15 +43,47 @@ def test_base_squares_refuted_and_rechecked(ps11):
         kind="square_not_commuting", square=vars(base.pullback(a, b))))
 
 
+_KIND_SITE = r'(?:Verdict\.refuted\(\s*kind=|_search_failure\(\s*d,\s*)'
+
+
+def _kind_sites(prefix):
+    pattern = re.compile(_KIND_SITE + prefix + r'"([^"]+)"')
+    return [k for path in sorted(SRC.glob("*.py"))
+            for k in pattern.findall(path.read_text(encoding="utf-8"))]
+
+
 def test_every_literal_refutation_kind_has_a_handler():
-    # poset's hom_* verdicts are about a bare MonotoneMap, with no doctrine
-    # to recheck them on, so they are left out by name
-    pattern = re.compile(
-        r'(?:Verdict\.refuted\(\s*kind=|_search_failure\(\s*d,\s*)"([^"]+)"')
-    kinds = {k for path in SRC.glob("*.py")
-             for k in pattern.findall(path.read_text(encoding="utf-8"))}
-    kinds -= {"hom_top", "hom_meet"}
+    kinds = set(_kind_sites(""))
     assert "square_not_limiting" in kinds and "no_weak_power_object" in kinds
+    assert sorted(kinds - set(recheck_module._HANDLERS)) == []
+
+
+_COMPREHENSION_KINDS = (logic._kind(False), logic._kind(True))
+
+# every kind an f-string site can build: the operations is_propositional
+# compares, the two comprehension kinds, and the witnesses an instance file
+# can declare
+_TEMPLATE_EXPANSIONS = {
+    "{opname}_not_preserved": [f"{op}_not_preserved"
+                               for op in ("meet", "join", "implication")],
+    "no_{_kind(dual)}_witness": [f"no_{k}_witness"
+                                 for k in _COMPREHENSION_KINDS],
+    "{kind}_not_full": [f"{k}_not_full" for k in _COMPREHENSION_KINDS],
+    "{kind}_order_law": [f"{k}_order_law" for k in _COMPREHENSION_KINDS],
+    "declared_{kind}_invalid": [
+        f"declared_{k}_invalid" for k in ("delta", *_COMPREHENSION_KINDS,
+                                          "epsilon", "negation",
+                                          "power_object")],
+}
+
+
+def test_every_formatted_refutation_kind_has_a_handler():
+    # a new f-string site changes this list and fails the test until its
+    # expansions are listed above
+    templates = _kind_sites("f")
+    assert len(templates) == 5
+    assert sorted(templates) == sorted(_TEMPLATE_EXPANSIONS)
+    kinds = {k for ks in _TEMPLATE_EXPANSIONS.values() for k in ks}
     assert sorted(kinds - set(recheck_module._HANDLERS)) == []
 
 
@@ -77,8 +111,8 @@ def test_implication_pi_exchange_rechecks_from_the_fiber_order(ps11):
     proj = base.products[("S2", "S2")].proj1
     old = ps11.reindex[proj]
     reindex = dict(ps11.reindex)
-    reindex[proj] = MonotoneMap(old.source, old.target,
-                                {**old.table, "e1": "e7"})
+    reindex[proj] = MonotoneMap.from_names(old.source, old.target,
+                                           {**old.table, "e1": "e7"})
     broken = Doctrine(base, ps11.fibers, reindex, name="PS-broken")
     v = logic.implication_axioms(broken, logic.heyting_implication_tables(broken))
     assert v.counterexample == {
@@ -98,6 +132,6 @@ def test_implication_oracles_match_the_checked_tables(sier, sl3, ps11):
                 (logic.heyting_implication_tables(d),
                  recheck_module._heyting_implication)):
             assert tables is not None, d.name
-            for obj, table in tables.items():
-                for (a, b), value in table.items():
+            for obj, rows in tables.items():
+                for (a, b), value in named(d.fibers[obj], rows).items():
                     assert oracle(d, obj, a, b) == value, (d.name, obj, a, b)

@@ -15,7 +15,6 @@ cached per id so the classification memo is shared across a session.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -67,58 +66,20 @@ def _preimage_maps(base: FinCategory, fibers: Mapping[str, FinPoset],
     index = {o: {m: i for i, m in enumerate(ms)} for o, ms in masks.items()}
     reindex = {}
     for n, arr in base.arrows.items():
+        pre = [0] * base.sizes[arr.cod]  # the preimage of each point
+        for x, y in enumerate(base.tables[n]):
+            pre[y] |= 1 << x
         table = []
         for mb in masks[arr.cod]:
             ma = 0
-            for x, y in enumerate(base.tables[n]):
-                if mb >> y & 1:
-                    ma |= 1 << x
-            i = index[arr.dom].get(ma)
-            if i is None:
+            while mb:
+                ma |= pre[(mb & -mb).bit_length() - 1]
+                mb &= mb - 1
+            if ma not in index[arr.dom]:
                 raise InvalidTopology(f"preimage {ma} not an admissible fiber element")
-            table.append(i)
+            table.append(index[arr.dom][ma])
         reindex[n] = MonotoneMap(fibers[arr.cod], fibers[arr.dom], table)
     return reindex
-
-
-# The builder materialises the whole window category, and validation visits
-# every composable pair, so a window that must hold more arrows than this is
-# refused before anything is built.  PS(2,0), the largest catalog base, has
-# 534 arrows (floor 126); the next window up, PS(3,0), has a floor of 31,920.
-MAX_ARROWS = 4096
-
-
-def _arrow_floor(window: Sequence[int], scope: Sequence[int],
-                 rows: Iterable[tuple[int, int]]) -> int:
-    """A lower bound on the arrows of the powerset window, counted from the
-    set sizes alone; objects are sets named by size, so an arrow is a
-    function between two sizes.  It counts, per pair of sizes, the most of:
-
-    * every function out of a window set: pairing into the product rows
-      makes each of these hom-sets full;
-    * every function between scope sets: the generators;
-    * ``f x g`` for generators ``f``, ``g`` between the factors of two
-      scope-by-scope product rows (distinct unless the domain is empty).
-    """
-    objects = set(scope) | {a * c for a, c in rows}
-    floor: dict[tuple[int, int], int] = {}
-
-    def at_least(dom: int, cod: int, count: int) -> None:
-        floor[(dom, cod)] = max(floor.get((dom, cod), 0), count)
-
-    for a in window:
-        for k in objects:
-            at_least(a, k, k ** a)
-    for a in scope:
-        for c in scope:
-            at_least(a, c, c ** a)
-    for a1 in scope:
-        for a2 in scope:
-            if a1 * a2:
-                for c1 in scope:
-                    for c2 in scope:
-                        at_least(a1 * a2, c1 * c2, c1 ** a1 * c2 ** a2)
-    return sum(floor.values())
 
 
 def powerset_finset(max_size: int, power_depth: int = 0,
@@ -126,7 +87,8 @@ def powerset_finset(max_size: int, power_depth: int = 0,
     """The powerset doctrine over a window of finite sets.
 
     Raises :class:`WindowExceeded` before building anything when a carrier
-    exceeds ``ceiling`` or the window needs more than ``MAX_ARROWS`` arrows.
+    exceeds ``ceiling``, and from the builder when the window needs more than
+    ``fincat.MAX_ARROWS`` arrows.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
@@ -160,11 +122,6 @@ def powerset_finset(max_size: int, power_depth: int = 0,
     for s in sizes_needed:
         if s > ceiling:
             raise WindowExceeded(f"carrier size {s} exceeds ceiling {ceiling}")
-    floor = _arrow_floor(window_sizes, scope, rows)
-    if floor > MAX_ARROWS:
-        raise WindowExceeded(
-            f"PS({max_size},{power_depth}) needs at least {floor} arrows; "
-            f"the builder's limit is {MAX_ARROWS}")
 
     b = ConcreteBuilder(Presentation(
         "finset", (max_size, power_depth), truncated=True))
@@ -296,43 +253,6 @@ def _continuous_maps(ups: Sequence[int],
     yield from rec(0, [])
 
 
-def _openset_floor(uppers: Mapping[str, Sequence[int]],
-                   rows: Sequence[tuple[str, str]]) -> int:
-    """A lower bound on the arrows of the open-set window over the spaces
-    ``uppers`` and the product ``rows`` ``(left, right)``, carried by
-    ``(leftxright)``; counted from the point counts and specialization
-    orders before anything is built.  It counts, per pair of objects:
-
-    * every continuous map out of a window space: pairing into the product
-      rows makes each of these hom-sets full, and a map into a product is a
-      pair of maps into its factors;
-    * out of a nonempty product, the arrows out of either factor composed
-      with the projection onto it, which is onto, so they stay distinct;
-      an arrow composed both ways is constant, and there are only as many
-      constants as the codomain has points.
-
-    Counts of maps between window spaces stop above ``MAX_ARROWS``.
-    """
-    size = {nm: len(ups) for nm, ups in uppers.items()}
-    out = {w: {v: sum(1 for _ in itertools.islice(
-                   _continuous_maps(uppers[w], uppers[v]), MAX_ARROWS + 1))
-               for v in uppers}
-           for w in uppers}
-    products = []
-    for left, right in rows:
-        nm = f"({left}x{right})"
-        size[nm] = size[left] * size[right]
-        products.append((nm, left, right))
-        for w in uppers:
-            out[w][nm] = out[w][left] * out[w][right]
-    for nm, left, right in products:
-        if size[nm]:
-            out[nm] = {k: max(out[left][k], out[right][k],
-                              out[left][k] + out[right][k] - size[k])
-                       for k in size}
-    return sum(sum(row.values()) for row in out.values())
-
-
 def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[str]]]],
                   name: str = "opens") -> Doctrine:
     """Open-set doctrine over the given finite spaces and all continuous maps.
@@ -341,8 +261,8 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
     carriers are materialized with the product topology (continuity between
     finite spaces is monotonicity for the specialization orders).
 
-    Raises :class:`WindowExceeded` before building anything when the window
-    needs more than ``MAX_ARROWS`` arrows.
+    Raises :class:`WindowExceeded` from the builder when the window needs
+    more than ``fincat.MAX_ARROWS`` arrows.
     """
     names = list(spaces)
     uppers: dict[str, list[int]] = {}
@@ -356,11 +276,6 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
     order = sorted(names, key=lambda nm: (npoints[nm], nm))
     rows = ([(a, c) for a in order for c in order]
             + [(f"({x}x{a})", a) for x in order for a in order])
-    floor = _openset_floor(uppers, rows)
-    if floor > MAX_ARROWS:
-        raise WindowExceeded(
-            f"{name} needs at least {floor} arrows; "
-            f"the builder's limit is {MAX_ARROWS}")
 
     b = ConcreteBuilder(Presentation(
         "opens", tuple((nm, npoints[nm]) for nm in order), truncated=True))
@@ -384,41 +299,30 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
             out.append(m)
         return out
 
-    carriers: dict[str, list[int]] = dict()
-    def ensure_product(a: str, c: str) -> str:
-        nm = f"({a}x{c})"
-        if nm not in b.carriers:
-            ua = carriers.get(a, uppers.get(a))
-            uc = carriers.get(c, uppers.get(c))
-            carriers[nm] = product_uppers(ua, uc)
-            b.add_object(nm, len(carriers[nm]))
-            b.declare_product(a, c, nm)
-        return nm
-
     for a, c in rows:
-        ensure_product(a, c)
+        nm = f"({a}x{c})"
+        uppers[nm] = product_uppers(uppers[a], uppers[c])
+        b.add_object(nm, len(uppers[nm]))
+        b.declare_product(a, c, nm)
     for nm in order:
         if npoints[nm] == 1:
             b.terminal = nm
             break
     base = b.close()
 
-    all_uppers = {nm: carriers.get(nm, uppers.get(nm)) for nm in base.objects}
-    masks = {o: _upset_masks(all_uppers[o]) for o in base.objects}
+    masks = {o: _upset_masks(uppers[o]) for o in base.objects}
     fibers = {o: _mask_fiber(masks[o]) for o in base.objects}
     reindex = _preimage_maps(base, fibers, masks)
     return Doctrine(base, fibers, reindex, name=name,
                     source={"kind": "catalog", "id": name, "dual": False})
 
 
-def trivial_fiber(base: FinCategory, name: str = "TRIV",
-                  source: Mapping | None = None) -> Doctrine:
+def trivial_fiber(base: FinCategory, name: str = "TRIV") -> Doctrine:
     """All fibers singletons; every law collapses."""
     fibers = {o: _SINGLETON_FIBER for o in base.objects}
     reindex = {n: MonotoneMap.identity(_SINGLETON_FIBER) for n in base.arrows}
     return Doctrine(base, fibers, reindex, name=name,
-                    source=dict(source) if source else {"kind": "catalog",
-                                                        "id": name, "dual": False})
+                    source={"kind": "catalog", "id": name, "dual": False})
 
 
 def semilattice_category(elements: Sequence[str],
@@ -466,26 +370,15 @@ def subsets_over_semilattice(elements: Sequence[str],
     objs = list(order.elements)
 
     idx = order.index
+    downsets = _upset_masks(order.lowers)
     downset_masks: dict[str, list[int]] = {}
     fibers = {}
     for u in objs:
         ideal = order.lowers[idx[u]]
-        masks = []
         # nonempty down-sets: the empty predicate admits no comprehension
-        # arrow over a thin base (no object has an empty principal ideal)
-        for m in range(1, 1 << len(objs)):
-            if m & ~ideal:
-                continue
-            ok = True
-            mm = m
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                if order.lowers[i] & ideal & ~m:
-                    ok = False
-                    break
-                mm &= mm - 1
-            if ok:
-                masks.append(m)
+        # arrow over a thin base (no object has an empty principal ideal);
+        # those inside the ideal are its down-sets, as it is down-closed
+        masks = [m for m in downsets if m and not m & ~ideal]
         downset_masks[u] = masks
         fibers[u] = _mask_fiber(masks)
     index = {u: {m: i for i, m in enumerate(masks)}

@@ -62,9 +62,6 @@ class Doctrine:
         self.declared = dict(declared) if declared else {}
         self._cache: dict = {}
 
-    def fiber(self, obj: str) -> FinPoset:
-        return self.fibers[obj]
-
     def star(self, f: str, element: str) -> str:
         """Reindex a single fiber element along the arrow ``f``, by name."""
         m = self.reindex[f]

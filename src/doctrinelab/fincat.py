@@ -16,6 +16,7 @@ construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -33,7 +34,13 @@ __all__ = [
     "Presentation",
     "FinCategory",
     "ConcreteBuilder",
+    "MAX_ARROWS",
 ]
+
+# The builder materialises the whole window category, and validation visits
+# every composable pair, so no builder holds more arrows than this.  PS(2,0),
+# the largest catalog base, has 534; PS(3,0) needs at least 301,191.
+MAX_ARROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -133,14 +140,15 @@ class FinCategory:
             if g not in self.arrows or f not in self.arrows or gf not in self.arrows:
                 raise MalformedCategory(f"composition entry ({g},{f}) references unknown arrow")
         self.window = tuple(window) if window is not None else self.objects
-        for o in self.window:
-            if o not in self._obj_index:
-                raise MalformedCategory(f"window object {o} undeclared")
+        self.power_pool = tuple(power_pool) if power_pool is not None else self.window
+        for kind, objs in (("window", self.window), ("power-pool", self.power_pool)):
+            for o in objs:
+                if o not in self._obj_index:
+                    raise MalformedCategory(f"{kind} object {o} undeclared")
         self.products: dict[tuple[str, str], Product] = dict(products or {})
         self.terminal_obj = terminal
         self.presentation = presentation
         self.sizes = dict(sizes) if sizes else None
-        self.power_pool = tuple(power_pool) if power_pool is not None else self.window
         self.tables = dict(tables) if tables is not None else None
         self._product_ok: dict[tuple[str, str], Any] = {}
         self._pullback_cache: dict[tuple[str, str], Square | None] = {}
@@ -561,6 +569,11 @@ class ConcreteBuilder:
     product rows; the chosen structural arrows (projections, swaps, ``f x g``,
     and the diagonal pairing into each iterated row) are injected explicitly
     so that nothing with a large domain is ever fully enumerated.
+
+    No builder holds more than ``MAX_ARROWS`` arrows: :class:`WindowExceeded`
+    is raised once the distinct generators exceed it, before closing when a
+    lower bound counted from the builder's inputs does, and at the first
+    arrow beyond it.
     """
 
     def __init__(self, presentation: Presentation):
@@ -571,7 +584,7 @@ class ConcreteBuilder:
         self.order: list[str] = []
         self.rows: dict[tuple[str, str], str] = {}
         self.terminal: str | None = None
-        self._gens: list[tuple[str, str, tuple[int, ...]]] = []
+        self._gens: dict[tuple[str, str, tuple[int, ...]], None] = {}
 
     def add_object(self, name: str, size: int, window: bool = False,
                    pool: bool = False) -> str:
@@ -588,7 +601,9 @@ class ConcreteBuilder:
         return name
 
     def add_arrow(self, dom: str, cod: str, images: Sequence[int]) -> None:
-        self._gens.append((dom, cod, tuple(images)))
+        self._gens[(dom, cod, tuple(images))] = None
+        if len(self._gens) > MAX_ARROWS:
+            raise self._exceeded(f"more than {MAX_ARROWS}")
 
     def declare_product(self, left: str, right: str, carrier: str) -> None:
         """Point coding of the carrier is (i, j) -> i * |right| + j."""
@@ -598,6 +613,52 @@ class ConcreteBuilder:
 
     def _name(self, dom: str, cod: str, images: tuple[int, ...]) -> str:
         return f"{dom}>{cod}:{','.join(map(str, images))}"
+
+    def _exceeded(self, count: str) -> WindowExceeded:
+        return WindowExceeded(f"{self.presentation.descriptor()} needs {count} "
+                              f"arrows; the builder's limit is {MAX_ARROWS}")
+
+    def _floor(self, starts: Iterable[tuple[str, str, tuple[int, ...]]]) -> int:
+        """A lower bound on the arrows :meth:`close` builds from the distinct
+        starting arrows ``starts`` (identities, generators, projections), as
+        ``(dom, cod, images)``.  It counts, per pair of objects, the most of:
+
+        * the starting arrows;
+        * out of a window object into a row, the product of the counts into
+          its factors: pairing fills these hom-sets;
+        * ``f x g`` for starting arrows between scope objects, into a row
+          with a nonempty domain, where distinct pairs stay distinct;
+        * out of a nonempty row, the arrows out of either factor composed
+          with the projection onto it, which is onto, so they stay distinct;
+          an arrow composed both ways is constant, and there are only as
+          many constants as the codomain has points.
+
+        The last two are iterated to a fixpoint, as rows are factors of rows.
+        """
+        count = Counter((dom, cod) for dom, cod, _ in starts)
+        floor = Counter(count)
+        size = self.carriers
+
+        def at_least(key: tuple[str, str], n: int) -> None:
+            floor[key] = max(floor[key], n)
+
+        scope = set(self.window) | set(self.power_pool)
+        scoped = [(ab, row) for ab, row in self.rows.items() if set(ab) <= scope]
+        for (a1, a2), src in scoped:
+            if size[src]:
+                for (c1, c2), dst in scoped:
+                    at_least((src, dst), count[(a1, c1)] * count[(a2, c2)])
+        total = -1  # the counts only grow, so an unchanged sum is the fixpoint
+        while total < sum(floor.values()):
+            total = sum(floor.values())
+            for (left, right), row in self.rows.items():
+                for w in self.window:
+                    at_least((w, row), floor[(w, left)] * floor[(w, right)])
+                if size[row]:
+                    for k in self.order:
+                        fa, fb = floor[(left, k)], floor[(right, k)]
+                        at_least((row, k), max(fa, fb, fa + fb - size[k]))
+        return total
 
     def close(self) -> FinCategory:
         arrow_of: dict[tuple[str, str, tuple[int, ...]], str] = {}
@@ -612,6 +673,8 @@ class ConcreteBuilder:
             key = (dom, cod, img)
             name = arrow_of.get(key)
             if name is None:
+                if len(arrows) == MAX_ARROWS:
+                    raise self._exceeded(f"more than {MAX_ARROWS}")
                 name = self._name(dom, cod, img)
                 arrow_of[key] = name
                 arrows[name] = Arrow(name, dom, cod)
@@ -621,19 +684,22 @@ class ConcreteBuilder:
                 queue.append(name)
             return name
 
-        identity: dict[str, str] = {}
-        for o in self.order:
-            identity[o] = intern(o, o, tuple(range(self.carriers[o])))
-        for dom, cod, img in self._gens:
-            intern(dom, cod, img)
-
-        projections: dict[tuple[str, str], tuple[str, str]] = {}
+        ids = {o: (o, o, tuple(range(self.carriers[o]))) for o in self.order}
+        projs = {}
         for (a, b), carrier in self.rows.items():
-            nb = self.carriers[b]
-            size = self.carriers[carrier]
-            p1 = intern(carrier, a, tuple(p // nb for p in range(size)))
-            p2 = intern(carrier, b, tuple(p % nb for p in range(size)))
-            projections[(a, b)] = (p1, p2)
+            nb, size = self.carriers[b], self.carriers[carrier]
+            projs[(a, b)] = ((carrier, a, tuple(p // nb for p in range(size))),
+                             (carrier, b, tuple(p % nb for p in range(size))))
+        floor = self._floor({*ids.values(), *self._gens,
+                            *(key for pair in projs.values() for key in pair)})
+        if floor > MAX_ARROWS:
+            raise self._exceeded(f"at least {floor}")
+
+        identity = {o: intern(*key) for o, key in ids.items()}
+        for key in self._gens:
+            intern(*key)
+        projections = {ab: (intern(*k1), intern(*k2))
+                       for ab, (k1, k2) in projs.items()}
 
         def comp_img(g: str, f: str) -> tuple[int, ...]:
             return tuple(map(images[g].__getitem__, images[f]))

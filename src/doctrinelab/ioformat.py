@@ -97,6 +97,32 @@ def _need(doc: Mapping, key: str, pos: str, kind=None):
     return value
 
 
+# The witness tables of a ``declared`` block: ``str``; ``[s]``, a list of
+# ``s``; ``{None: s}``, an object of ``s``; or an object with (at least) the
+# given keys.  Names in them are resolved when the witnesses are checked.
+_DECLARED_SHAPES = {
+    "delta": {None: str},
+    "comprehension": {None: {None: str}},
+    "cocomprehension": {None: {None: str}},
+    "epsilon": [{"gamma": str, "a": str, "psi": str, "arrow": str}],
+    "negation": {None: {None: str}},
+    "power_objects": {None: {"power": str, "membership": str}},
+}
+
+
+def _check_shape(value, shape, pos: str) -> None:
+    kind = shape if shape is str else type(shape)
+    if not isinstance(value, Mapping if kind is dict else kind):
+        raise ParseError(f"wrong type, expected {kind.__name__}", pos)
+    if kind is list:
+        for i, v in enumerate(value):
+            _check_shape(v, shape[0], f"{pos}[{i}]")
+    elif kind is dict:
+        for k in (value if None in shape else shape):
+            _check_shape(_need(value, k, pos), shape.get(k, shape.get(None)),
+                         f"{pos}.{k}")
+
+
 def parse_document(doc: Mapping) -> Doctrine:
     if not isinstance(doc, Mapping):
         raise ParseError("document must be a JSON object", "$")
@@ -104,7 +130,14 @@ def parse_document(doc: Mapping) -> Doctrine:
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", "$.schema_version")
     meta = doc.get("meta", {})
+    if not isinstance(meta, Mapping) or not isinstance(meta.get("name", ""), str):
+        raise ParseError("meta must be an object with a string name", "$.meta")
     declared = doc.get("declared") or {}
+    if not isinstance(declared, Mapping):
+        raise ParseError("wrong type, expected dict", "$.declared")
+    for kind, shape in _DECLARED_SHAPES.items():
+        if kind in declared:
+            _check_shape(declared[kind], shape, f"$.declared.{kind}")
     if "catalog" in doc:
         block = doc["catalog"]
         cid = _need(block, "id", "$.catalog", str)
@@ -176,6 +209,8 @@ def parse_document(doc: Mapping) -> Doctrine:
         raise ParseError(f"terminal {terminal!r} undeclared", "$.base.terminal")
     window = base_doc.get("window", list(objects))
     power_pool = base_doc.get("power_pool")
+    for key in ("window", "power_pool"):
+        _check_shape(base_doc.get(key, []), [str], f"$.base.{key}")
     pres_doc = base_doc.get("presentation", {})
     presentation = Presentation(pres_doc.get("kind", "explicit"),
                                 _tuplify(pres_doc.get("spec", ())),

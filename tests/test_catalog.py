@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from doctrinelab import catalog, ioformat, logic, theorems
+from doctrinelab import catalog, fincat, ioformat, logic, theorems
 from doctrinelab.doctrine import validate_doctrine
 from doctrinelab.verdicts import InvalidTopology, WindowExceeded
 
@@ -142,14 +142,15 @@ def test_oversized_powerset_window_refused_before_building(cid):
     assert time.perf_counter() - start < 1.0
 
 
-def test_arrow_floor_bounds_the_built_windows():
-    for m, depth in ((1, 0), (2, 0), (1, 1)):
-        d = catalog.powerset_finset(m, depth)
-        window = list(range(m + 1))
-        scope = sorted({s for s in d.base.sizes.values()
-                        if f"S{s}" in d.base.window + d.base.power_pool})
-        rows = {(d.base.sizes[a], d.base.sizes[b]) for a, b in d.base.products}
-        assert catalog._arrow_floor(window, scope, rows) <= len(d.base.arrows)
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(1, 5) for d in range(3)
+                                 if (m, d) not in ((1, 0), (2, 0), (1, 1))])
+def test_powerset_windows_beyond_the_limit_are_refused_quickly(m, d):
+    # PS(2,2) and PS(3,1) stop at their 4,097th generator, PS(1,2) and
+    # PS(2,1) at the builder's floor
+    start = time.perf_counter()
+    with pytest.raises(WindowExceeded):
+        catalog.powerset_finset(m, d)
+    assert time.perf_counter() - start < 1.0
 
 
 CAPPED_OPENSET = """
@@ -182,16 +183,20 @@ def test_oversized_openset_window_refused_before_building(spaces):
     assert float(r.stdout) < 1.0
 
 
-def test_openset_floor_bounds_the_built_windows():
-    spaces = catalog.SIERPINSKI_SPACES
-    for subset in (("S",), ("U", "S"), ("E", "U", "S")):
-        d = catalog.openset_space({nm: spaces[nm] for nm in subset})
-        uppers = {nm: catalog._specialization(
-                      spaces[nm][0],
-                      catalog._validate_topology(nm, *spaces[nm]))
-                  for nm in subset}
-        floor = catalog._openset_floor(uppers, list(d.base.products))
-        assert floor <= len(d.base.arrows), subset
+@pytest.mark.parametrize("build", [
+    lambda: catalog.powerset_finset(1, 0),
+    lambda: catalog.powerset_finset(2, 0),
+    lambda: catalog.powerset_finset(1, 1),
+    lambda: catalog.openset_space({"S": catalog.SIERPINSKI_SPACES["S"]}),
+    lambda: catalog.openset_space(catalog.SIERPINSKI_SPACES),
+], ids=["PS(1,0)", "PS(2,0)", "PS(1,1)", "S", "SIER"])
+def test_builder_caps_the_window_at_its_arrow_count(monkeypatch, build):
+    n = len(build().base.arrows)
+    monkeypatch.setattr(fincat, "MAX_ARROWS", n)
+    assert len(build().base.arrows) == n
+    monkeypatch.setattr(fincat, "MAX_ARROWS", n - 1)
+    with pytest.raises(WindowExceeded):
+        build()
 
 
 def test_roundtrip_bit_exact_all_catalog():

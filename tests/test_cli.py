@@ -80,6 +80,37 @@ def test_dangling_reference_positioned(tmp_path):
     assert "$.base.arrows[0].cod" in r.stderr
 
 
+@pytest.mark.parametrize("pool", [["nope"], "L0"])
+def test_undeclared_power_pool_exits_2(tmp_path, capsys, pool):
+    path = write_instance(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["base"]["power_pool"] = pool
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "classify"):
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.base") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key,value,position", [
+    ("declared", {"delta": 5}, "$.declared.delta"),
+    ("declared", {"epsilon": 3}, "$.declared.epsilon"),
+    ("declared", {"negation": {"L0": 7}}, "$.declared.negation.L0"),
+    ("declared", [1, 2], "$.declared"),
+    ("declared", "x", "$.declared"),
+    ("meta", 5, "$.meta"),
+])
+def test_malformed_declared_or_meta_block_exits_2(tmp_path, capsys, key, value,
+                                                   position):
+    path = write_instance(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {position}:") and len(err.splitlines()) == 1
+
+
 def test_unknown_instance_exits_2():
     r = run_cli("classify", "PS(9,9,broken)")
     assert r.returncode == 2

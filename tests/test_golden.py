@@ -16,6 +16,9 @@ session's cached catalog instances.
 ``test_enumerated_reports_match_digest`` gates the reports that no golden
 file holds: every classification, witness report and theorem report of an
 enumerated sample, hashed in the order the package writes their keys.
+``test_built_window_matches_digest`` gates the built catalog windows the
+same way: objects, arrows, composition table, identities, products, arrow
+tables and reindexing index tables, each in the order the package holds it.
 """
 
 import hashlib
@@ -92,3 +95,58 @@ def test_enumerated_reports_match_digest():
                 unchecked += not recheck(d, v)
     assert refuted > 0 and unchecked == 0
     assert digest.hexdigest() == ENUMERATED_DIGEST
+
+
+def _window_record(d) -> bytes:
+    """The built base of ``d`` and its reindexing index tables, in the
+    order the package holds them."""
+    base = d.base
+    record = {
+        "objects": list(base.objects),
+        "arrows": [[n, a.dom, a.cod] for n, a in base.arrows.items()],
+        "compose": [[g, f, gf] for (g, f), gf in base.compose_table.items()],
+        "identity": list(base.identity.items()),
+        "products": [[list(k), [r.left, r.right, r.obj, r.proj1, r.proj2]]
+                     for k, r in base.products.items()],
+        "tables": (None if base.tables is None
+                   else [[n, list(t)] for n, t in base.tables.items()]),
+        "reindex": [[n, list(m.idx_table)] for n, m in d.reindex.items()],
+    }
+    return json.dumps(record).encode()
+
+
+U_S = {k: catalog.SIERPINSKI_SPACES[k] for k in ("U", "S")}
+
+# sha256 of each window's record, frozen before the builder composed byte
+# images; any change to an arrow, its order or a table moves it
+WINDOW_DIGESTS = {
+    "PS(2,0)": (
+        "b26073e873d775d058e01aae203f192e88b2c68b052c3f39fc13611119a43342"),
+    "PS(1,1)": (
+        "c82a8978969e7d8ad8cabf8b6ca7f45d3d32e7d178f56b722591d47c66444121"),
+    "SIER": (
+        "0f2b0ce523ecd7d46df0fc5cc3dd843009acc93383ac82ac5082de707734b731"),
+    "TRIV": (
+        "73e600d0f0fd4cc2873dac383091b854158f8874d5481779dd1e9e38b8549337"),
+    "SL3": (
+        "90f864d20f725d0494c5903c60009421bbbc35690ec7621658ef559667f5e0bd"),
+    "PS(1,0)": (
+        "0c2fb6bf999b78876fbfd2539f04947c608b488e82dd22be7b96a4addc4c5f75"),
+    "S": (
+        "dc19ead16b3da6623982f71263732578042d2a3b74818b3b666bfae4958ed5ad"),
+    "U,S": (
+        "2217352c1d11fbdab30bd03e87cc02153c68195f89bad705c03a18a5e543aa7a"),
+}
+
+WINDOWS = {
+    **{cid: lambda cid=cid: catalog.instance(cid)
+       for cid in (*catalog.catalog_ids(), "PS(1,0)")},
+    "S": lambda: catalog.openset_space({"S": catalog.SIERPINSKI_SPACES["S"]}),
+    "U,S": lambda: catalog.openset_space(U_S),
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
+def test_built_window_matches_digest(window):
+    digest = hashlib.sha256(_window_record(WINDOWS[window]())).hexdigest()
+    assert digest == WINDOW_DIGESTS[window]

@@ -19,7 +19,8 @@ import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .doctrine import Doctrine
-from .fincat import ConcreteBuilder, FinCategory, Arrow, Presentation, Product
+from .fincat import (MAX_POINTS, ConcreteBuilder, FinCategory, Arrow,
+                     Presentation, Product)
 from .poset import FinPoset, MonotoneMap
 from .verdicts import InvalidTopology, WindowExceeded
 
@@ -66,29 +67,29 @@ def _preimage_maps(base: FinCategory, fibers: Mapping[str, FinPoset],
     index = {o: {m: i for i, m in enumerate(ms)} for o, ms in masks.items()}
     reindex = {}
     for n, arr in base.arrows.items():
-        pre = [0] * base.sizes[arr.cod]  # the preimage of each point
+        points = [0] * base.sizes[arr.cod]  # the preimage of each point
         for x, y in enumerate(base.tables[n]):
-            pre[y] |= 1 << x
-        table = []
-        for mb in masks[arr.cod]:
-            ma = 0
-            while mb:
-                ma |= pre[(mb & -mb).bit_length() - 1]
-                mb &= mb - 1
-            if ma not in index[arr.dom]:
-                raise InvalidTopology(f"preimage {ma} not an admissible fiber element")
-            table.append(index[arr.dom][ma])
+            points[y] |= 1 << x
+        pre = [0]  # the preimage of every mask, by doubling over the points
+        for bit in points:
+            pre += [m | bit for m in pre]
+        try:
+            table = [index[arr.dom][pre[mb]] for mb in masks[arr.cod]]
+        except KeyError as exc:
+            raise InvalidTopology(f"preimage {exc.args[0]} not an admissible "
+                                  "fiber element") from None
         reindex[n] = MonotoneMap(fibers[arr.cod], fibers[arr.dom], table)
     return reindex
 
 
 def powerset_finset(max_size: int, power_depth: int = 0,
-                    ceiling: int = 256) -> Doctrine:
+                    ceiling: int = MAX_POINTS) -> Doctrine:
     """The powerset doctrine over a window of finite sets.
 
     Raises :class:`WindowExceeded` before building anything when a carrier
-    exceeds ``ceiling``, and from the builder when the window needs more than
-    ``fincat.MAX_ARROWS`` arrows.
+    exceeds ``ceiling`` (by default the builder's ``fincat.MAX_POINTS``), and
+    from the builder when the window needs more than ``fincat.MAX_ARROWS``
+    arrows.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
@@ -262,7 +263,8 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
     finite spaces is monotonicity for the specialization orders).
 
     Raises :class:`WindowExceeded` from the builder when the window needs
-    more than ``fincat.MAX_ARROWS`` arrows.
+    more than ``fincat.MAX_ARROWS`` arrows or a carrier of more than
+    ``fincat.MAX_POINTS`` points.
     """
     names = list(spaces)
     uppers: dict[str, list[int]] = {}

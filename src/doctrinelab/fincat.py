@@ -35,12 +35,15 @@ __all__ = [
     "FinCategory",
     "ConcreteBuilder",
     "MAX_ARROWS",
+    "MAX_POINTS",
 ]
 
 # The builder materialises the whole window category, and validation visits
 # every composable pair, so no builder holds more arrows than this.  PS(2,0),
 # the largest catalog base, has 534; PS(3,0) needs at least 301,191.
 MAX_ARROWS = 4096
+# The builder holds arrow images as bytes, so no carrier has more points.
+MAX_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,9 @@ class FinCategory:
         """Identity and associativity laws over the materialized tables.
 
         Missing composites raise :class:`MalformedCategory`; genuine law
-        violations come back as Refuted with the offending triple.
+        violations come back as Refuted with the offending triple.  Where the
+        arrow ``tables`` prove associativity, no triple is visited; where
+        they do not, or there are none, every composable triple is.
         """
         names = list(self.arrows)
         idx = {n: i for i, n in enumerate(names)}
@@ -254,6 +259,8 @@ class FinCategory:
                 if c_i != a_i:
                     return Verdict.refuted(kind="identity_law", object=o,
                                            arrow=names[a_i], composite=names[c_i])
+        if self.tables is not None and self._composes_as_functions():
+            return Verdict.holds(self.window_descriptor)
         # h(gf) = (hg)f for all f as one row comparison per composable
         # (g, h): the row of g holds its composites gf with every f into its
         # domain; h after the row of g must be the row of hg
@@ -279,6 +286,28 @@ class FinCategory:
                             left=names[table[h_i][gf_i]],
                             right=names[table[table[h_i][g_i]][f_i]])
         return Verdict.holds(self.window_descriptor)
+
+    def _composes_as_functions(self) -> bool:
+        """Do the arrow ``tables`` prove associativity?  They do when each is
+        a function between the carriers of its endpoints (sized by the
+        identities' tables), each composite's table is its factors' composed,
+        and no two arrows of one hom-set share a table: then ``h(gf)`` and
+        ``(hg)f`` both have the table of ``h o g o f``, so they are one arrow.
+        """
+        size = {o: len(self.tables.get(i, ())) for o, i in self.identity.items()}
+        images: dict[str, bytes] = {}
+        for n, a in self.arrows.items():
+            t = self.tables.get(n)
+            if t is None or len(t) != size[a.dom] or (
+                    t and not 0 <= min(t) <= max(t) < min(size[a.cod], 256)):
+                return False
+            images[n] = bytes(t)
+        if len({(a.dom, a.cod, images[n])
+                for n, a in self.arrows.items()}) < len(images):
+            return False
+        lut = {n: t.ljust(256, b"\0") for n, t in images.items()}
+        return all(images[f].translate(lut[g]) == images[gf]
+                   for (g, f), gf in self.compose_table.items())
 
     # -- products ----------------------------------------------------------
 
@@ -573,7 +602,8 @@ class ConcreteBuilder:
     No builder holds more than ``MAX_ARROWS`` arrows: :class:`WindowExceeded`
     is raised once the distinct generators exceed it, before closing when a
     lower bound counted from the builder's inputs does, and at the first
-    arrow beyond it.
+    arrow beyond it.  It is also raised for a carrier of more than
+    ``MAX_POINTS`` points, as each arrow's image is held as ``bytes``.
     """
 
     def __init__(self, presentation: Presentation):
@@ -584,10 +614,14 @@ class ConcreteBuilder:
         self.order: list[str] = []
         self.rows: dict[tuple[str, str], str] = {}
         self.terminal: str | None = None
-        self._gens: dict[tuple[str, str, tuple[int, ...]], None] = {}
+        self._gens: dict[tuple[str, str, bytes], None] = {}
 
     def add_object(self, name: str, size: int, window: bool = False,
                    pool: bool = False) -> str:
+        if size > MAX_POINTS:
+            raise WindowExceeded(
+                f"{self.presentation.descriptor()} needs a carrier of {size} "
+                f"points; the builder's limit is {MAX_POINTS}")
         if name in self.carriers:
             if self.carriers[name] != size:
                 raise ValueError(f"object {name} redeclared with different size")
@@ -601,7 +635,7 @@ class ConcreteBuilder:
         return name
 
     def add_arrow(self, dom: str, cod: str, images: Sequence[int]) -> None:
-        self._gens[(dom, cod, tuple(images))] = None
+        self._gens[(dom, cod, bytes(images))] = None
         if len(self._gens) > MAX_ARROWS:
             raise self._exceeded(f"more than {MAX_ARROWS}")
 
@@ -611,14 +645,14 @@ class ConcreteBuilder:
             raise ValueError(f"carrier {carrier} has wrong size for {left}x{right}")
         self.rows[(left, right)] = carrier
 
-    def _name(self, dom: str, cod: str, images: tuple[int, ...]) -> str:
+    def _name(self, dom: str, cod: str, images: bytes) -> str:
         return f"{dom}>{cod}:{','.join(map(str, images))}"
 
     def _exceeded(self, count: str) -> WindowExceeded:
         return WindowExceeded(f"{self.presentation.descriptor()} needs {count} "
                               f"arrows; the builder's limit is {MAX_ARROWS}")
 
-    def _floor(self, starts: Iterable[tuple[str, str, tuple[int, ...]]]) -> int:
+    def _floor(self, starts: Iterable[tuple[str, str, bytes]]) -> int:
         """A lower bound on the arrows :meth:`close` builds from the distinct
         starting arrows ``starts`` (identities, generators, projections), as
         ``(dom, cod, images)``.  It counts, per pair of objects, the most of:
@@ -661,15 +695,19 @@ class ConcreteBuilder:
         return total
 
     def close(self) -> FinCategory:
-        arrow_of: dict[tuple[str, str, tuple[int, ...]], str] = {}
+        """The window category.  Each arrow's image is ``bytes``, and ``g``
+        after ``f`` is ``images[f].translate(lut[g])``, ``lut[g]`` being the
+        image of ``g`` padded to a 256-byte translation table."""
+        arrow_of: dict[tuple[str, str, bytes], str] = {}
         arrows: dict[str, Arrow] = {}
-        images: dict[str, tuple[int, ...]] = {}
+        images: dict[str, bytes] = {}
+        lut: dict[str, bytes] = {}
         by_dom: dict[str, list[str]] = {o: [] for o in self.order}
         by_cod: dict[str, list[str]] = {o: [] for o in self.order}
         table: dict[tuple[str, str], str] = {}
         queue: list[str] = []
 
-        def intern(dom: str, cod: str, img: tuple[int, ...]) -> str:
+        def intern(dom: str, cod: str, img: bytes) -> str:
             key = (dom, cod, img)
             name = arrow_of.get(key)
             if name is None:
@@ -679,17 +717,18 @@ class ConcreteBuilder:
                 arrow_of[key] = name
                 arrows[name] = Arrow(name, dom, cod)
                 images[name] = img
+                lut[name] = img.ljust(256, b"\0")
                 by_dom[dom].append(name)
                 by_cod[cod].append(name)
                 queue.append(name)
             return name
 
-        ids = {o: (o, o, tuple(range(self.carriers[o]))) for o in self.order}
+        ids = {o: (o, o, bytes(range(self.carriers[o]))) for o in self.order}
         projs = {}
         for (a, b), carrier in self.rows.items():
             nb, size = self.carriers[b], self.carriers[carrier]
-            projs[(a, b)] = ((carrier, a, tuple(p // nb for p in range(size))),
-                             (carrier, b, tuple(p % nb for p in range(size))))
+            projs[(a, b)] = ((carrier, a, bytes(p // nb for p in range(size))),
+                             (carrier, b, bytes(p % nb for p in range(size))))
         floor = self._floor({*ids.values(), *self._gens,
                             *(key for pair in projs.values() for key in pair)})
         if floor > MAX_ARROWS:
@@ -701,19 +740,19 @@ class ConcreteBuilder:
         projections = {ab: (intern(*k1), intern(*k2))
                        for ab, (k1, k2) in projs.items()}
 
-        def comp_img(g: str, f: str) -> tuple[int, ...]:
-            return tuple(map(images[g].__getitem__, images[f]))
-
         window_set = set(self.window)
 
         def process(name: str) -> None:
             a = arrows[name]
+            img = images[name]
             for g in list(by_dom[a.cod]):
                 if (g, name) not in table:
-                    table[(g, name)] = intern(a.dom, arrows[g].cod, comp_img(g, name))
+                    table[(g, name)] = intern(a.dom, arrows[g].cod,
+                                              img.translate(lut[g]))
             for f in list(by_cod[a.dom]):
                 if (name, f) not in table:
-                    table[(name, f)] = intern(arrows[f].dom, a.cod, comp_img(name, f))
+                    table[(name, f)] = intern(arrows[f].dom, a.cod,
+                                              images[f].translate(lut[name]))
             if a.dom in window_set:
                 for g in list(by_dom[a.dom]):
                     for f_, g_ in ((name, g), (g, name)):
@@ -721,9 +760,8 @@ class ConcreteBuilder:
                         if row is None:
                             continue
                         nb = self.carriers[arrows[g_].cod]
-                        img = tuple(x * nb + y
-                                    for x, y in zip(images[f_], images[g_]))
-                        intern(a.dom, row, img)
+                        intern(a.dom, row, bytes(x * nb + y for x, y
+                                                 in zip(images[f_], images[g_])))
 
         # Structural injections with non-window domains: f x g, swaps, and the
         # pairing <id, p2> : XA -> (XA)xA used by the equality-predicate functor.
@@ -739,13 +777,13 @@ class ConcreteBuilder:
                         continue
                     nb_src = self.carriers[arrows[g].dom]
                     nb_dst = self.carriers[arrows[g].cod]
-                    img = tuple(images[f][p // nb_src] * nb_dst + images[g][p % nb_src]
+                    img = bytes(images[f][p // nb_src] * nb_dst + images[g][p % nb_src]
                                 for p in range(self.carriers[src]))
                     intern(src, dst, img)
             for (a, b), carrier in list(self.rows.items()):
                 if (b, a) in self.rows:
                     na, nb = self.carriers[a], self.carriers[b]
-                    img = tuple((p % nb) * na + p // nb
+                    img = bytes((p % nb) * na + p // nb
                                 for p in range(self.carriers[carrier]))
                     intern(carrier, self.rows[(b, a)], img)
             for (x, a), carrier in list(self.rows.items()):
@@ -753,12 +791,12 @@ class ConcreteBuilder:
                 if triple is None:
                     continue
                 na = self.carriers[a]
-                img = tuple(p * na + p % na for p in range(self.carriers[carrier]))
+                img = bytes(p * na + p % na for p in range(self.carriers[carrier]))
                 intern(carrier, triple, img)
                 square = self.rows.get((a, a))
                 if square is not None:
                     # p2 x id_A : (XxA)xA -> AxA, i.e. the <pi2, pi3> pairing.
-                    img2 = tuple(((t // na) % na) * na + t % na
+                    img2 = bytes(((t // na) % na) * na + t % na
                                  for t in range(self.carriers[triple]))
                     intern(triple, square, img2)
 
@@ -778,4 +816,4 @@ class ConcreteBuilder:
                            presentation=self.presentation,
                            sizes=dict(self.carriers),
                            power_pool=list(self.power_pool) or None,
-                           tables=images)
+                           tables={n: tuple(img) for n, img in images.items()})

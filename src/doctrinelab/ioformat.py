@@ -99,7 +99,7 @@ def _need(doc: Mapping, key: str, pos: str, kind=None):
 
 # The witness tables of a ``declared`` block: ``str``; ``[s]``, a list of
 # ``s``; ``{None: s}``, an object of ``s``; or an object with (at least) the
-# given keys.  Names in them are resolved when the witnesses are checked.
+# given keys.  Names in them are resolved by ``_resolve_declared``.
 _DECLARED_SHAPES = {
     "delta": {None: str},
     "comprehension": {None: {None: str}},
@@ -123,6 +123,60 @@ def _check_shape(value, shape, pos: str) -> None:
                          f"{pos}.{k}")
 
 
+def _resolve_declared(base: FinCategory, fibers: Mapping[str, FinPoset],
+                      declared: Mapping) -> None:
+    """Every object, arrow and fiber element the ``declared`` block names
+    exists, each arrow has the endpoints its witness needs, and each product
+    its check reads is materialized."""
+    def obj(o, pos: str) -> str:
+        if o not in fibers:
+            raise ParseError(f"undeclared object {o!r}", pos)
+        return o
+
+    def row(a: str, b: str, pos: str) -> str:
+        if (a, b) not in base.products:
+            raise ParseError(f"no product row ({a},{b})", pos)
+        return base.products[(a, b)].obj
+
+    def element(o: str, e, pos: str) -> None:
+        if e not in fibers[o].index:
+            raise ParseError(f"{e!r} is not an element of fiber({o})", pos)
+
+    def arrow(n, dom: str | None, cod: str, pos: str) -> None:
+        a = base.arrows.get(n)
+        if a is None or a.cod != cod or dom not in (None, a.dom):
+            raise ParseError(f"{n!r} is not an arrow {dom or '?'} -> {cod}", pos)
+
+    at = "$.declared"
+    for a, delta in declared.get("delta", {}).items():
+        pos = f"{at}.delta.{a}"
+        obj(a, pos)
+        for x in base.window:
+            row(row(x, a, pos), a, pos)
+        element(row(a, a, pos), delta, pos)
+    for kind in ("comprehension", "cocomprehension"):
+        for a, table in declared.get(kind, {}).items():
+            obj(a, f"{at}.{kind}.{a}")
+            for alpha, n in table.items():
+                element(a, alpha, f"{at}.{kind}.{a}.{alpha}")
+                arrow(n, None, a, f"{at}.{kind}.{a}.{alpha}")
+    for i, rec in enumerate(declared.get("epsilon", [])):
+        pos = f"{at}.epsilon[{i}]"
+        gamma, a = obj(rec["gamma"], f"{pos}.gamma"), obj(rec["a"], f"{pos}.a")
+        element(row(gamma, a, pos), rec["psi"], f"{pos}.psi")
+        arrow(rec["arrow"], gamma, a, f"{pos}.arrow")
+    for a, table in declared.get("negation", {}).items():
+        obj(a, f"{at}.negation.{a}")
+        for beta, neg in table.items():
+            element(a, beta, f"{at}.negation.{a}.{beta}")
+            element(a, neg, f"{at}.negation.{a}.{beta}")
+    for a, rec in declared.get("power_objects", {}).items():
+        pos = f"{at}.power_objects.{a}"
+        power = obj(rec["power"], f"{pos}.power")
+        element(row(obj(a, pos), power, pos), rec["membership"],
+                f"{pos}.membership")
+
+
 def parse_document(doc: Mapping) -> Doctrine:
     if not isinstance(doc, Mapping):
         raise ParseError("document must be a JSON object", "$")
@@ -135,9 +189,10 @@ def parse_document(doc: Mapping) -> Doctrine:
     declared = doc.get("declared") or {}
     if not isinstance(declared, Mapping):
         raise ParseError("wrong type, expected dict", "$.declared")
-    for kind, shape in _DECLARED_SHAPES.items():
-        if kind in declared:
-            _check_shape(declared[kind], shape, f"$.declared.{kind}")
+    for kind in declared:
+        if kind not in _DECLARED_SHAPES:
+            raise ParseError(f"unknown witness kind {kind!r}", f"$.declared.{kind}")
+        _check_shape(declared[kind], _DECLARED_SHAPES[kind], f"$.declared.{kind}")
     if "catalog" in doc:
         block = doc["catalog"]
         cid = _need(block, "id", "$.catalog", str)
@@ -149,6 +204,7 @@ def parse_document(doc: Mapping) -> Doctrine:
             from .constructions import dualize
             d = dualize(d)
         if declared:
+            _resolve_declared(d.base, d.fibers, declared)
             d = Doctrine(d.base, d.fibers, d.reindex, name=d.name,
                          source=d.source, declared=declared)
         return d
@@ -256,6 +312,7 @@ def parse_document(doc: Mapping) -> Doctrine:
             if v not in tgt.index:
                 raise ParseError(f"table value {v!r} not in fiber({a.dom})", pos)
         reindex[a.name] = MonotoneMap.from_names(src, tgt, table)
+    _resolve_declared(base, fibers, declared)
     name = meta.get("name", "instance")
     return Doctrine(base, fibers, reindex, name=name,
                     source={"kind": "explicit"}, declared=declared)

@@ -99,13 +99,43 @@ def test_undeclared_power_pool_exits_2(tmp_path, capsys, pool):
     ("declared", [1, 2], "$.declared"),
     ("declared", "x", "$.declared"),
     ("meta", 5, "$.meta"),
+    ("declared", {"comprehensoin": {"S1": {"e0": "S1>S1:0"}}},
+     "$.declared.comprehensoin"),
+    ("declared", {"delta": {"S9": "e1"}}, "$.declared.delta.S9"),
+    ("declared", {"delta": {"S1": "zz"}}, "$.declared.delta.S1"),
 ])
 def test_malformed_declared_or_meta_block_exits_2(tmp_path, capsys, key, value,
                                                    position):
+    # each block is rejected in an instance file and on a catalog id alike
     path = write_instance(tmp_path)
-    doc = json.loads(path.read_text())
-    doc[key] = value
-    path.write_text(json.dumps(doc))
+    for doc in (json.loads(path.read_text()),
+                {"schema_version": 1, "catalog": {"id": "PS(1,1)"}}):
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {position}:") and len(err.splitlines()) == 1
+
+
+# Names in a declared block over PS(1,1) that do not resolve: S1>S2:0 is an
+# arrow into S2, the fibers of S1 and S1 x S2 = S2 hold e0..e1 and e0..e3.
+@pytest.mark.parametrize("block,position", [
+    ({"cocomprehension": {"S1": {"e0": "S1>S2:0"}}},
+     "$.declared.cocomprehension.S1.e0"),
+    ({"epsilon": [{"gamma": "S1", "a": "S2", "psi": "e9", "arrow": "S1>S2:0"}]},
+     "$.declared.epsilon[0].psi"),
+    ({"epsilon": [{"gamma": "S2", "a": "S2", "psi": "e1", "arrow": "S1>S2:0"}]},
+     "$.declared.epsilon[0].arrow"),
+    ({"negation": {"S1": {"e0": "e2"}}}, "$.declared.negation.S1.e0"),
+    ({"power_objects": {"S1": {"power": "S7", "membership": "e1"}}},
+     "$.declared.power_objects.S1.power"),
+    ({"power_objects": {"S1": {"power": "S2", "membership": "e4"}}},
+     "$.declared.power_objects.S1.membership"),
+])
+def test_dangling_declared_name_exits_2(tmp_path, capsys, block, position):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"schema_version": 1,
+                                "catalog": {"id": "PS(1,1)"}, "declared": block}))
     assert cli.main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {position}:") and len(err.splitlines()) == 1

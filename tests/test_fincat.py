@@ -1,9 +1,10 @@
 import pytest
 
 from doctrinelab.doctrine import Doctrine
-from doctrinelab.fincat import Arrow, ArrowClass, FinCategory
+from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
+                                FinCategory, Presentation)
 from doctrinelab.recheck import recheck
-from doctrinelab.verdicts import MalformedCategory
+from doctrinelab.verdicts import MalformedCategory, WindowExceeded
 
 from oracles import parse_arrow
 
@@ -158,16 +159,64 @@ def test_unmaterialized_product_window_exceeded(ps20):
         ps20.base.product("S4", "S4")
 
 
-def test_fault_injected_composite_cell_breaks_associativity(ps20):
-    base = ps20.base
+def _rebuilt(base, table, tables=None):
+    return FinCategory(base.objects, base.arrows.values(), base.identity,
+                       table, window=base.window, products=base.products,
+                       terminal=base.terminal_obj,
+                       presentation=base.presentation, tables=tables)
+
+
+def _swap_fixes_a_point(base):
     table = dict(base.compose_table)
-    table[("S2>S2:1,0", "S1>S2:0")] = "S1>S2:0"  # the swap fixes a point
-    broken = FinCategory(base.objects, base.arrows.values(), base.identity,
-                         table, window=base.window, products=base.products,
-                         terminal=base.terminal_obj,
-                         presentation=base.presentation)
+    table[("S2>S2:1,0", "S1>S2:0")] = "S1>S2:0"
+    return table
+
+
+SWAP_FIXES_A_POINT = {
+    "kind": "associativity", "f": "S1>S2:0", "g": "S2>S2:0,0",
+    "h": "S2>S2:1,0", "left": "S1>S2:0", "right": "S1>S2:1"}
+
+
+def test_fault_injected_composite_cell_breaks_associativity(ps20):
+    broken = _rebuilt(ps20.base, _swap_fixes_a_point(ps20.base))
     v = broken.validate()
-    assert v.counterexample == {
-        "kind": "associativity", "f": "S1>S2:0", "g": "S2>S2:0,0",
-        "h": "S2>S2:1,0", "left": "S1>S2:0", "right": "S1>S2:1"}
+    assert v.counterexample == SWAP_FIXES_A_POINT
     assert recheck(Doctrine(broken, ps20.fibers, ps20.reindex), v)
+
+
+# The faults below keep the built arrow tables, which select the proof of
+# associativity by tables; whatever the proof cannot show falls through to
+# the triple scan, so each verdict is the one the scan alone gives.
+
+def test_fault_injected_cell_with_tables_gives_the_scan_payload(ps20):
+    base = ps20.base
+    broken = _rebuilt(base, _swap_fixes_a_point(base), base.tables)
+    v = broken.validate()
+    assert v.counterexample == SWAP_FIXES_A_POINT
+    assert recheck(Doctrine(broken, ps20.fibers, ps20.reindex), v)
+
+
+def test_corrupted_arrow_table_still_validates(ps20):
+    base = ps20.base
+    tables = {**base.tables, "S1>S2:0": (1,)}
+    assert _rebuilt(base, base.compose_table, tables).validate()
+
+
+def test_shared_table_in_a_hom_set_falls_through_to_the_scan(ps20):
+    # one point for every object and arrow: a functor, so each composite's
+    # table agrees, but every hom-set shares one table and only the scan can
+    # see the broken cell
+    base = ps20.base
+    tables = {n: (0,) for n in base.arrows}
+    broken = _rebuilt(base, _swap_fixes_a_point(base), tables)
+    assert broken.validate().counterexample == SWAP_FIXES_A_POINT
+
+
+def test_builder_refuses_a_carrier_above_its_point_limit():
+    b = ConcreteBuilder(Presentation("points", ()))
+    b.add_object("X", MAX_POINTS, window=True)
+    with pytest.raises(WindowExceeded, match=f"carrier of {MAX_POINTS + 1} "):
+        b.add_object("Y", MAX_POINTS + 1)
+    base = b.close()
+    assert base.tables[base.identity["X"]] == tuple(range(MAX_POINTS))
+    assert base.validate()

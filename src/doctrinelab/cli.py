@@ -11,8 +11,9 @@ Subcommands::
 
 ``<instance>`` is a file path or a catalog id.  Exit codes: 0 all requested
 checks hold or are not applicable, 1 some verdict is refuted, 2 usage or
-parse error (or an instance beyond the builder's window), 3 internal error
-(one ``internal error:`` line on stderr).  Machine reports go to
+parse error (an instance file that cannot be read or parsed, a report path
+that cannot be written, or an instance beyond the builder's window), 3
+internal error (one ``internal error:`` line on stderr).  Machine reports go to
 ``--json PATH`` (reports are byte-deterministic; timings only with
 ``--timing``).
 """
@@ -46,6 +47,14 @@ def load_instance(spec: str) -> Doctrine:
         raise ParseError(f"no such file or catalog id: {spec!r}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write the report: {exc}", path) from None
+
+
 def _write_json(path: str | None, payload: Any) -> None:
     if path is None:
         return
@@ -53,8 +62,7 @@ def _write_json(path: str | None, payload: Any) -> None:
         text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in payload)
     else:
         text = ioformat.canonical_json(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, text)
 
 
 def _verdict_line(name: str, v: Verdict) -> str:
@@ -238,8 +246,7 @@ def cmd_catalog(args) -> int:
         d = _catalog.instance(args.emit)
         text = ioformat.serialize(d)
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(args.json, text)
         else:
             sys.stdout.write(text)
         return 0

@@ -1,10 +1,9 @@
 """The instance file format (JSON) and canonical serialization.
 
 A document either names a catalog generator (``catalog`` block, optionally
-order-dualized) or spells out explicit tables: ``base`` (objects, arrows,
-identity, composition triples, product rows, terminal), ``fibers`` (elements
-and order pairs per object), ``reindex`` (element map per arrow), an optional
-``declared`` witness block, and ``meta``.
+order-dualized) or spells out explicit tables (``base``, ``fibers``,
+``reindex``); ``_CATALOG_DOCUMENT`` and ``_EXPLICIT_DOCUMENT`` give each
+form's shape, with the optional ``declared`` witness block and ``meta``.
 
 Canonical form: keys sorted, id lists sorted, two-space indent; the instance
 hash is the sha256 of the canonical text, so identical instances hash
@@ -21,7 +20,7 @@ from . import catalog as _catalog
 from .doctrine import Doctrine, memoized
 from .fincat import Arrow, FinCategory, Presentation, Product
 from .poset import FinPoset, MonotoneMap
-from .verdicts import ParseError
+from .verdicts import MalformedCategory, ParseError
 
 SCHEMA_VERSION = 1
 
@@ -88,39 +87,74 @@ def _tuplify(value):
     return value
 
 
-def _need(doc: Mapping, key: str, pos: str, kind=None):
-    if key not in doc:
-        raise ParseError(f"missing required key {key!r}", pos)
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ParseError(f"{key!r} has wrong type", f"{pos}.{key}")
-    return value
-
-
-# The witness tables of a ``declared`` block: ``str``; ``[s]``, a list of
-# ``s``; ``{None: s}``, an object of ``s``; or an object with (at least) the
-# given keys.  Names in them are resolved by ``_resolve_declared``.
-_DECLARED_SHAPES = {
-    "delta": {None: str},
-    "comprehension": {None: {None: str}},
-    "cocomprehension": {None: {None: str}},
-    "epsilon": [{"gamma": str, "a": str, "psi": str, "arrow": str}],
-    "negation": {None: {None: str}},
-    "power_objects": {None: {"power": str, "membership": str}},
+# The schema-1 document as JSON shapes: a type (``object``: any value);
+# ``[s]``, a list of ``s``; ``(s, t)``, a list of exactly those; ``{None: s}``,
+# an object of ``s``; or an object with these keys, where ``"k?"`` may be
+# absent.  Other keys are ignored, but ``declared`` names no other witness
+# kind.  Only ``terminal`` may be null, as ``to_document`` writes it.
+_DECLARED = {
+    "delta?": {None: str},
+    "comprehension?": {None: {None: str}},
+    "cocomprehension?": {None: {None: str}},
+    "epsilon?": [{"gamma": str, "a": str, "psi": str, "arrow": str}],
+    "negation?": {None: {None: str}},
+    "power_objects?": {None: {"power": str, "membership": str}},
+}
+_WITNESS_KINDS = {kind[:-1] for kind in _DECLARED}
+_META = {"name?": str, "window?": str}
+_CATALOG_DOCUMENT = {"catalog": {"id": str, "dual?": bool},
+                     "meta?": _META, "declared?": _DECLARED}
+_EXPLICIT_DOCUMENT = {
+    "base": {
+        "objects": [str],
+        "window?": [str],
+        "power_pool?": [str],
+        "presentation?": {"kind?": str, "spec?": [object], "truncated?": bool},
+        "arrows": [{"id": str, "dom": str, "cod": str}],
+        "identity": {None: str},
+        "compose": [(str, str, str)],
+        "products?": [{"left": str, "right": str, "obj": str,
+                       "p1": str, "p2": str}],
+        "terminal?": str | None,
+    },
+    "fibers": {None: {"elements": [str], "leq": [(str, str)]}},
+    "reindex": {None: {None: str}},
+    "meta?": _META,
+    "declared?": _DECLARED,
 }
 
 
 def _check_shape(value, shape, pos: str) -> None:
-    kind = shape if shape is str else type(shape)
-    if not isinstance(value, Mapping if kind is dict else kind):
-        raise ParseError(f"wrong type, expected {kind.__name__}", pos)
-    if kind is list:
-        for i, v in enumerate(value):
-            _check_shape(v, shape[0], f"{pos}[{i}]")
-    elif kind is dict:
-        for k in (value if None in shape else shape):
-            _check_shape(_need(value, k, pos), shape.get(k, shape.get(None)),
-                         f"{pos}.{k}")
+    """Raise a :class:`ParseError` at the first part of ``value`` that does
+    not have the JSON shape ``shape``."""
+    if isinstance(shape, dict):
+        if not isinstance(value, Mapping):
+            raise ParseError("wrong type, expected an object", pos)
+        for key, sub in shape.items():
+            if key is not None and key.rstrip("?") not in value:
+                if key[-1] != "?":
+                    raise ParseError(f"missing required key {key!r}", pos)
+                continue
+            for k in value if key is None else [key.rstrip("?")]:
+                _check_shape(value[k], sub, f"{pos}.{k}")
+    elif isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            raise ParseError("wrong type, expected a list", pos)
+        subs = shape if isinstance(shape, tuple) else shape * len(value)
+        if len(subs) != len(value):
+            raise ParseError(f"wrong type, expected a list of {len(subs)}", pos)
+        for i, (v, sub) in enumerate(zip(value, subs)):
+            _check_shape(v, sub, f"{pos}[{i}]")
+    elif not isinstance(value, shape):
+        raise ParseError(
+            f"wrong type, expected {getattr(shape, '__name__', shape)}", pos)
+
+
+def _known(name, names, message: str, pos: str):
+    """``name``, when it is one of ``names``; else a :class:`ParseError`."""
+    if name not in names:
+        raise ParseError(message, pos)
+    return name
 
 
 def _resolve_declared(base: FinCategory, fibers: Mapping[str, FinPoset],
@@ -128,21 +162,18 @@ def _resolve_declared(base: FinCategory, fibers: Mapping[str, FinPoset],
     """Every object, arrow and fiber element the ``declared`` block names
     exists, each arrow has the endpoints its witness needs, and each product
     its check reads is materialized."""
-    def obj(o, pos: str) -> str:
-        if o not in fibers:
-            raise ParseError(f"undeclared object {o!r}", pos)
-        return o
+    def obj(o: str, pos: str) -> str:
+        return _known(o, fibers, f"undeclared object {o!r}", pos)
+
+    def element(o: str, e: str, pos: str) -> None:
+        _known(e, fibers[o].index, f"{e!r} is not an element of fiber({o})", pos)
 
     def row(a: str, b: str, pos: str) -> str:
         if (a, b) not in base.products:
             raise ParseError(f"no product row ({a},{b})", pos)
         return base.products[(a, b)].obj
 
-    def element(o: str, e, pos: str) -> None:
-        if e not in fibers[o].index:
-            raise ParseError(f"{e!r} is not an element of fiber({o})", pos)
-
-    def arrow(n, dom: str | None, cod: str, pos: str) -> None:
+    def arrow(n: str, dom: str | None, cod: str, pos: str) -> None:
         a = base.arrows.get(n)
         if a is None or a.cod != cod or dom not in (None, a.dom):
             raise ParseError(f"{n!r} is not an arrow {dom or '?'} -> {cod}", pos)
@@ -183,24 +214,18 @@ def parse_document(doc: Mapping) -> Doctrine:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", "$.schema_version")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, Mapping) or not isinstance(meta.get("name", ""), str):
-        raise ParseError("meta must be an object with a string name", "$.meta")
-    declared = doc.get("declared") or {}
-    if not isinstance(declared, Mapping):
-        raise ParseError("wrong type, expected dict", "$.declared")
+    _check_shape(doc, _CATALOG_DOCUMENT if "catalog" in doc else _EXPLICIT_DOCUMENT,
+                 "$")
+    declared = doc.get("declared", {})
     for kind in declared:
-        if kind not in _DECLARED_SHAPES:
-            raise ParseError(f"unknown witness kind {kind!r}", f"$.declared.{kind}")
-        _check_shape(declared[kind], _DECLARED_SHAPES[kind], f"$.declared.{kind}")
+        _known(kind, _WITNESS_KINDS, f"unknown witness kind {kind!r}",
+               f"$.declared.{kind}")
     if "catalog" in doc:
-        block = doc["catalog"]
-        cid = _need(block, "id", "$.catalog", str)
         try:
-            d = _catalog.instance(cid)
+            d = _catalog.instance(doc["catalog"]["id"])
         except KeyError as exc:
             raise ParseError(str(exc), "$.catalog.id") from None
-        if block.get("dual", False):
+        if doc["catalog"].get("dual", False):
             from .constructions import dualize
             d = dualize(d)
         if declared:
@@ -208,113 +233,83 @@ def parse_document(doc: Mapping) -> Doctrine:
             d = Doctrine(d.base, d.fibers, d.reindex, name=d.name,
                          source=d.source, declared=declared)
         return d
-    base_doc = _need(doc, "base", "$", Mapping)
-    objects = _need(base_doc, "objects", "$.base", list)
+    base_doc = doc["base"]
+    objects = base_doc["objects"]
     obj_set = set(objects)
     if len(obj_set) != len(objects):
         raise ParseError("duplicate object ids", "$.base.objects")
-    arrows = []
-    arrow_ids = set()
-    for i, a in enumerate(_need(base_doc, "arrows", "$.base", list)):
+    arrows: dict[str, Arrow] = {}
+    for i, a in enumerate(base_doc["arrows"]):
         pos = f"$.base.arrows[{i}]"
-        n = _need(a, "id", pos, str)
-        dom = _need(a, "dom", pos, str)
-        cod = _need(a, "cod", pos, str)
-        if dom not in obj_set:
-            raise ParseError(f"dangling dom {dom!r}", f"{pos}.dom")
-        if cod not in obj_set:
-            raise ParseError(f"dangling cod {cod!r}", f"{pos}.cod")
-        if n in arrow_ids:
-            raise ParseError(f"duplicate arrow id {n!r}", f"{pos}.id")
-        arrow_ids.add(n)
-        arrows.append(Arrow(n, dom, cod))
-    identity = _need(base_doc, "identity", "$.base", Mapping)
+        for end in ("dom", "cod"):
+            _known(a[end], obj_set, f"dangling {end} {a[end]!r}", f"{pos}.{end}")
+        if a["id"] in arrows:
+            raise ParseError(f"duplicate arrow id {a['id']!r}", f"{pos}.id")
+        arrows[a["id"]] = Arrow(a["id"], a["dom"], a["cod"])
+    identity = base_doc["identity"]
     for o in objects:
-        if o not in identity:
-            raise ParseError(f"missing identity for {o!r}", "$.base.identity")
-        if identity[o] not in arrow_ids:
-            raise ParseError(f"identity of {o!r} is a dangling arrow id",
-                             f"$.base.identity.{o}")
+        _known(o, identity, f"missing identity for {o!r}", "$.base.identity")
+        _known(identity[o], arrows, f"identity of {o!r} is a dangling arrow id",
+               f"$.base.identity.{o}")
     compose = {}
-    for i, triple in enumerate(_need(base_doc, "compose", "$.base", list)):
+    for i, (g, f, gf) in enumerate(base_doc["compose"]):
         pos = f"$.base.compose[{i}]"
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ParseError("composition entry must be [g, f, gf]", pos)
-        g, f, gf = triple
-        for name in (g, f, gf):
-            if name not in arrow_ids:
-                raise ParseError(f"composition references undeclared arrow {name!r}", pos)
-        if (g, f) in compose and compose[(g, f)] != gf:
+        for n in (g, f, gf):
+            _known(n, arrows, f"composition references undeclared arrow {n!r}", pos)
+        if compose.setdefault((g, f), gf) != gf:
             raise ParseError(f"non-functional composition table at ({g},{f})", pos)
-        compose[(g, f)] = gf
     products = {}
     for i, r in enumerate(base_doc.get("products", [])):
         pos = f"$.base.products[{i}]"
-        row = Product(_need(r, "left", pos, str), _need(r, "right", pos, str),
-                      _need(r, "obj", pos, str), _need(r, "p1", pos, str),
-                      _need(r, "p2", pos, str))
+        row = Product(r["left"], r["right"], r["obj"], r["p1"], r["p2"])
         for o in (row.left, row.right, row.obj):
-            if o not in obj_set:
-                raise ParseError(f"product row references undeclared object {o!r}", pos)
+            _known(o, obj_set, f"product row references undeclared object {o!r}", pos)
         for n in (row.proj1, row.proj2):
-            if n not in arrow_ids:
-                raise ParseError(f"product row references undeclared arrow {n!r}", pos)
+            _known(n, arrows, f"product row references undeclared arrow {n!r}", pos)
         products[(row.left, row.right)] = row
     terminal = base_doc.get("terminal")
-    if terminal is not None and terminal not in obj_set:
-        raise ParseError(f"terminal {terminal!r} undeclared", "$.base.terminal")
-    window = base_doc.get("window", list(objects))
-    power_pool = base_doc.get("power_pool")
-    for key in ("window", "power_pool"):
-        _check_shape(base_doc.get(key, []), [str], f"$.base.{key}")
+    if terminal is not None:
+        _known(terminal, obj_set, f"terminal {terminal!r} undeclared",
+               "$.base.terminal")
     pres_doc = base_doc.get("presentation", {})
     presentation = Presentation(pres_doc.get("kind", "explicit"),
-                                _tuplify(pres_doc.get("spec", ())),
-                                bool(pres_doc.get("truncated", False)))
+                                _tuplify(pres_doc.get("spec", [])),
+                                pres_doc.get("truncated", False))
     try:
-        base = FinCategory(objects, arrows, identity, compose, window=window,
-                           products=products, terminal=terminal,
-                           presentation=presentation,
-                           power_pool=power_pool)
-    except Exception as exc:
+        base = FinCategory(objects, arrows.values(), identity, compose,
+                           window=base_doc.get("window"), products=products,
+                           terminal=terminal, presentation=presentation,
+                           power_pool=base_doc.get("power_pool"))
+    except MalformedCategory as exc:
         raise ParseError(str(exc), "$.base") from None
 
     fibers = {}
-    fibers_doc = _need(doc, "fibers", "$", Mapping)
     for o in objects:
-        if o not in fibers_doc:
-            raise ParseError(f"missing fiber for object {o!r}", "$.fibers")
-        block = fibers_doc[o]
-        pos = f"$.fibers.{o}"
-        elements = _need(block, "elements", pos, list)
-        leq = [tuple(p) for p in _need(block, "leq", pos, list)]
+        _known(o, doc["fibers"], f"missing fiber for object {o!r}", "$.fibers")
+        pos, elements = f"$.fibers.{o}", doc["fibers"][o]["elements"]
+        leq = [(a, b) for a, b in doc["fibers"][o]["leq"]]
         for a, b in leq:
-            if a not in elements or b not in elements:
-                raise ParseError(f"order pair ({a},{b}) references unknown element", pos)
+            for e in (a, b):
+                _known(e, elements, f"order pair ({a},{b}) references unknown element", pos)
         try:
             fibers[o] = FinPoset(elements, leq + [(e, e) for e in elements])
         except ValueError as exc:
             raise ParseError(f"not a poset: {exc}", pos) from None
     reindex = {}
-    reindex_doc = _need(doc, "reindex", "$", Mapping)
-    for a in arrows:
-        if a.name not in reindex_doc:
-            raise ParseError(f"missing reindex map for arrow {a.name!r}", "$.reindex")
-        table = reindex_doc[a.name]
-        pos = f"$.reindex.{a.name}"
+    for a in arrows.values():
+        _known(a.name, doc["reindex"], f"missing reindex map for arrow {a.name!r}",
+               "$.reindex")
+        table, pos = doc["reindex"][a.name], f"$.reindex.{a.name}"
         src, tgt = fibers[a.cod], fibers[a.dom]
         for e in src.elements:
-            if e not in table:
-                raise ParseError(f"non-functional table: no image for {e!r}", pos)
+            _known(e, table, f"non-functional table: no image for {e!r}", pos)
         for e, v in table.items():
-            if e not in src.index:
-                raise ParseError(f"table key {e!r} not in fiber({a.cod})", pos)
-            if v not in tgt.index:
-                raise ParseError(f"table value {v!r} not in fiber({a.dom})", pos)
+            _known(e, src.index, f"table key {e!r} not in fiber({a.cod})", pos)
+            _known(v, tgt.index, f"table value {v!r} not in fiber({a.dom})", pos)
         reindex[a.name] = MonotoneMap.from_names(src, tgt, table)
     _resolve_declared(base, fibers, declared)
-    name = meta.get("name", "instance")
-    return Doctrine(base, fibers, reindex, name=name,
+    return Doctrine(base, fibers, reindex,
+                    name=doc.get("meta", {}).get("name", "instance"),
                     source={"kind": "explicit"}, declared=declared)
 
 
@@ -327,5 +322,9 @@ def parse(text: str) -> Doctrine:
 
 
 def parse_file(path: str) -> Doctrine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read the file: {exc}", path) from None
+    return parse(text)

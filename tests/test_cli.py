@@ -141,6 +141,15 @@ def test_dangling_declared_name_exits_2(tmp_path, capsys, block, position):
     assert err.startswith(f"error: {position}:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["validate", "PS(1,1)"],
+                                  ["catalog", "--emit", "SL3"]])
+def test_unwritable_report_exits_2(tmp_path, capsys, argv):
+    report = tmp_path / "missing" / "report.json"
+    assert cli.main([*argv, "--json", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: ") and len(err.splitlines()) == 1
+
+
 def test_unknown_instance_exits_2():
     r = run_cli("classify", "PS(9,9,broken)")
     assert r.returncode == 2

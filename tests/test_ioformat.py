@@ -1,11 +1,16 @@
 """Malformed instance documents: each one exits 2 with one positioned
 ``error:`` line, never an internal error."""
 
+import contextlib
+import io
+import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from doctrinelab import cli
+from doctrinelab import cli, ioformat, theorems
+from doctrinelab.constructions import dualize
 from test_cli import write_instance
 
 
@@ -107,6 +112,29 @@ REJECTIONS = [
     pytest.param(put("fibers", "L0", "leq", 3), "$.fibers.L0.leq",
                  id="leq-not-a-list"),
     pytest.param(put("reindex", []), "$.reindex", id="reindex-not-an-object"),
+    # kinds that used to escape as internal errors (exit 3)
+    pytest.param(put("fibers", "L0", "leq", [["u0"]]), "$.fibers.L0.leq[0]",
+                 id="order-pair-of-one"),
+    pytest.param(put("fibers", "L0", 5), "$.fibers.L0", id="fiber-not-an-object"),
+    pytest.param(put("reindex", "L0>L1", 5), "$.reindex.L0>L1",
+                 id="reindex-map-not-an-object"),
+    pytest.param(put("base", "products", 0, 5), "$.base.products[0]",
+                 id="product-row-not-an-object"),
+    pytest.param(put("base", "products", None), "$.base.products",
+                 id="products-null"),
+    pytest.param(put("base", "presentation", 5), "$.base.presentation",
+                 id="presentation-not-an-object"),
+    pytest.param(put("base", "presentation", None), "$.base.presentation",
+                 id="presentation-null"),
+    pytest.param(put("base", "presentation", "spec", 5),
+                 "$.base.presentation.spec", id="spec-not-a-list"),
+    pytest.param(put("base", "presentation", "spec", None),
+                 "$.base.presentation.spec", id="spec-null"),
+    pytest.param(put("base", "terminal", ["L1"]), "$.base.terminal",
+                 id="terminal-a-list"),
+    # null is a value only for terminal
+    pytest.param(put("declared", None), "$.declared", id="declared-null"),
+    pytest.param(put("meta", "name", None), "$.meta.name", id="name-null"),
 ]
 
 
@@ -134,3 +162,75 @@ def test_malformed_document_without_base_exits_2(tmp_path, capsys, doc,
     assert cli.main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {position}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"schema_version": 1, "meta": "\xff"}'),
+], ids=["directory", "not-utf-8"])
+def test_unreadable_instance_file_exits_2_at_its_path(tmp_path, capsys, make):
+    path = tmp_path / "inst.json"
+    make(path)
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+def test_null_terminal_is_accepted(tmp_path):
+    path = write_instance(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["base"]["terminal"] = None
+    path.write_text(json.dumps(doc))
+    assert ioformat.parse_file(str(path)).base.terminal_obj is None
+
+
+def test_explicit_documents_parse_back_to_the_same_bytes():
+    # criterion 8's first 300 doctrines and their duals, all written with a
+    # base block (criterion 9 covers the catalog block)
+    for d in itertools.islice(theorems.enumerate_doctrines(
+            max_base=4, max_fiber=3, budget=500_000, max_emit=10_000), 300):
+        for e in (d, dualize(d)):
+            text = ioformat.serialize(e)
+            assert "base" in ioformat.to_document(e)
+            assert ioformat.serialize(
+                ioformat.parse_document(ioformat.to_document(e))) == text
+
+
+def _nodes(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+# any JSON value; strings are drawn partly from the document's own names,
+# so that a replaced node often still resolves
+_NAMES = st.sampled_from(["L0", "L1", "L0>L0", "L0>L1", "L1>L1", "u0", "u1"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3) | _NAMES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3) | _NAMES, inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_replaced_node_never_exits_3(tmp_path, data):
+    path = write_instance(tmp_path)
+    doc = json.loads(path.read_text())
+    node, value = data.draw(st.sampled_from(list(_nodes(doc)))), data.draw(_JSON)
+    if node:
+        put(*node, value)(doc)
+    else:
+        doc = value
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        codes = [cli.main([command, str(path)])
+                 for command in ("validate", "classify")]
+    assert all(code in (0, 1, 2) for code in codes), out.getvalue()

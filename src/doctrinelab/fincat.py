@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -231,36 +232,39 @@ class FinCategory:
         arrow ``tables`` prove associativity, no triple is visited; where
         they do not, or there are none, every composable triple is.
         """
-        names = list(self.arrows)
+        arrows, comp = self.arrows, self.compose_table
+        names = list(arrows)
         idx = {n: i for i, n in enumerate(names)}
         into: dict[str, list[int]] = {o: [] for o in self.objects}
         outof: dict[str, list[int]] = {o: [] for o in self.objects}
-        for n, a in self.arrows.items():
+        for n, a in arrows.items():
             into[a.cod].append(idx[n])
             outof[a.dom].append(idx[n])
+        for f, a_f in arrows.items():
+            for g_i in outof[a_f.cod]:
+                g = names[g_i]
+                gf = comp.get((g, f))
+                if gf is None:
+                    raise MalformedCategory(f"incomplete table: ({g}) o ({f}) missing")
+                if arrows[gf].dom != a_f.dom or arrows[gf].cod != arrows[g].cod:
+                    raise MalformedCategory(
+                        f"composite ({g}) o ({f}) has wrong endpoints")
+        for o in self.objects:
+            i = self.identity[o]
+            # id after f, then g after id
+            for a, c in chain(((names[f_i], comp[(i, names[f_i])]) for f_i in into[o]),
+                              ((names[g_i], comp[(names[g_i], i)]) for g_i in outof[o])):
+                if c != a:
+                    return Verdict.refuted(kind="identity_law", object=o,
+                                           arrow=a, composite=c)
+        if self.tables is not None and self._composes_as_functions():
+            return Verdict.holds(self.window_descriptor)
+        # the dense index table of composites, for the row kernel and the scan
         n_arr = len(names)
         table = [[-1] * n_arr for _ in range(n_arr)]
         for f_i, f in enumerate(names):
-            for g_i in outof[self.arrows[f].cod]:
-                gf = self.compose_table.get((names[g_i], f))
-                if gf is None:
-                    raise MalformedCategory(
-                        f"incomplete table: ({names[g_i]}) o ({f}) missing")
-                a_gf = self.arrows[gf]
-                if a_gf.dom != self.arrows[f].dom or a_gf.cod != self.arrows[names[g_i]].cod:
-                    raise MalformedCategory(
-                        f"composite ({names[g_i]}) o ({f}) has wrong endpoints")
-                table[g_i][f_i] = idx[gf]
-        for o in self.objects:
-            i = idx[self.identity[o]]
-            # id after f, then g after id
-            for a_i, c_i in ([(f_i, table[i][f_i]) for f_i in into[o]]
-                             + [(g_i, table[g_i][i]) for g_i in outof[o]]):
-                if c_i != a_i:
-                    return Verdict.refuted(kind="identity_law", object=o,
-                                           arrow=names[a_i], composite=names[c_i])
-        if self.tables is not None and self._composes_as_functions():
-            return Verdict.holds(self.window_descriptor)
+            for g_i in outof[arrows[f].cod]:
+                table[g_i][f_i] = idx[comp[(names[g_i], f)]]
         # h(gf) = (hg)f for all f as one row comparison per composable
         # (g, h): the row of g holds its composites gf with every f into its
         # domain; h after the row of g must be the row of hg

@@ -174,8 +174,9 @@ def _h_frobenius(d, base, p):
 
 
 def _h_no_equality_predicate(d, base, p):
-    from .logic import equality_candidates
-    return not equality_candidates(d, p["object"])
+    a = p["object"]
+    return all(_h_declared_delta_invalid(d, base, {"object": a, "delta": delta})
+               for delta in d.fibers[base.products[(a, a)].obj].elements)
 
 
 def _h_not_substitutive(d, base, p):
@@ -373,8 +374,11 @@ def _h_declared_witness_invalid(dual):
 
 
 def _h_no_weak_power_object(d, base, p):
-    from .logic import weak_power_object
-    return weak_power_object(d, p["object"]) is None
+    a = p["object"]
+    return not any(_power_covers(d, base, a, power, mem)
+                   for power in {*base.window, *base.power_pool}
+                   if (a, power) in base.products
+                   for mem in d.fibers[base.products[(a, power)].obj].elements)
 
 
 def _h_no_tripos_equality(d, base, p):
@@ -465,18 +469,24 @@ def _h_declared_negation_invalid(d, base, p):
                for alpha in fiber.elements)
 
 
-def _h_declared_power_object_invalid(d, base, p):
-    a, power = p["object"], p["power"]
-    mem = d.declared["power_objects"][a]["membership"]
+def _power_covers(d, base, a, power, mem) -> bool:
+    """Does every relation over ``a x y``, for each window ``y``, arise as
+    ``(id_a x c)* mem`` for some ``c: y -> power``?"""
     for y in base.window:
         row = base.products.get((a, y))
         if row is None:
-            return True
+            return False
         reached = {d.star(base.times(base.identity[a], c), mem)
                    for c in base.hom(y, power)}
         if not reached.issuperset(d.fibers[row.obj].elements):
-            return True
-    return False
+            return False
+    return True
+
+
+def _h_declared_power_object_invalid(d, base, p):
+    a = p["object"]
+    return not _power_covers(d, base, a, p["power"],
+                             d.declared["power_objects"][a]["membership"])
 
 
 _HANDLERS = {

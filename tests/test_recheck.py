@@ -1,7 +1,9 @@
 import re
 from pathlib import Path
 
-from doctrinelab import logic
+import pytest
+
+from doctrinelab import ioformat, logic, theorems
 from doctrinelab import recheck as recheck_module
 from doctrinelab.constructions import derived_implication_tables
 from doctrinelab.doctrine import Doctrine
@@ -135,3 +137,30 @@ def test_implication_oracles_match_the_checked_tables(sier, sl3, ps11):
             for obj, rows in tables.items():
                 for (a, b), value in named(d.fibers[obj], rows).items():
                     assert oracle(d, obj, a, b) == value, (d.name, obj, a, b)
+
+
+@pytest.mark.parametrize("flag,kind,search", [
+    ("elementary", "no_equality_predicate", "equality_candidates"),
+    ("higher_order", "no_weak_power_object", "weak_power_object"),
+])
+def test_search_refutations_recheck_without_the_search(monkeypatch, flag, kind,
+                                                      search):
+    # refutations among criterion 8's first doctrines, rechecked on fresh
+    # copies, and the same payload on each object that has a witness
+    refuted, witnessed = [], []
+    for d in theorems.enumerate_doctrines(max_base=4, max_fiber=3,
+                                          budget=500_000, max_emit=100):
+        v = theorems.flag_check(flag)(d)
+        if v.is_refuted and v.counterexample["kind"] == kind:
+            fresh = ioformat.parse_document(ioformat.to_document(d))
+            refuted.append((fresh, v))
+            witnessed += [(fresh, Verdict.refuted(kind=kind, object=a))
+                          for a in d.base.window
+                          if getattr(logic, search)(d, a)]
+    assert len(refuted) >= 10 and witnessed
+
+    def fail(*args):
+        raise AssertionError(f"recheck called logic.{search}")
+    monkeypatch.setattr(logic, search, fail)
+    assert all(recheck(d, v) for d, v in refuted)
+    assert not any(recheck(d, v) for d, v in witnessed)

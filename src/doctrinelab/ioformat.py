@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from . import catalog as _catalog
 from .doctrine import Doctrine, memoized
@@ -169,9 +170,8 @@ def _resolve_declared(base: FinCategory, fibers: Mapping[str, FinPoset],
         _known(e, fibers[o].index, f"{e!r} is not an element of fiber({o})", pos)
 
     def row(a: str, b: str, pos: str) -> str:
-        if (a, b) not in base.products:
-            raise ParseError(f"no product row ({a},{b})", pos)
-        return base.products[(a, b)].obj
+        return base.products[_known((a, b), base.products,
+                                    f"no product row ({a},{b})", pos)].obj
 
     def arrow(n: str, dom: str | None, cod: str, pos: str) -> None:
         a = base.arrows.get(n)
@@ -268,9 +268,8 @@ def parse_document(doc: Mapping) -> Doctrine:
             _known(n, arrows, f"product row references undeclared arrow {n!r}", pos)
         products[(row.left, row.right)] = row
     terminal = base_doc.get("terminal")
-    if terminal is not None:
-        _known(terminal, obj_set, f"terminal {terminal!r} undeclared",
-               "$.base.terminal")
+    _known(terminal, {*obj_set, None}, f"terminal {terminal!r} undeclared",
+           "$.base.terminal")
     pres_doc = base_doc.get("presentation", {})
     presentation = Presentation(pres_doc.get("kind", "explicit"),
                                 _tuplify(pres_doc.get("spec", [])),

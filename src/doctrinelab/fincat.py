@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -252,14 +251,13 @@ class FinCategory:
         for o in self.objects:
             i = self.identity[o]
             # id after f, then g after id
-            for a, c in chain(((names[f_i], comp[(i, names[f_i])]) for f_i in into[o]),
-                              ((names[g_i], comp[(names[g_i], i)]) for g_i in outof[o])):
+            for a, c in ([(names[f_i], comp[(i, names[f_i])]) for f_i in into[o]]
+                         + [(names[g_i], comp[(names[g_i], i)]) for g_i in outof[o]]):
                 if c != a:
                     return Verdict.refuted(kind="identity_law", object=o,
                                            arrow=a, composite=c)
         if self.tables is not None and self._composes_as_functions():
             return Verdict.holds(self.window_descriptor)
-        # the dense index table of composites, for the row kernel and the scan
         n_arr = len(names)
         table = [[-1] * n_arr for _ in range(n_arr)]
         for f_i, f in enumerate(names):

@@ -286,7 +286,7 @@ def parse_document(doc: Mapping) -> Doctrine:
     for o in objects:
         _known(o, doc["fibers"], f"missing fiber for object {o!r}", "$.fibers")
         pos, elements = f"$.fibers.{o}", doc["fibers"][o]["elements"]
-        leq = [(a, b) for a, b in doc["fibers"][o]["leq"]]
+        leq = doc["fibers"][o]["leq"]
         for a, b in leq:
             for e in (a, b):
                 _known(e, elements, f"order pair ({a},{b}) references unknown element", pos)

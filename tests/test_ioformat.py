@@ -1,5 +1,6 @@
-"""Malformed instance documents: each one exits 2 with one positioned
-``error:`` line, never an internal error."""
+"""Instance documents: each malformed one exits 2 with one positioned
+``error:`` line, never an internal error; and the canonical text is what
+``json.dumps`` writes for the whole document."""
 
 import contextlib
 import io
@@ -9,9 +10,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from doctrinelab import cli, ioformat, theorems
+from doctrinelab import catalog, cli, ioformat, theorems
 from doctrinelab.constructions import dualize
-from test_cli import write_instance
+from doctrinelab.doctrine import Doctrine
+from test_cli import DECLARED_CASES, write_instance
 
 
 def put(*path_and_value):
@@ -234,3 +236,96 @@ def test_one_replaced_node_never_exits_3(tmp_path, data):
         codes = [cli.main([command, str(path)])
                  for command in ("validate", "classify")]
     assert all(code in (0, 1, 2) for code in codes), out.getvalue()
+
+
+def reference(d) -> str:
+    """The canonical text, as ``json.dumps`` writes the whole document."""
+    return json.dumps(ioformat.to_document(d), sort_keys=True, indent=2) + "\n"
+
+
+def test_serialize_is_json_dumps_on_the_enumerated_sample():
+    # every 10th of criterion 8's 10,000 doctrines, and their duals
+    sample = list(itertools.islice(theorems.enumerate_doctrines(
+        max_base=4, max_fiber=3, budget=500_000, max_emit=10_000), 0, None, 10))
+    assert len(sample) == 1000
+    assert {len(d.base.objects) for d in sample} == {1, 2, 3, 4}
+    for d in sample:
+        for e in (d, dualize(d)):
+            assert ioformat.serialize(e) == reference(e)
+
+
+@pytest.mark.parametrize("cid", catalog.catalog_ids())
+def test_serialize_is_json_dumps_on_the_catalog(cid):
+    d = catalog.instance(cid)
+    assert ioformat.serialize(d) == reference(d)
+
+
+def test_serialize_is_json_dumps_with_a_declared_block(tmp_path):
+    every_kind = ioformat.parse_document({
+        "schema_version": 1, "catalog": {"id": "PS(1,1)", "dual": False},
+        "declared": {kind: valid for kind, (valid, _) in DECLARED_CASES.items()}})
+    doc = json.loads(write_instance(tmp_path).read_text())
+    doc["declared"] = {"comprehension": {"L1": {"u1": "L1>L1"}}}
+    explicit = ioformat.parse_document(doc)
+    for d in (every_kind, explicit):
+        assert d.declared
+        assert ioformat.serialize(d) == reference(d)
+
+
+def _renamed(node, names):
+    """``node`` with every string, key or value, that ``names`` maps renamed."""
+    if isinstance(node, dict):
+        return {names.get(k, k): _renamed(v, names) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed(v, names) for v in node]
+    return names.get(node, node) if isinstance(node, str) else node
+
+
+def test_serialize_is_json_dumps_with_escaped_names(tmp_path):
+    names = {"L0": 'L"0\\', "L1": "L1\n\u00e9", "L0>L0": 'i": d',
+             "L0>L1": "f\u00fc\u2603", "L1>L1": "\\id\n",
+             "u0": 'u": 0', "u1": "\u03b1\n\"", "instance": 'n": \\\n'}
+    doc = _renamed(json.loads(write_instance(tmp_path).read_text()), names)
+    doc["meta"]["name"] = names["instance"]
+    d = ioformat.parse_document(doc)
+    assert set(d.base.objects) == {names["L0"], names["L1"]}
+    text = ioformat.serialize(d)
+    assert text == reference(d)
+    assert '"u\\": 0"' in text and "\\u2603" in text
+
+
+# nested JSON values of the kinds a document holds, empty containers included
+_KEYS = st.text(max_size=3) | st.sampled_from(['"', "\\", "\n", "\u00e9", '": '])
+_NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers() | _KEYS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner,
+                                                                max_size=3),
+    max_leaves=10)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=_KEYS, declared=st.dictionaries(_KEYS, _NESTED, max_size=4))
+def test_serialize_is_json_dumps_with_any_name_and_declared_block(name,
+                                                                  declared):
+    d = next(theorems.enumerate_doctrines(max_base=2, max_fiber=2, min_fiber=2))
+    e = Doctrine(d.base, d.fibers, d.reindex, name=name, declared=declared)
+    assert ioformat.serialize(e) == reference(e)
+
+
+def test_doctrines_sharing_their_parts_serialize_apart(tmp_path):
+    d = ioformat.parse_file(str(write_instance(tmp_path)))
+    variants = [Doctrine(d.base, d.fibers, d.reindex, name=name, declared=block)
+                for name, block in (("one", None), ("two", None), ("one", {
+                    "comprehension": {"L1": {"u1": "L1>L1"}}}))]
+    texts = [ioformat.serialize(e) for e in (d, *variants)]
+    assert len(set(texts)) == 4
+    assert texts == [reference(e) for e in (d, *variants)]
+    # parsing the text back builds fresh parts with the same text
+    again = ioformat.parse(texts[0])
+    assert again.base is not d.base
+    assert all(again.fibers[o] is not d.fibers[o] for o in d.fibers)
+    assert all(again.reindex[n] is not d.reindex[n] for n in d.reindex)
+    assert ioformat.serialize(again) == texts[0]
+    # and the same doctrine writes the same text with its memo cleared
+    d._cache.clear()
+    assert ioformat.serialize(d) == texts[0]

@@ -47,6 +47,13 @@ def load_instance(spec: str) -> Doctrine:
         raise ParseError(f"no such file or catalog id: {spec!r}")
 
 
+def _check_report_path(path: str) -> None:
+    """Fail before any work where the report's write must: at a directory or
+    in a missing one, where this open fails as the write would, creating nothing."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        _write(path, "")
+
+
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -331,6 +338,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if args.json is not None:
+            _check_report_path(args.json)
         return args.fn(args)
     except (DoctrineError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

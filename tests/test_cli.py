@@ -150,6 +150,32 @@ def test_unwritable_report_exits_2(tmp_path, capsys, argv):
     assert err.startswith(f"error: {report}: ") and len(err.splitlines()) == 1
 
 
+def test_unwritable_report_exits_2_before_loading_the_instance(
+        tmp_path, monkeypatch, capsys):
+    def load_instance(spec):
+        raise AssertionError("the instance was loaded")
+    monkeypatch.setattr(cli, "load_instance", load_instance)
+    (tmp_path / "file").write_text("")
+    for report in (tmp_path / "missing" / "r.json", tmp_path / "file" / "r.json",
+                   tmp_path):
+        assert cli.main(["classify", "PS(2,0)", "--json", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: cannot write the report: ")
+        assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("cid,message", [
+    ("PS(3,0)", "finset(3,0) needs at least "),
+    ("PS(x,0)", "unknown catalog id 'PS(x,0)'\n")])
+def test_bad_catalog_document_id_exits_2_at_its_position(tmp_path, capsys,
+                                                         cid, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"schema_version": 1, "catalog": {"id": cid}}))
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: $.catalog.id: {message}")
+
+
 def test_unknown_instance_exits_2():
     r = run_cli("classify", "PS(9,9,broken)")
     assert r.returncode == 2

@@ -3,6 +3,7 @@
 ``json.dumps`` writes for the whole document."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -303,13 +304,33 @@ _NESTED = st.recursive(
     max_leaves=10)
 
 
+@functools.cache
+def _first_doctrine():
+    return next(theorems.enumerate_doctrines(max_base=2, max_fiber=2,
+                                             min_fiber=2))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(name=_KEYS, declared=st.dictionaries(_KEYS, _NESTED, max_size=4))
 def test_serialize_is_json_dumps_with_any_name_and_declared_block(name,
                                                                   declared):
-    d = next(theorems.enumerate_doctrines(max_base=2, max_fiber=2, min_fiber=2))
+    d = _first_doctrine()
     e = Doctrine(d.base, d.fibers, d.reindex, name=name, declared=declared)
     assert ioformat.serialize(e) == reference(e)
+
+
+def _fragments(value):
+    """``value`` as the fragment writer writes it, every object at every
+    depth assembled from its members' texts."""
+    if isinstance(value, dict):
+        return ioformat._object({k: _fragments(v) for k, v in value.items()})
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(value=_NESTED)
+def test_fragment_writer_is_json_dumps(value):
+    assert _fragments(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_doctrines_sharing_their_parts_serialize_apart(tmp_path):

@@ -16,6 +16,7 @@ cached per id so the classification memo is shared across a session.
 from __future__ import annotations
 
 import re
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .doctrine import Doctrine
@@ -133,19 +134,9 @@ def powerset_finset(max_size: int, power_depth: int = 0,
     # power-pool candidates for chi searches)
     for a in scope:
         for c in scope:
-            if a == 0:
-                b.add_arrow("S0", f"S{c}", ())
-                continue
-            if c == 0:
-                continue
-            total = c ** a
-            for code in range(total):
-                img = []
-                x = code
-                for _ in range(a):
-                    img.append(x % c)
-                    x //= c
-                b.add_arrow(f"S{a}", f"S{c}", tuple(img))
+            # the image of 0 varies fastest
+            for img in product(range(c), repeat=a):
+                b.add_arrow(f"S{a}", f"S{c}", img[::-1])
     for s in sizes_needed:
         b.add_object(f"S{s}", s)
     for a, c in sorted(rows):
@@ -227,31 +218,13 @@ def _upset_masks(uppers: Sequence[int]) -> list[int]:
 def _continuous_maps(ups: Sequence[int],
                      upd: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Every continuous map between two finite spaces given by their
-    specialization orders (``uppers`` masks), in lexicographic order."""
-    ns, nd = len(ups), len(upd)
-    if ns == 0:
-        yield ()
-        return
-    if nd == 0:
-        return
-    def rec(i: int, acc: list[int]):
-        if i == ns:
-            yield tuple(acc)
-            return
-        for y in range(nd):
-            ok = True
-            for j in range(i):
-                if ups[j] >> i & 1 and not upd[acc[j]] >> y & 1:
-                    ok = False
-                    break
-                if ups[i] >> j & 1 and not upd[y] >> acc[j] & 1:
-                    ok = False
-                    break
-            if ok:
-                acc.append(y)
-                yield from rec(i + 1, acc)
-                acc.pop()
-    yield from rec(0, [])
+    specialization orders (``uppers`` masks), in lexicographic order: the
+    monotone ones, with ``ups[i]`` holding ``j`` only if ``upd[img[i]]``
+    holds ``img[j]``."""
+    pairs = [(i, j) for i, up in enumerate(ups) for j in range(len(ups))
+             if up >> j & 1]
+    return (img for img in product(range(len(upd)), repeat=len(ups))
+            if all(upd[img[i]] >> img[j] & 1 for i, j in pairs))
 
 
 def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[str]]]],

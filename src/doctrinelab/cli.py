@@ -150,8 +150,7 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
         table = {}
         for a in base.window:
             for alpha in d.fibers[a].elements:
-                w = _cons.cocomp_from_negation(d, a, alpha)
-                table[f"{a}|{alpha}"] = w.arrow
+                table[f"{a}|{alpha}"] = _cons.cocomp_from_negation(d, a, alpha)
         return "co-comprehension from negation", table
     if what == "dual":
         return "dual instance", ioformat.to_document(_cons.dualize(d))
@@ -163,7 +162,7 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
             raise DoctrineError(f"axiom of choice fails: {verdict.status} "
                                 f"{verdict.reason or verdict.counterexample}")
         return "epsilon table", {f"{g}|{a}|{psi}": arrow
-                                 for (g, a, psi), arrow in sorted(eps.entries.items())}
+                                 for (g, a, psi), arrow in sorted(eps.items())}
     raise ParseError(f"unknown derivation {what!r}")
 
 
@@ -250,7 +249,10 @@ def cmd_catalog(args) -> int:
             print(f"  {cid:<10} {_CATALOG_BLURBS.get(cid, '')}")
         return 0
     if args.emit:
-        d = _catalog.instance(args.emit)
+        try:
+            d = _catalog.instance(args.emit)
+        except KeyError as exc:  # its message, without the KeyError's quotes
+            raise ParseError(exc.args[0]) from None
         text = ioformat.serialize(d)
         if args.json:
             _write(args.json, text)

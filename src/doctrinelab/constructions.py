@@ -7,8 +7,7 @@ manufactures a tripos on the dual.
 from __future__ import annotations
 
 from .doctrine import Doctrine, is_existential, is_sigma_doctrine, memoized
-from .logic import (ComprehensionWitness, EpsilonTable, ac_check,
-                    cocomprehension_class, cocomprehension_squares,
+from .logic import (ac_check, cocomprehension_class, cocomprehension_squares,
                     cocomprehension_table, comprehension_table, find_equality,
                     is_elementary, is_full_cocomprehension, is_full_comprehension,
                     is_higher_order, is_tripos, negation, validate_witness)
@@ -43,7 +42,7 @@ def derived_sigma(d: Doctrine, f: str, alpha: str) -> str:
     row = base.products[(a, b)]
     fiber = d.fibers[row.obj]
     f_times_id = base.times(f, base.identity[b])
-    graph_part = fiber.index[d.star(f_times_id, eq.over(b))]
+    graph_part = fiber.index[d.star(f_times_id, eq[b])]
     alpha_part = fiber.index[d.star(row.proj1, alpha)]
     adj = d.sigma(row.proj2)
     if adj is None:
@@ -57,10 +56,10 @@ def derived_implication(d: Doctrine, obj: str, phi: str, psi: str) -> str:
     w = comprehension_table(d).get((obj, phi))
     if w is None:
         raise StructureMissing(f"no comprehension witness for {phi} over {obj}")
-    adj = d.pi(w.arrow)
+    adj = d.pi(w)
     if adj is None:
-        raise StructureMissing(f"no right adjoint along {w.arrow}")
-    return adj.table[d.star(w.arrow, psi)]
+        raise StructureMissing(f"no right adjoint along {w}")
+    return adj.table[d.star(w, psi)]
 
 
 def derived_implication_tables(d: Doctrine) -> dict[str, list[list[int]]] | None:
@@ -75,29 +74,29 @@ def derived_implication_tables(d: Doctrine) -> dict[str, list[list[int]]] | None
             w = table.get((obj, phi))
             if w is None:
                 return None
-            adj = d.pi(w.arrow)
+            adj = d.pi(w)
             if adj is None:
                 return None
             rows.append(list(map(adj.idx_table.__getitem__,
-                                 d.reindex[w.arrow].idx_table)))
+                                 d.reindex[w].idx_table)))
     return out
 
 
-def cocomp_from_negation(d: Doctrine, obj: str, alpha: str) -> ComprehensionWitness:
-    """The co-comprehension of ``alpha`` as the comprehension of its negation."""
+def cocomp_from_negation(d: Doctrine, obj: str, alpha: str) -> str:
+    """The co-comprehension arrow of ``alpha`` as the comprehension arrow of
+    its negation."""
     neg = negation(d)
     if neg is None:
         raise StructureMissing("no negation table")
-    w = comprehension_table(d).get((obj, neg.neg(obj, alpha)))
+    w = comprehension_table(d).get((obj, neg[obj][alpha]))
     if w is None:
         raise StructureMissing(
             f"no comprehension witness for the negation of {alpha} over {obj}")
-    out = ComprehensionWitness(obj, alpha, w.arrow, dual=True)
-    if not validate_witness(d, out):
+    if not validate_witness(d, obj, alpha, w, dual=True):
         raise StructureMissing(
             f"comprehension of the negation of {alpha} fails the"
             " co-comprehension universal property")
-    return out
+    return w
 
 
 def graph(d: Doctrine, f: str) -> str:
@@ -108,9 +107,9 @@ def graph(d: Doctrine, f: str) -> str:
         raise StructureMissing("graphs need an elementary doctrine")
     base = d.base
     a = base.cod(f)
-    if a not in eq.delta:
+    if a not in eq:
         raise StructureMissing(f"no equality predicate over {a}")
-    return d.star(base.times(f, base.identity[a]), eq.over(a))
+    return d.star(base.times(f, base.identity[a]), eq[a])
 
 
 def dualize(d: Doctrine) -> Doctrine:
@@ -129,19 +128,20 @@ def dualize(d: Doctrine) -> Doctrine:
 
 # -- eaco / heaco --------------------------------------------------------------
 
-def _choice_value(d: Doctrine, eps: EpsilonTable,
-                  w: ComprehensionWitness) -> str | None:
-    """<epsilon, id>* of the graph of a co-comprehension arrow ``w``; when the
+def _choice_value(d: Doctrine, eps: dict[tuple[str, str, str], str],
+                  w: str) -> str | None:
+    """<epsilon, id>* of the graph of a co-comprehension arrow ``w``, with
+    ``eps`` the ``{(gamma, a, psi): arrow}`` table of ``ac_check``; when the
     domain is stable initial the bottom-assignment left adjoint evaluates the
     projection-quantified graph instead."""
     base = d.base
-    u, b = base.dom(w.arrow), base.cod(w.arrow)
-    g = graph(d, w.arrow)
+    u, b = base.dom(w), base.cod(w)
+    g = graph(d, w)
     if base.is_stable_initial(u):
         return d.bottom(b)
     # a holding ac_check has an entry for every window b and every u that is
     # not stable initial
-    e = eps.entries[(b, u, d.star(base.swap(b, u), g))]
+    e = eps[(b, u, d.star(base.swap(b, u), g))]
     return d.star(base.pair(e, base.identity[b]), g)
 
 

@@ -74,10 +74,6 @@ class Doctrine:
         return got
 
     @property
-    def window(self) -> tuple[str, ...]:
-        return self.base.window
-
-    @property
     def window_descriptor(self) -> str:
         return self.base.window_descriptor
 

@@ -11,21 +11,16 @@ by the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .doctrine import (Doctrine, has_bottoms, has_tops, is_pi_doctrine,
                        is_primary, is_propositional, is_sigma_doctrine,
                        memoized)
 from .fincat import ArrowClass, Square, _unique_squares
+from .poset import _unpreserved
 from .verdicts import Verdict, combine
 
 __all__ = [
-    "EqualityWitness",
-    "ComprehensionWitness",
-    "PowerObjectWitness",
-    "NegationTable",
-    "EpsilonTable",
     "find_equality",
     "is_elementary",
     "check_substitutive",
@@ -54,47 +49,6 @@ __all__ = [
     "is_tripos_via_characterization",
     "declared_checks",
 ]
-
-
-@dataclass(frozen=True)
-class EqualityWitness:
-    """Chosen equality predicate per window object."""
-    delta: Mapping[str, str]
-
-    def over(self, obj: str) -> str:
-        return self.delta[obj]
-
-
-@dataclass(frozen=True)
-class ComprehensionWitness:
-    obj: str
-    alpha: str
-    arrow: str
-    dual: bool = False
-
-
-@dataclass(frozen=True)
-class PowerObjectWitness:
-    obj: str
-    power: str
-    membership: str
-    chi: Mapping[tuple[str, str], str]
-
-
-@dataclass(frozen=True)
-class NegationTable:
-    tables: Mapping[str, Mapping[str, str]]
-
-    def neg(self, obj: str, e: str) -> str:
-        return self.tables[obj][e]
-
-
-@dataclass(frozen=True)
-class EpsilonTable:
-    entries: Mapping[tuple[str, str, str], str]
-
-    def get(self, gamma: str, a: str, psi: str) -> str | None:
-        return self.entries.get((gamma, a, psi))
 
 
 def _search_failure(d: Doctrine, reason: str, **payload) -> Verdict:
@@ -149,9 +103,9 @@ def equality_candidates(d: Doctrine, a: str) -> list[str]:
 
 
 @memoized
-def _equality(d: Doctrine) -> tuple[Verdict, EqualityWitness | None]:
-    """The elementary verdict with the first equality predicate per window
-    object, when every one has some."""
+def _equality(d: Doctrine) -> tuple[Verdict, dict[str, str] | None]:
+    """The elementary verdict with ``{obj: delta}``, the first equality
+    predicate per window object, when every one has some."""
     primary = is_primary(d)
     if not primary:
         return (primary if primary.is_refuted else Verdict.not_applicable(
@@ -164,10 +118,12 @@ def _equality(d: Doctrine) -> tuple[Verdict, EqualityWitness | None]:
             # window counterexample, so absence is conclusive
             return Verdict.refuted(kind="no_equality_predicate", object=a), None
         delta[a] = candidates[0]
-    return Verdict.holds(d.window_descriptor), EqualityWitness(delta)
+    return Verdict.holds(d.window_descriptor), delta
 
 
-def find_equality(d: Doctrine) -> EqualityWitness | None:
+def find_equality(d: Doctrine) -> dict[str, str] | None:
+    """``{obj: delta}``, the chosen equality predicate per window object, or
+    None; the memo's own table: do not mutate it."""
     return _equality(d)[1]
 
 
@@ -175,17 +131,19 @@ def is_elementary(d: Doctrine) -> Verdict:
     return _equality(d)[0]
 
 
-def check_substitutive(d: Doctrine, witness: EqualityWitness) -> Verdict:
+def check_substitutive(d: Doctrine, delta: Mapping[str, str]) -> Verdict:
+    """Is each ``delta[obj]`` substitutive: does meeting it with a predicate
+    pulled back along either projection give the same element?"""
     base = d.base
     for a in base.window:
-        if a not in witness.delta:
+        if a not in delta:
             return Verdict.not_applicable(f"no equality predicate over {a}")
         row = base.products[(a, a)]
         ops = d.fibers[row.obj].ops
         if ops.meet is None:
             return Verdict.not_applicable(f"no meets in fiber({row.obj})")
         names = d.fibers[row.obj].elements
-        meet_delta = ops.meet[d.fibers[row.obj].index[witness.delta[a]]]
+        meet_delta = ops.meet[d.fibers[row.obj].index[delta[a]]]
         p2_star = d.reindex[row.proj2].idx_table
         for psi, p1_psi in enumerate(d.reindex[row.proj1].idx_table):
             lhs, rhs = meet_delta[p1_psi], meet_delta[p2_star[psi]]
@@ -215,60 +173,59 @@ def _matching(d: Doctrine, a: str, alpha: str, dual: bool) -> list[str]:
             if d.star(f, alpha) == _bound(d, base.dom(f), dual)]
 
 
-def _is_universal(d: Doctrine, w: ComprehensionWitness,
+def _is_universal(d: Doctrine, arrow: str, alpha: str, dual: bool,
                   matching: list[str]) -> bool:
-    """The (co-)comprehension universal property of ``w.arrow``: ``alpha``
+    """The (co-)comprehension universal property of ``arrow``: ``alpha``
     becomes the top (bottom) along it, and every arrow of ``matching``
     factors through it uniquely."""
     base = d.base
-    dm = base.dom(w.arrow)
-    return d.star(w.arrow, w.alpha) == _bound(d, dm, w.dual) and all(
-        sum(base.compose(w.arrow, k) == f for k in base.hom(base.dom(f), dm)) == 1
+    dm = base.dom(arrow)
+    return d.star(arrow, alpha) == _bound(d, dm, dual) and all(
+        sum(base.compose(arrow, k) == f for k in base.hom(base.dom(f), dm)) == 1
         for f in matching)
 
 
-def _comprehension_search(d: Doctrine, a: str, alpha: str,
-                          dual: bool) -> ComprehensionWitness | None:
-    matching = _matching(d, a, alpha, dual)
-    for m in matching:
-        w = ComprehensionWitness(a, alpha, m, dual)
-        if _is_universal(d, w, matching):
-            return w
-    return None
-
-
-def comprehension(d: Doctrine, a: str, alpha: str) -> ComprehensionWitness | None:
-    """The chosen comprehension monic of ``alpha`` over window object ``a``."""
+def comprehension(d: Doctrine, a: str, alpha: str) -> str | None:
+    """The chosen comprehension arrow of ``alpha`` over window object ``a``."""
     return comprehension_table(d).get((a, alpha))
 
 
-def validate_witness(d: Doctrine, w: ComprehensionWitness) -> bool:
-    """Does the arrow satisfy the (co-)comprehension universal property?"""
-    return _is_universal(d, w, _matching(d, w.obj, w.alpha, w.dual))
+def validate_witness(d: Doctrine, obj: str, alpha: str, arrow: str,
+                     dual: bool = False) -> bool:
+    """Does ``arrow`` satisfy the (co-)comprehension universal property for
+    ``alpha`` over ``obj``?"""
+    return _is_universal(d, arrow, alpha, dual, _matching(d, obj, alpha, dual))
 
 
-def cocomprehension(d: Doctrine, a: str, alpha: str) -> ComprehensionWitness | None:
+def cocomprehension(d: Doctrine, a: str, alpha: str) -> str | None:
+    """The chosen co-comprehension arrow of ``alpha`` over window object ``a``."""
     return cocomprehension_table(d).get((a, alpha))
 
 
 @memoized
-def _witness_table(d: Doctrine, dual: bool) -> dict:
+def _witness_table(d: Doctrine, dual: bool) -> dict[tuple[str, str], str]:
     out = {}
     for a in d.base.window:
         if _bound(d, a, dual) is None:
             continue
         for alpha in d.fibers[a].elements:
-            w = _comprehension_search(d, a, alpha, dual)
-            if w is not None:
-                out[(a, alpha)] = w
+            matching = _matching(d, a, alpha, dual)
+            arrow = next((m for m in matching
+                          if _is_universal(d, m, alpha, dual, matching)), None)
+            if arrow is not None:
+                out[(a, alpha)] = arrow
     return out
 
 
-def comprehension_table(d: Doctrine) -> dict:
+def comprehension_table(d: Doctrine) -> dict[tuple[str, str], str]:
+    """``{(obj, alpha): arrow}``, the chosen comprehension arrows; the memo's
+    own table: do not mutate it."""
     return _witness_table(d, False)
 
 
-def cocomprehension_table(d: Doctrine) -> dict:
+def cocomprehension_table(d: Doctrine) -> dict[tuple[str, str], str]:
+    """``{(obj, alpha): arrow}``, the chosen co-comprehension arrows; the
+    memo's own table: do not mutate it."""
     return _witness_table(d, True)
 
 
@@ -307,9 +264,9 @@ def _fullness(d: Doctrine, dual: bool) -> Verdict:
     for a in base.window:
         fiber = d.fibers[a]
         for alpha in fiber.elements:
-            wa = table[(a, alpha)].arrow
+            wa = table[(a, alpha)]
             for beta in fiber.elements:
-                wb = table[(a, beta)].arrow
+                wb = table[(a, beta)]
                 factors = any(base.compose(wb, k) == wa
                               for k in base.hom(base.dom(wa), base.dom(wb)))
                 # co-comprehension is contravariant: {alpha} through {beta}
@@ -336,7 +293,7 @@ def is_full_cocomprehension(d: Doctrine) -> Verdict:
 
 def _witness_class(d: Doctrine, dual: bool) -> ArrowClass:
     table = _witness_table(d, dual)
-    members = sorted({w.arrow for w in table.values()},
+    members = sorted(set(table.values()),
                      key=d.base.arrow_order.__getitem__)
     return ArrowClass(_kind(dual), tuple(members))
 
@@ -362,13 +319,13 @@ def _witness_squares(d: Doctrine, dual: bool) -> tuple[Square, ...]:
             pulled = table.get((x, d.star(f, alpha)))
             if pulled is None:
                 continue
-            via = base.compose(f, pulled.arrow)
-            qs = [k for k in base.hom(base.dom(pulled.arrow), base.dom(w.arrow))
-                  if base.compose(w.arrow, k) == via]
+            via = base.compose(f, pulled)
+            qs = [k for k in base.hom(base.dom(pulled), base.dom(w))
+                  if base.compose(w, k) == via]
             if len(qs) != 1:
                 continue
-            squares.append(Square(apex=base.dom(pulled.arrow), to_f=qs[0],
-                                  to_g=pulled.arrow, f=w.arrow, g=f))
+            squares.append(Square(apex=base.dom(pulled), to_f=qs[0],
+                                  to_g=pulled, f=w, g=f))
     return _unique_squares(squares)
 
 
@@ -382,7 +339,9 @@ def cocomprehension_squares(d: Doctrine) -> tuple[Square, ...]:
 
 # -- negation -----------------------------------------------------------------
 
-def negation(d: Doctrine) -> NegationTable | None:
+def negation(d: Doctrine) -> dict[str, dict[str, str]] | None:
+    """``{obj: {element: negation}}`` on every window fiber when negation
+    holds, else None; the memo's own table: do not mutate it."""
     verdict, table = _negation_impl(d)
     return table if verdict else None
 
@@ -403,7 +362,7 @@ def _pseudocomplement(fiber, beta: int) -> int | None:
 
 
 @memoized
-def _negation_impl(d: Doctrine) -> tuple[Verdict, NegationTable | None]:
+def _negation_impl(d: Doctrine) -> tuple[Verdict, dict[str, dict[str, str]] | None]:
     primary = is_primary(d)
     if not primary:
         return (primary if primary.is_refuted else Verdict.not_applicable(
@@ -437,7 +396,7 @@ def _negation_impl(d: Doctrine) -> tuple[Verdict, NegationTable | None]:
                     beta=d.fibers[a.cod].elements[beta],
                     reindexed_negation=names[star[neg]],
                     negation_of_reindexed=names[neg_dom[star[beta]]]), None)
-    return Verdict.holds(d.window_descriptor), NegationTable(tables)
+    return Verdict.holds(d.window_descriptor), tables
 
 
 @memoized
@@ -448,7 +407,7 @@ def is_classical(d: Doctrine) -> Verdict:
             f"no negation: {verdict.reason}")
     for a in d.base.window:
         for alpha in d.fibers[a].elements:
-            nn = table.tables[a][table.tables[a][alpha]]
+            nn = table[a][table[a][alpha]]
             if nn != alpha:
                 return Verdict.refuted(kind="not_classical", object=a,
                                        alpha=alpha, double_negation=nn)
@@ -479,16 +438,11 @@ def implication_axioms(d: Doctrine,
         a = base.arrows[f]
         if a.dom not in covered or a.cod not in covered:
             continue
-        star = d.reindex[f].idx_table
-        src, tgt = d.fibers[a.cod].elements, d.fibers[a.dom].elements
-        for x, row in enumerate(impl[a.cod]):
-            of_images = impl[a.dom][star[x]]
-            for y, xy in enumerate(row):
-                if star[xy] != of_images[star[y]]:
-                    return Verdict.refuted(
-                        kind="implication_not_stable", arrow=f,
-                        pair=[src[x], src[y]], lhs=tgt[star[xy]],
-                        rhs=tgt[of_images[star[y]]])
+        bad = _unpreserved(d.reindex[f], impl[a.cod], impl[a.dom])
+        if bad is not None:
+            pair, lhs, rhs = bad
+            return Verdict.refuted(kind="implication_not_stable", arrow=f,
+                                   pair=pair, lhs=lhs, rhs=rhs)
     for row in base.first_level_rows:
         if row.obj not in covered:
             continue
@@ -554,29 +508,25 @@ def implication_axioms(d: Doctrine,
 
 # -- weak power objects -------------------------------------------------------
 
-def _power_cover(d: Doctrine, a: str, p: str,
-                 mem: str) -> dict[tuple[str, str], str] | None:
-    """The first classifying arrow ``chi[(y, phi)]: y -> p`` with
-    ``(id_a x chi)* mem = phi`` for every window ``y`` and every ``phi`` over
-    ``a x y``, or None when some relation has none."""
+def _power_covers(d: Doctrine, a: str, p: str, mem: str) -> bool:
+    """Does every ``phi`` over ``a x y``, for every window ``y``, have a
+    classifying arrow ``chi: y -> p`` with ``(id_a x chi)* mem = phi``?"""
     base = d.base
-    chi: dict[tuple[str, str], str] = {}
     for y in base.window:
         row_y = base.products.get((a, y))
-        if row_y is None:
-            return None
-        for phi in d.fibers[row_y.obj].elements:
-            for c in base.hom(y, p):
-                if d.star(base.times(base.identity[a], c), mem) == phi:
-                    chi[(y, phi)] = c
-                    break
-            else:
-                return None
-    return chi
+        if row_y is None or not all(
+                any(d.star(base.times(base.identity[a], c), mem) == phi
+                    for c in base.hom(y, p))
+                for phi in d.fibers[row_y.obj].elements):
+            return False
+    return True
 
 
 @memoized
-def weak_power_object(d: Doctrine, a: str) -> PowerObjectWitness | None:
+def weak_power_object(d: Doctrine, a: str) -> dict[str, str] | None:
+    """``{"power": p, "membership": mem}``, the first weak power object of
+    ``a`` in the window and power pool, or None; the memo's own record: do
+    not mutate it."""
     base = d.base
     pool = list(dict.fromkeys(list(base.window) + list(base.power_pool)))
     pool.sort(key=base.obj_index)
@@ -585,9 +535,8 @@ def weak_power_object(d: Doctrine, a: str) -> PowerObjectWitness | None:
         if row is None:
             continue
         for mem in d.fibers[row.obj].elements:
-            chi = _power_cover(d, a, p, mem)
-            if chi is not None:
-                return PowerObjectWitness(a, p, mem, chi)
+            if _power_covers(d, a, p, mem):
+                return {"power": p, "membership": mem}
     return None
 
 
@@ -615,7 +564,10 @@ def _epsilon_search(d: Doctrine, gamma: str, a: str, psi: str,
 
 
 @memoized
-def ac_check(d: Doctrine) -> tuple[Verdict, EpsilonTable]:
+def ac_check(d: Doctrine) -> tuple[Verdict, dict[tuple[str, str, str], str]]:
+    """The axiom of choice, with ``{(gamma, a, psi): arrow}``, the epsilon
+    witnesses found before the first failure (all of them when it holds);
+    the memo's own table: do not mutate it."""
     base = d.base
     entries: dict[tuple[str, str, str], str] = {}
     initials = set(base.stable_initials)
@@ -627,8 +579,7 @@ def ac_check(d: Doctrine) -> tuple[Verdict, EpsilonTable]:
             adj = d.sigma(row.proj1)
             if adj is None:
                 return (Verdict.not_applicable(
-                    f"sigma missing along projection {row.proj1}"),
-                    EpsilonTable(entries))
+                    f"sigma missing along projection {row.proj1}"), entries)
             for psi in d.fibers[row.obj].elements:
                 target = adj.table[psi]
                 found = _epsilon_search(d, gamma, a, psi, target)
@@ -636,10 +587,9 @@ def ac_check(d: Doctrine) -> tuple[Verdict, EpsilonTable]:
                     return (Verdict.refuted(
                         kind="ac_no_witness", Gamma=gamma, A=a, psi=psi,
                         sigma_psi=target,
-                        candidates=len(base.hom(gamma, a))),
-                        EpsilonTable(entries))
+                        candidates=len(base.hom(gamma, a))), entries)
                 entries[(gamma, a, psi)] = found
-    return Verdict.holds(d.window_descriptor), EpsilonTable(entries)
+    return Verdict.holds(d.window_descriptor), entries
 
 
 def epsilon(d: Doctrine, gamma: str, a: str, psi: str) -> str | None:
@@ -727,8 +677,8 @@ def declared_checks(d: Doctrine) -> list[tuple[str, Verdict]]:
         key = _kind(dual)
         for a, table in sorted(declared.get(key, {}).items()):
             for alpha, arrow in sorted(table.items()):
-                w = ComprehensionWitness(a, alpha, arrow, dual)
-                record(f"declared {key}[{a},{alpha}]", validate_witness(d, w),
+                record(f"declared {key}[{a},{alpha}]",
+                       validate_witness(d, a, alpha, arrow, dual),
                        key, object=a, alpha=alpha, arrow=arrow)
     for rec in declared.get("epsilon", []):
         gamma, a, psi, arrow = rec["gamma"], rec["a"], rec["psi"], rec["arrow"]
@@ -744,7 +694,7 @@ def declared_checks(d: Doctrine) -> list[tuple[str, Verdict]]:
                       for beta, neg in table.items()))
         record(f"declared negation[{a}]", ok, "negation", object=a)
     for a, rec in sorted(declared.get("power_objects", {}).items()):
-        ok = _power_cover(d, a, rec["power"], rec["membership"]) is not None
+        ok = _power_covers(d, a, rec["power"], rec["membership"])
         record(f"declared power_object[{a}]", ok, "power_object",
                object=a, power=rec["power"])
     return out

@@ -186,8 +186,8 @@ def _h_not_substitutive(d, base, p):
         return False
     a = p["object"]
     row = base.products[(a, a)]
-    lhs = _meet(d, row.obj, d.star(row.proj1, p["psi"]), eq.over(a))
-    rhs = _meet(d, row.obj, d.star(row.proj2, p["psi"]), eq.over(a))
+    lhs = _meet(d, row.obj, d.star(row.proj1, p["psi"]), eq[a])
+    rhs = _meet(d, row.obj, d.star(row.proj2, p["psi"]), eq[a])
     return lhs != rhs
 
 
@@ -207,9 +207,9 @@ def _h_order_law(dual):
         table = cocomprehension_table(d) if dual else comprehension_table(d)
         fiber = d.fibers[p["object"]]
         wa = table[(p["object"], p["alpha"])]
-        bound = (d.fibers[base.dom(wa.arrow)].ops.bottom if dual
-                 else d.fibers[base.dom(wa.arrow)].ops.top)
-        got = d.star(wa.arrow, p["beta"]) == bound
+        bound = (d.fibers[base.dom(wa)].ops.bottom if dual
+                 else d.fibers[base.dom(wa)].ops.top)
+        got = d.star(wa, p["beta"]) == bound
         expected = fiber.leq(p["beta"], p["alpha"]) if dual \
             else fiber.leq(p["alpha"], p["beta"])
         return got != expected

@@ -136,24 +136,24 @@ def witness_report(d: Doctrine) -> dict:
     out: dict = {}
     eq = logic.find_equality(d)
     if eq is not None:
-        out["delta"] = dict(eq.delta)
+        out["delta"] = dict(eq)
     for key, table in (("comprehension", logic.comprehension_table(d)),
                        ("cocomprehension", logic.cocomprehension_table(d))):
         if table:
-            out[key] = {f"{a}|{alpha}": w.arrow
-                        for (a, alpha), w in sorted(table.items())}
+            out[key] = {f"{a}|{alpha}": arrow
+                        for (a, alpha), arrow in sorted(table.items())}
     neg = logic.negation(d)
     if neg is not None:
-        out["negation"] = {a: dict(t) for a, t in sorted(neg.tables.items())}
+        out["negation"] = {a: dict(t) for a, t in sorted(neg.items())}
     ac, eps = logic.ac_check(d)
-    if eps.entries:
+    if eps:
         out["epsilon"] = {f"{g}|{a}|{psi}": arrow
-                          for (g, a, psi), arrow in sorted(eps.entries.items())}
+                          for (g, a, psi), arrow in sorted(eps.items())}
     powers = {}
     for a in d.base.window:
         w = logic.weak_power_object(d, a)
         if w is not None:
-            powers[a] = {"power": w.power, "membership": w.membership}
+            powers[a] = dict(w)
     if powers:
         out["power_objects"] = powers
     return out
@@ -305,13 +305,13 @@ def _nonloso_conclusion(d: Doctrine) -> Verdict:
     # the comprehended predicate
     table = logic.comprehension_table(d)
     for (a, alpha), w in sorted(table.items()):
-        adj = d.sigma(w.arrow)
+        adj = d.sigma(w)
         if adj is None:
-            return Verdict.not_applicable(f"sigma missing along {w.arrow}")
-        top = d.top(d.base.dom(w.arrow))
+            return Verdict.not_applicable(f"sigma missing along {w}")
+        top = d.top(d.base.dom(w))
         if adj.table[top] != alpha:
             return Verdict.refuted(kind="image_of_top", object=a, alpha=alpha,
-                                   arrow=w.arrow, image=adj.table[top])
+                                   arrow=w, image=adj.table[top])
     return combine(d.window_descriptor, _over_witness_class(d, "sigma", False))
 
 
@@ -370,7 +370,7 @@ def _zero_conclusion(d: Doctrine) -> Verdict:
 def _bc_lemma_conclusion(d: Doctrine) -> Verdict:
     # the "ac" hypothesis holds, so the table has every (Gamma, A, psi)
     base = d.base
-    for (gamma, a, psi), e in logic.ac_check(d)[1].entries.items():
+    for (gamma, a, psi), e in logic.ac_check(d)[1].items():
         chosen = d.star(base.pair(base.identity[gamma], e), psi)
         for h in base.hom(gamma, a):
             val = d.star(base.pair(base.identity[gamma], h), psi)

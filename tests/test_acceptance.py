@@ -144,7 +144,7 @@ def test_criterion_6_choice_suite(ps20):
         for gamma in ps20.base.window:
             row = ps20.base.products[(gamma, a)]
             for psi in ps20.fibers[row.obj].elements:
-                if eps.get(gamma, a, psi) is None:
+                if eps.get((gamma, a, psi)) is None:
                     complete = False
     bc = theorems.check_theorem("bc_lemma", ps20)
     n0 = theorems.check_theorem("nonne0", ps20)
@@ -154,7 +154,7 @@ def test_criterion_6_choice_suite(ps20):
           and n0.hypotheses_hold and bool(n0.conclusion)
           and n1.hypotheses_hold and bool(n1.conclusion))
     elapsed = time.perf_counter() - start
-    criterion(6, f"choice witnesses for all {len(eps.entries)} relations, "
+    criterion(6, f"choice witnesses for all {len(eps)} relations, "
                  "domination and quantification propositions verified",
               ok and elapsed < 30.0, elapsed, 30)
 

@@ -85,7 +85,7 @@ def test_ps_negation_is_complement_oracle(ps20):
     for a in ps20.base.window:
         size = ps20.base.sizes[a]
         for e in ps20.fibers[a].elements:
-            assert int(table.neg(a, e)[1:]) == complement(size, int(e[1:]))
+            assert int(table[a][e][1:]) == complement(size, int(e[1:]))
 
 
 def test_ps_adjoints_match_image_oracles(ps20):

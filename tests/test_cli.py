@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import doctrinelab
-from doctrinelab import cli, ioformat, theorems
+from doctrinelab import catalog, cli, ioformat, theorems
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import REFUTED, Verdict
 
@@ -271,6 +271,24 @@ def test_catalog_emit_roundtrip(tmp_path):
     path.write_text(r.stdout)
     assert run_cli("validate", str(path)).returncode == 0
     assert ioformat.serialize(ioformat.parse(r.stdout)) == r.stdout
+
+
+def test_catalog_emit_unknown_id_exits_2(capsys):
+    assert cli.main(["catalog", "--emit", "NOPE"]) == 2
+    assert capsys.readouterr().err == "error: unknown catalog id 'NOPE'\n"
+
+
+def test_catalog_without_a_flag_exits_2(capsys):
+    assert cli.main(["catalog"]) == 2
+    assert capsys.readouterr().err == "error: catalog needs --list or --emit ID\n"
+
+
+def test_catalog_emit_writes_the_serialized_instance(tmp_path, capsys):
+    path = tmp_path / "sier.json"
+    assert cli.main(["catalog", "--emit", "SIER", "--json", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == \
+        ioformat.serialize(catalog.instance("SIER"))
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("what", ["sigma", "implication", "cocomp", "dual",

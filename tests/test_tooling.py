@@ -1,0 +1,56 @@
+"""The benchmark's layer tracer names package functions by string; a span
+name that no longer resolves (a renamed or unexported check) is never
+wrapped, and its per-layer metric silently reads 0."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)  # the tracer imports only the standard library
+    return mod
+
+
+def _resolves(name: str, tracing) -> bool:
+    """Does the tracer record spans named ``name``?  A method entry must
+    name a function; any other name a function in its traced module's
+    ``__all__``, which is what the tracer wraps; "module." selects every
+    span of a traced module."""
+    if name == tracing.IMPORT_SPAN:
+        return True
+    methods = {".".join(p for p in entry if p): entry for entry in tracing.METHODS}
+    if name in methods:
+        m, cls, attr = methods[name]
+        owner = importlib.import_module(f"doctrinelab.{m}")
+        fn = getattr(getattr(owner, cls, None) if cls else owner, attr, None)
+        return inspect.isfunction(fn)
+    m, _, attr = name.partition(".")
+    if m not in tracing.MODULES:
+        return False
+    mod = importlib.import_module(f"doctrinelab.{m}")
+    return not attr or (attr in mod.__all__ and (m, attr) not in tracing.UNWRAPPED
+                        and inspect.isfunction(getattr(mod, attr, None)))
+
+
+def test_every_traced_span_name_resolves_to_a_function():
+    tracing = _tracing()
+    names = {n for group in tracing.SELF_TIME_GROUPS.values() for n in group}
+    names |= {".".join(p for p in entry if p) for entry in tracing.METHODS}
+    assert len(names) > len(tracing.MODULES)
+    assert [n for n in sorted(names) if not _resolves(n, tracing)] == []
+
+
+def test_the_guard_sees_a_renamed_check():
+    tracing = _tracing()
+    assert _resolves("logic.find_equality", tracing)
+    assert not _resolves("logic.no_such_check", tracing)
+    assert not _resolves("logic._equality", tracing)  # a function, not exported
+    assert not _resolves("ioformat.serialize", tracing)  # exported, never wrapped
+    assert not _resolves("theorems.FilterExpr.no_such", tracing)
+    assert not _resolves("nomodule.", tracing)

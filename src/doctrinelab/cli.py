@@ -15,7 +15,8 @@ parse error (an instance file that cannot be read or parsed, a report path
 that cannot be written, or an instance beyond the builder's window), 3
 internal error (one ``internal error:`` line on stderr).  Machine reports go to
 ``--json PATH`` (reports are byte-deterministic; timings only with
-``--timing``).
+``--timing``).  Each subcommand imports the checkers it runs, so that a light
+command does not pay for compiling the rest.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import sys
 from typing import Any
 
 from . import catalog as _catalog
-from . import constructions as _cons
-from . import ioformat, logic, theorems
+from . import ioformat
 from .doctrine import Doctrine, validate_doctrine
 from .verdicts import (DoctrineError, ParseError, Verdict, HOLDS, NOT_APPLICABLE,
                        REFUTED)
@@ -93,8 +93,10 @@ def cmd_validate(args) -> int:
     d = load_instance(args.instance)
     checks = [("category_laws", d.base.validate()),
               ("chosen_products", d.base.verify_products()),
-              ("doctrine_laws", validate_doctrine(d)),
-              *logic.declared_checks(d)]
+              ("doctrine_laws", validate_doctrine(d))]
+    if d.declared:  # only declared witnesses need logic's checks
+        from .logic import declared_checks
+        checks += declared_checks(d)
     print(f"validate {d.name}  [{d.window_descriptor}]")
     for name, v in checks:
         print(_verdict_line(name, v))
@@ -110,6 +112,7 @@ def cmd_validate(args) -> int:
 # -- classify --------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    from . import theorems
     d = load_instance(args.instance)
     flags = theorems.classify(d)
     print(f"classify {d.name}  [{d.window_descriptor}]")
@@ -128,6 +131,7 @@ def cmd_classify(args) -> int:
 # -- derive ----------------------------------------------------------------------
 
 def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
+    from . import constructions as _cons
     base = d.base
     if what == "sigma":
         table = {}
@@ -157,7 +161,8 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
     if what == "graph":
         return "graphs", {f: _cons.graph(d, f) for f in base.window_arrows}
     if what == "epsilon":
-        verdict, eps = logic.ac_check(d)
+        from .logic import ac_check
+        verdict, eps = ac_check(d)
         if not verdict:
             raise DoctrineError(f"axiom of choice fails: {verdict.status} "
                                 f"{verdict.reason or verdict.counterexample}")
@@ -189,6 +194,7 @@ def cmd_derive(args) -> int:
 # -- theorem ---------------------------------------------------------------------
 
 def cmd_theorem(args) -> int:
+    from . import theorems
     d = load_instance(args.instance)
     if args.all:
         ids = theorems.theorem_ids()
@@ -213,6 +219,7 @@ def cmd_theorem(args) -> int:
 # -- search ----------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    from . import theorems
     try:
         expr = theorems.parse_filter(args.filter)
     except (ValueError, KeyError) as exc:
@@ -245,8 +252,11 @@ _CATALOG_BLURBS = {
 
 def cmd_catalog(args) -> int:
     if args.list:
-        for cid in _catalog.catalog_ids():
+        ids = _catalog.catalog_ids()
+        for cid in ids:
             print(f"  {cid:<10} {_CATALOG_BLURBS.get(cid, '')}")
+        _write_json(args.json, {"schema_version": ioformat.SCHEMA_VERSION,
+                                "kind": "catalog", "ids": ids})
         return 0
     if args.emit:
         try:
@@ -326,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("catalog", help="list or emit built-in instances")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--emit", metavar="ID")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--list", action="store_true")
+    which.add_argument("--emit", metavar="ID")
     common(p)
     p.set_defaults(fn=cmd_catalog)
     return ap

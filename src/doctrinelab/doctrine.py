@@ -275,7 +275,7 @@ def _quantifier_doctrine(d: Doctrine, side: str, cls: ArrowClass,
             if lhs != rhs:
                 return Verdict.refuted(kind="beck_chevalley", which=side,
                                        arrow_class=cls.name,
-                                       restricted=restricted, square=vars(s),
+                                       restricted=restricted, square=s.fields(),
                                        gamma=dom_fiber.elements[gamma],
                                        lhs=h_star.target.elements[lhs],
                                        rhs=adj_g.target.elements[rhs])

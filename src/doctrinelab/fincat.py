@@ -17,7 +17,6 @@ construction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -46,25 +45,37 @@ MAX_ARROWS = 4096
 MAX_POINTS = 256
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    dom: str
-    cod: str
+    __slots__ = ("name", "dom", "cod")
+
+    def __init__(self, name: str, dom: str, cod: str):
+        self.name, self.dom, self.cod = name, dom, cod
 
 
-@dataclass(frozen=True)
 class Product:
     """A chosen binary product: carrier with its two projections."""
-    left: str
-    right: str
-    obj: str
-    proj1: str
-    proj2: str
+    __slots__ = ("left", "right", "obj", "proj1", "proj2")
+
+    def __init__(self, left: str, right: str, obj: str, proj1: str, proj2: str):
+        self.left, self.right, self.obj = left, right, obj
+        self.proj1, self.proj2 = proj1, proj2
 
 
-@dataclass(frozen=True)
-class Square:
+class _Value:
+    """Records with equal fields compare and hash equal: they are memo keys."""
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Square(_Value):
     """Commuting square around a chosen pullback of ``f`` along ``g``::
 
         apex --to_g--> dom(g)
@@ -73,11 +84,14 @@ class Square:
           |               |
         dom(f) --f--> cod(f)=cod(g)
     """
-    apex: str
-    to_f: str
-    to_g: str
-    f: str
-    g: str
+    __slots__ = ("apex", "to_f", "to_g", "f", "g")
+
+    def __init__(self, apex: str, to_f: str, to_g: str, f: str, g: str):
+        self.apex, self.to_f, self.to_g, self.f, self.g = apex, to_f, to_g, f, g
+
+    def fields(self) -> dict[str, str]:
+        """The square as a counterexample payload, fields in order."""
+        return dict(zip(self.__slots__, self._key()))
 
 
 def _unique_squares(squares: Iterable[Square]) -> tuple[Square, ...]:
@@ -88,18 +102,19 @@ def _unique_squares(squares: Iterable[Square]) -> tuple[Square, ...]:
     return tuple(uniq[k] for k in sorted(uniq))
 
 
-@dataclass(frozen=True)
-class ArrowClass:
+class ArrowClass(_Value):
     """A class of arrows given by chosen representative members."""
-    name: str
-    members: tuple[str, ...]
+    __slots__ = ("name", "members")
+
+    def __init__(self, name: str, members: tuple[str, ...]):
+        self.name, self.members = name, members
 
 
-@dataclass(frozen=True)
 class Presentation:
-    kind: str
-    spec: tuple
-    truncated: bool = False
+    __slots__ = ("kind", "spec", "truncated")
+
+    def __init__(self, kind: str, spec: tuple, truncated: bool = False):
+        self.kind, self.spec, self.truncated = kind, spec, truncated
 
     def descriptor(self) -> str:
         if not self.spec:
@@ -471,11 +486,11 @@ class FinCategory:
     def verify_square_is_pullback(self, s: Square) -> Verdict:
         """Checks commutation plus window-limiting property of a given square."""
         if self.compose(s.f, s.to_f) != self.compose(s.g, s.to_g):
-            return Verdict.refuted(kind="square_not_commuting", square=vars(s))
+            return Verdict.refuted(kind="square_not_commuting", square=s.fields())
         for y, u, v in self._cones(s.f, s.g, self.window):
             ms = self._mediators(s.apex, s.to_f, s.to_g, y, u, v)
             if len(ms) != 1:
-                return Verdict.refuted(kind="square_not_limiting", square=vars(s),
+                return Verdict.refuted(kind="square_not_limiting", square=s.fields(),
                                        cone=[y, u, v], mediators=ms)
         return Verdict.holds(self.window_descriptor)
 

@@ -17,7 +17,6 @@ documents, reports and counterexample payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -149,18 +148,18 @@ class FinPoset:
         return f"FinPoset({len(self.elements)} elements)"
 
 
-@dataclass(frozen=True)
 class LatticeOps:
     """Partial lattice structure; each table is present only when the
     defining universal property holds for every required argument.  A table
     is index rows, ``meet[i][j]`` being the index of the meet of elements
     ``i`` and ``j``; ``top`` and ``bottom`` are element names."""
+    __slots__ = ("meet", "join", "top", "bottom", "heyting_implication")
 
-    meet: list[list[int]] | None
-    join: list[list[int]] | None
-    top: str | None
-    bottom: str | None
-    heyting_implication: list[list[int]] | None
+    def __init__(self, meet: list[list[int]] | None, join: list[list[int]] | None,
+                 top: str | None, bottom: str | None,
+                 heyting_implication: list[list[int]] | None):
+        self.meet, self.join, self.top, self.bottom = meet, join, top, bottom
+        self.heyting_implication = heyting_implication
 
     @property
     def is_heyting(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import logic
@@ -161,11 +160,13 @@ def witness_report(d: Doctrine) -> dict:
 
 # -- filter expressions ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class FilterExpr:
-    kind: str                      # "flag" | "not" | "and" | "or"
-    name: str | None = None
-    args: tuple["FilterExpr", ...] = ()
+    __slots__ = ("kind", "name", "args")
+
+    def __init__(self, kind: str, name: str | None = None,
+                 args: tuple["FilterExpr", ...] = ()):
+        self.kind = kind  # "flag" | "not" | "and" | "or"
+        self.name, self.args = name, args
 
     def evaluate(self, d: Doctrine) -> bool:
         if self.kind == "flag":
@@ -247,15 +248,18 @@ def parse_filter(text: str) -> FilterExpr:
 
 # -- theorem registry -------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TheoremReport:
-    theorem: str
-    instance: str
-    instance_hash: str
-    hypotheses: tuple[tuple[str, Verdict], ...]
-    conclusion: Verdict
-    wall_ms: float
-    instance_document: Mapping | None = None
+    __slots__ = ("theorem", "instance", "instance_hash", "hypotheses",
+                 "conclusion", "wall_ms", "instance_document")
+
+    def __init__(self, theorem: str, instance: str, instance_hash: str,
+                 hypotheses: tuple[tuple[str, Verdict], ...],
+                 conclusion: Verdict, wall_ms: float,
+                 instance_document: Mapping | None = None):
+        self.theorem, self.instance, self.instance_hash = \
+            theorem, instance, instance_hash
+        self.hypotheses, self.conclusion = hypotheses, conclusion
+        self.wall_ms, self.instance_document = wall_ms, instance_document
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -425,17 +429,10 @@ def _prop1_conclusion(d: Doctrine) -> Verdict:
                            direct=direct.to_json(), characterization=char.to_json())
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    id: str
-    title: str
-    hypotheses: tuple[tuple[str, Callable[[Doctrine], Verdict]], ...]
-    conclusion_name: str
-    conclusion: Callable[[Doctrine], Verdict]
-
-
-REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
-    TheoremCheck(
+# id -> (id, title, ((hypothesis name, check), ...), conclusion name,
+# conclusion check)
+REGISTRY: dict[str, tuple] = {t[0]: t for t in (
+    (
         "nonloso",
         "full comprehension with Frobenius left adjoints along the "
         "comprehension class gives the restricted Beck-Chevalley condition",
@@ -444,7 +441,7 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("frobenius_comp",
           lambda d: _over_witness_class(d, "frobenius", False))),
         "restricted_sigma_comp_and_image_of_top", _nonloso_conclusion),
-    TheoremCheck(
+    (
         "bingo",
         "a Pi-doctrine with full comprehension and restricted Beck-Chevalley "
         "over the comprehension class is implicational",
@@ -453,20 +450,20 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("restricted_pi_comp",
           lambda d: _over_witness_class(d, "pi", False))),
         "derived_implication_axioms", _bingo_conclusion),
-    TheoremCheck(
+    (
         "bingo_converse",
         "if the derived assignment is implicational, comprehension is full",
         (("pi", is_pi_doctrine),
          ("comprehension", logic.has_comprehension),
          ("derived_assignment_passes", _bingo_conclusion)),
         "full_comp", logic.is_full_comprehension),
-    TheoremCheck(
+    (
         "negation_i",
         "comprehension plus negation gives co-comprehension",
         (("comprehension", logic.has_comprehension),
          ("negation", logic.has_negation)),
         "cocomprehension", logic.has_cocomprehension),
-    TheoremCheck(
+    (
         "negation_ii",
         "restricted Beck-Chevalley passes from the comprehension class to "
         "the co-comprehension class",
@@ -476,7 +473,7 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
           lambda d: _over_witness_class(d, "sigma", False))),
         "restricted_sigma_cocomp",
         lambda d: _over_witness_class(d, "sigma", True)),
-    TheoremCheck(
+    (
         "negation_iii",
         "under full comprehension and negation: full co-comprehension iff "
         "classical",
@@ -484,7 +481,7 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("negation", logic.has_negation),
          ("full_comp", logic.is_full_comprehension)),
         "full_cocomp_iff_classical", _negation_iii_conclusion),
-    TheoremCheck(
+    (
         "zero",
         "under choice with nonempty fibers, arrows into a stable initial "
         "object are isomorphisms",
@@ -492,12 +489,12 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("stable_initial", _has_stable_initial),
          ("fibers_nonempty", _fibers_nonempty)),
         "arrows_into_initial_iso", _zero_conclusion),
-    TheoremCheck(
+    (
         "bc_lemma",
         "the chosen witness dominates every substitution instance",
         (("ac", _ac_holds),),
         "choice_dominates", _bc_lemma_conclusion),
-    TheoremCheck(
+    (
         "nonne0",
         "choice with bottoms (and singleton fiber over a stable initial) "
         "makes projections Beck-Chevalley",
@@ -505,7 +502,7 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("has_bottoms", has_bottoms),
          ("p0_singleton", _p0_singleton_if_initial)),
         "sigma_doctrine", lambda d: is_sigma_doctrine(d)),
-    TheoremCheck(
+    (
         "nonne1",
         "a primary doctrine with choice, bottoms and singleton initial fiber "
         "is existential",
@@ -514,7 +511,7 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("has_bottoms", has_bottoms),
          ("p0_singleton", _p0_singleton_if_initial)),
         "existential", is_existential),
-    TheoremCheck(
+    (
         "sinistra",
         "a higher order Sigma-doctrine with full co-comprehension and "
         "restricted Beck-Chevalley over it dualizes to a tripos with full "
@@ -525,40 +522,40 @@ REGISTRY: dict[str, TheoremCheck] = {t.id: t for t in (
          ("restricted_sigma_cocomp",
           lambda d: _over_witness_class(d, "sigma", True))),
         "dual_tripos_with_full_comp", _dual_tripos_conclusion),
-    TheoremCheck(
+    (
         "checazzo2",
         "the fiber over a stable initial object of an eaco is a singleton",
         (("eaco", is_eaco),
          ("stable_initial", _has_stable_initial)),
         "initial_fiber_singleton", _p0_singleton_conclusion),
-    TheoremCheck(
+    (
         "eaco_existential",
         "every eaco is existential",
         (("eaco", is_eaco),),
         "existential", is_existential),
-    TheoremCheck(
+    (
         "baggins",
         "every eaco satisfies restricted Beck-Chevalley over the "
         "co-comprehension class",
         (("eaco", is_eaco),),
         "restricted_sigma_cocomp",
         lambda d: _over_witness_class(d, "sigma", True)),
-    TheoremCheck(
+    (
         "frodo",
         "every heaco is a Pi-doctrine",
         (("heaco", is_heaco),),
         "pi_doctrine", lambda d: is_pi_doctrine(d)),
-    TheoremCheck(
+    (
         "finite_joins",
         "fibers of a heaco have finite joins",
         (("heaco", is_heaco),),
         "finite_joins", _finite_joins),
-    TheoremCheck(
+    (
         "caratterino",
         "a heaco is implicational iff it is a tripos",
         (("heaco", is_heaco),),
         "implicational_iff_tripos", _caratterino_conclusion),
-    TheoremCheck(
+    (
         "prop1_equiv",
         "the tripos definition and its implicational characterization agree",
         (),
@@ -571,20 +568,20 @@ def theorem_ids() -> list[str]:
 
 
 def check_theorem(tid: str, d: Doctrine) -> TheoremReport:
-    check = REGISTRY.get(tid)
-    if check is None:
+    if tid not in REGISTRY:
         raise KeyError(f"unknown theorem id {tid!r}")
+    _, _, hypotheses, _, conclude = REGISTRY[tid]
     start = time.perf_counter()
     hyps: list[tuple[str, Verdict]] = []
     all_hold = True
-    for name, fn in check.hypotheses:
+    for name, fn in hypotheses:
         v = fn(d)
         hyps.append((name, v))
         if not v:
             all_hold = False
             break
     if all_hold:
-        conclusion = check.conclusion(d)
+        conclusion = conclude(d)
     else:
         failed = hyps[-1][0]
         conclusion = Verdict.not_applicable(f"hypothesis {failed!r} not satisfied")

@@ -13,7 +13,6 @@ Every universally-quantified check returns a :class:`Verdict`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 HOLDS = "holds"
@@ -53,12 +52,17 @@ class ParseError(DoctrineError):
         super().__init__(f"{position}: {message}" if position else message)
 
 
-@dataclass(frozen=True)
 class Verdict:
-    status: str
-    window: str | None = None
-    counterexample: Mapping[str, Any] | None = None
-    reason: str | None = None
+    __slots__ = ("status", "window", "counterexample", "reason")
+
+    def __init__(self, status: str, window: str | None = None,
+                 counterexample: Mapping[str, Any] | None = None,
+                 reason: str | None = None):
+        self.status, self.window = status, window
+        self.counterexample, self.reason = counterexample, reason
+
+    def __repr__(self) -> str:
+        return f"Verdict({self.to_json()!r})"
 
     @classmethod
     def holds(cls, window: str) -> "Verdict":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,25 @@ def test_catalog_emit_writes_the_serialized_instance(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_catalog_list_and_emit_together_exit_2(capsys):
+    assert cli.main(["catalog", "--list", "--emit", "SIER"]) == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err
+
+
+def test_catalog_list_writes_a_canonical_report(tmp_path, capsys):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert cli.main(["catalog", "--list", "--json", str(path)]) == 0
+    text = paths[0].read_text(encoding="utf-8")
+    assert text == ioformat.canonical_json(
+        {"schema_version": ioformat.SCHEMA_VERSION, "kind": "catalog",
+         "ids": catalog.catalog_ids()})
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+    out = capsys.readouterr().out
+    assert all(cid in out for cid in catalog.catalog_ids())
+
+
 @pytest.mark.parametrize("what", ["sigma", "implication", "cocomp", "dual",
                                   "graph", "epsilon"])
 def test_derive_subcommands(tmp_path, what):
@@ -425,6 +445,44 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(r.stdout.split()) - {"__main__"}
     assert "doctrinelab" in loaded
     assert sorted(loaded - set(sys.stdlib_module_names) - {"doctrinelab"}) == []
+
+
+# prints the modules that importing doctrinelab and running one command load
+FOOTPRINT = """
+import json, sys
+before = set(sys.modules)
+from doctrinelab import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+sys.exit(rc)
+"""
+
+
+def _new_modules(tmp_path, *argv) -> set:
+    parent = str(Path(doctrinelab.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, *argv],
+                       capture_output=True, text=True, cwd=tmp_path,
+                       env={**os.environ, "PYTHONPATH": parent})
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stdout.splitlines()[-1]))
+
+
+def test_a_light_command_loads_only_what_it_runs(tmp_path):
+    loaded = _new_modules(tmp_path, "validate", "TRIV", "--json", "v.json")
+    assert "doctrinelab.fincat" in loaded
+    assert loaded & {"dataclasses", "doctrinelab.theorems",
+                     "doctrinelab.constructions", "doctrinelab.logic"} == set()
+    loaded = _new_modules(tmp_path, "derive", "--what", "sigma", "TRIV")
+    assert "doctrinelab.constructions" in loaded
+    assert loaded & {"dataclasses", "doctrinelab.theorems"} == set()
+
+
+def test_no_module_imports_dataclasses():
+    src = Path(doctrinelab.__file__).resolve().parent
+    pattern = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
+    files = sorted(src.glob("*.py"))
+    assert len(files) > 10
+    assert [f.name for f in files if pattern.search(f.read_text())] == []
 
 
 # an address-space cap, so that a regression of the window guard fails

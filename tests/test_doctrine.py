@@ -21,13 +21,21 @@ def test_ps_validates(ps20):
     assert validate_doctrine(ps20)
 
 
-def _fault_injected(ps20, breaker):
-    """Copy of PS(2,0) with one reindex table tampered with."""
-    reindex = dict(ps20.reindex)
-    name, table = breaker(ps20)
-    old = reindex[name]
-    reindex[name] = MonotoneMap.from_names(old.source, old.target, table)
-    return Doctrine(ps20.base, ps20.fibers, reindex, name="PS-broken")
+def _fault_injected(d, breaker=None, composite=None):
+    """Copy of a catalog doctrine with one reindex table, or the composite
+    ``gf`` of one pair ``composite = ((g, f), gf)``, tampered with."""
+    reindex, base = dict(d.reindex), d.base
+    if breaker is not None:
+        name, table = breaker(d)
+        old = reindex[name]
+        reindex[name] = MonotoneMap.from_names(old.source, old.target, table)
+    if composite is not None:
+        pair, gf = composite
+        base = FinCategory(base.objects, base.arrows.values(), base.identity,
+                           {**base.compose_table, pair: gf}, base.window,
+                           base.products, base.terminal_obj, base.presentation,
+                           base.sizes, base.power_pool)
+    return Doctrine(base, d.fibers, reindex, name="PS-broken")
 
 
 def test_fault_injected_composite_refuted(ps20):
@@ -73,6 +81,25 @@ def test_fault_injected_image_breaks_monotonicity(ps20):
         "kind": "not_monotone", "arrow": "S8>S2:0,0,0,0,1,1,1,1",
         "pair": ["e1", "e3"], "images": ["e15", "e0"]}
     assert recheck(broken, v)
+
+
+def test_fault_injected_identity_reindex_rechecks(ps11):
+    # reindexing along the identity of S1 sends the top {0} to the bottom
+    broken = _fault_injected(ps11, lambda d: ("S1>S1:0", {"e0": "e0", "e1": "e0"}))
+    v = validate_doctrine(broken)
+    assert v.counterexample == {"kind": "functor_identity", "object": "S1",
+                                "element": "e1", "image": "e0"}
+    assert recheck(broken, v) and not recheck(ps11, v)
+
+
+def test_fault_injected_identity_composite_rechecks(ps11):
+    # the identity of S2 after the swap of its two points gives a constant
+    broken = _fault_injected(
+        ps11, composite=(("S2>S2:0,1", "S2>S2:1,0"), "S2>S2:0,0"))
+    v = broken.base.validate()
+    assert v.counterexample == {"kind": "identity_law", "object": "S2",
+                                "arrow": "S2>S2:1,0", "composite": "S2>S2:0,0"}
+    assert recheck(broken, v) and not recheck(ps11, v)
 
 
 def chain_doctrine(n, image_of_top):

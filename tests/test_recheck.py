@@ -39,10 +39,10 @@ def test_base_squares_refuted_and_rechecked(ps11):
     kernel = base.pullback(bang, bang)
     assert kernel is not None and base.verify_square_is_pullback(kernel)
     assert not recheck(ps11, Verdict.refuted(
-        kind="square_not_limiting", square=vars(kernel),
+        kind="square_not_limiting", square=kernel.fields(),
         cone=v.counterexample["cone"]))
     assert not recheck(ps11, Verdict.refuted(
-        kind="square_not_commuting", square=vars(base.pullback(a, b))))
+        kind="square_not_commuting", square=base.pullback(a, b).fields()))
 
 
 _KIND_SITE = r'(?:Verdict\.refuted\(\s*kind=|_search_failure\(\s*d,\s*)'

@@ -5,6 +5,7 @@ wrapped, and its per-layer metric silently reads 0."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -54,3 +55,45 @@ def test_the_guard_sees_a_renamed_check():
     assert not _resolves("ioformat.serialize", tracing)  # exported, never wrapped
     assert not _resolves("theorems.FilterExpr.no_such", tracing)
     assert not _resolves("nomodule.", tracing)
+
+
+def _wraps(wrapper, fn) -> bool:
+    """Is ``wrapper`` a wrapper (of a wrapper ...) around ``fn``?"""
+    while wrapper is not fn:
+        wrapper = getattr(wrapper, "__wrapped__", None)
+        if wrapper is None:
+            return False
+    return True
+
+
+def test_the_tracer_reaches_the_theorem_registry():
+    # the tracer rebuilds tuples around its wrappers but does not look
+    # inside a plain class, so a registry of class instances goes untraced
+    tracing = _tracing()
+    theorems = importlib.import_module("doctrinelab.theorems")
+    before = dict(theorems.REGISTRY)
+
+    def checks(registry):
+        return [fn for entry in registry.values()
+                for fn in (*(fn for _, fn in entry[2]), entry[4])]
+
+    def exported(fn) -> bool:
+        mod = sys.modules[fn.__module__]
+        return (mod.__name__.removeprefix("doctrinelab.") in tracing.MODULES
+                and fn.__name__ in mod.__all__
+                and getattr(mod, fn.__name__) is fn)
+
+    originals = checks(before)
+    traced = [exported(fn) for fn in originals]
+    assert sum(traced) >= 10
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = checks(theorems.REGISTRY)
+    finally:
+        tracer.uninstall()
+    missed = [old.__name__ for fn, old, t in zip(wrapped, originals, traced)
+              if ((fn is old or not _wraps(fn, old)) if t else fn is not old)]
+    assert missed == []
+    assert all(theorems.REGISTRY[tid] is entry for tid, entry in before.items())
+    assert checks(theorems.REGISTRY) == originals

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from . import fincat
 from .doctrine import Doctrine
-from .fincat import (MAX_POINTS, ConcreteBuilder, FinCategory, Arrow,
-                     Presentation, Product)
-from .poset import FinPoset, MonotoneMap
-from .verdicts import InvalidTopology, WindowExceeded
+from .fincat import ConcreteBuilder, FinCategory, Arrow, Presentation, Product
+from .poset import FinPoset, MonotoneMap, _monotone_maps
+from .verdicts import InvalidTopology
 
 __all__ = [
     "powerset_finset",
@@ -32,6 +32,7 @@ __all__ = [
     "semilattice_category",
     "subsets_over_semilattice",
     "SIERPINSKI_SPACES",
+    "CATALOG",
     "catalog_ids",
     "instance",
 ]
@@ -83,53 +84,37 @@ def _preimage_maps(base: FinCategory, fibers: Mapping[str, FinPoset],
     return reindex
 
 
-def powerset_finset(max_size: int, power_depth: int = 0,
-                    ceiling: int = MAX_POINTS) -> Doctrine:
+def powerset_finset(max_size: int, power_depth: int = 0) -> Doctrine:
     """The powerset doctrine over a window of finite sets.
 
-    Raises :class:`WindowExceeded` before building anything when a carrier
-    exceeds ``ceiling`` (by default the builder's ``fincat.MAX_POINTS``), and
-    from the builder when the window needs more than ``fincat.MAX_ARROWS``
-    arrows.
+    Every object is added before any arrow, so the builder raises
+    :class:`WindowExceeded` for a carrier of more than ``fincat.MAX_POINTS``
+    points before any quadratic work; it raises it too when the window needs
+    more than ``fincat.MAX_ARROWS`` arrows.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if max_size > ceiling:
-        raise WindowExceeded(f"window size {max_size} exceeds ceiling {ceiling}")
-    window_sizes = list(range(max_size + 1))
-    pool_sizes: set[int] = set()
-    reachable = set(window_sizes)
-    for _ in range(power_depth):
-        # a size above the ceiling fails the product scan; its powerset
-        # need not be formed
-        step = {1 << s for s in sorted(reachable) if s <= ceiling}
-        if step <= pool_sizes:
-            break
-        pool_sizes |= step
-        reachable |= step
-    scope = sorted(set(window_sizes) | pool_sizes)
-    for a in scope:
-        for b in scope:
-            if a * b > ceiling:
-                raise WindowExceeded(
-                    f"product of sizes {a}x{b} exceeds ceiling {ceiling}")
-    rows: set[tuple[int, int]] = set()
-    for a in scope:
-        for c in scope:
-            rows.add((a, c))
-    for x in window_sizes:
-        for a in window_sizes:
-            rows.add((x * a, a))  # triple carrier for the equality functor
-    sizes_needed = sorted({a * c for a, c in rows} - set(scope))
-    for s in sizes_needed:
-        if s > ceiling:
-            raise WindowExceeded(f"carrier size {s} exceeds ceiling {ceiling}")
-
     b = ConcreteBuilder(Presentation(
         "finset", (max_size, power_depth), truncated=True))
-    for s in scope:
-        b.add_object(f"S{s}", s, window=s in window_sizes,
-                     pool=s in pool_sizes)
+    window = range(max_size + 1)
+    for s in window:
+        b.add_object(f"S{s}", s, window=True)
+    pool: set[int] = set()
+    for _ in range(power_depth):
+        # the builder refuses a carrier above its limit; its powerset need
+        # not be formed
+        step = {1 << s for s in (*window, *pool) if s <= fincat.MAX_POINTS}
+        if step <= pool:
+            break
+        pool |= step
+    for s in sorted(pool):
+        b.add_object(f"S{s}", s, pool=True)
+    scope = sorted({*window, *pool})
+    rows = {(a, c) for a in scope for c in scope}
+    # triple carriers for the equality functor
+    rows |= {(x * a, a) for x in window for a in window}
+    for s in sorted({a * c for a, c in rows}):
+        b.add_object(f"S{s}", s)
     # all functions between scope sets (window-to-window generators plus the
     # power-pool candidates for chi searches)
     for a in scope:
@@ -137,8 +122,6 @@ def powerset_finset(max_size: int, power_depth: int = 0,
             # the image of 0 varies fastest
             for img in product(range(c), repeat=a):
                 b.add_arrow(f"S{a}", f"S{c}", img[::-1])
-    for s in sizes_needed:
-        b.add_object(f"S{s}", s)
     for a, c in sorted(rows):
         b.declare_product(f"S{a}", f"S{c}", f"S{a * c}")
     b.terminal = "S1"
@@ -215,18 +198,6 @@ def _upset_masks(uppers: Sequence[int]) -> list[int]:
     return out
 
 
-def _continuous_maps(ups: Sequence[int],
-                     upd: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every continuous map between two finite spaces given by their
-    specialization orders (``uppers`` masks), in lexicographic order: the
-    monotone ones, with ``ups[i]`` holding ``j`` only if ``upd[img[i]]``
-    holds ``img[j]``."""
-    pairs = [(i, j) for i, up in enumerate(ups) for j in range(len(ups))
-             if up >> j & 1]
-    return (img for img in product(range(len(upd)), repeat=len(ups))
-            if all(upd[img[i]] >> img[j] & 1 for i, j in pairs))
-
-
 def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[str]]]],
                   name: str = "opens") -> Doctrine:
     """Open-set doctrine over the given finite spaces and all continuous maps.
@@ -259,7 +230,7 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
 
     for src in order:
         for dst in order:
-            for img in _continuous_maps(uppers[src], uppers[dst]):
+            for img in _monotone_maps(uppers[src], uppers[dst]):
                 b.add_arrow(src, dst, img)
 
     def product_uppers(ua: list[int], ub: list[int]) -> list[int]:
@@ -371,8 +342,17 @@ _PS_RE = re.compile(r"PS\(([1-9]\d*),(\d+)\)$")
 _CACHE: dict[str, Doctrine] = {}
 
 
+CATALOG: Mapping[str, str] = {
+    "PS(2,0)": "finite sets up to size 2, powerset fibers",
+    "PS(1,1)": "finite sets up to size 1 with one powerset step",
+    "SIER": "empty, point and Sierpinski spaces, open-set fibers",
+    "TRIV": "singleton fibers over the PS(1,1) base",
+    "SL3": "3-chain semilattice base, nonempty down-set fibers",
+}
+
+
 def catalog_ids() -> list[str]:
-    return ["PS(2,0)", "PS(1,1)", "SIER", "TRIV", "SL3"]
+    return list(CATALOG)
 
 
 def instance(cid: str) -> Doctrine:

@@ -241,22 +241,13 @@ def cmd_search(args) -> int:
 
 # -- catalog ---------------------------------------------------------------------
 
-_CATALOG_BLURBS = {
-    "PS(2,0)": "finite sets up to size 2, powerset fibers",
-    "PS(1,1)": "finite sets up to size 1 with one powerset step",
-    "SIER": "empty, point and Sierpinski spaces, open-set fibers",
-    "TRIV": "singleton fibers over the PS(1,1) base",
-    "SL3": "3-chain semilattice base, nonempty down-set fibers",
-}
-
-
 def cmd_catalog(args) -> int:
     if args.list:
-        ids = _catalog.catalog_ids()
-        for cid in ids:
-            print(f"  {cid:<10} {_CATALOG_BLURBS.get(cid, '')}")
+        for cid, blurb in _catalog.CATALOG.items():
+            print(f"  {cid:<10} {blurb}")
         _write_json(args.json, {"schema_version": ioformat.SCHEMA_VERSION,
-                                "kind": "catalog", "ids": ids})
+                                "kind": "catalog",
+                                "ids": _catalog.catalog_ids()})
         return 0
     if args.emit:
         try:
@@ -316,8 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", help="run theorem registry entries")
     p.add_argument("instance")
-    p.add_argument("--id", help="registry id")
-    p.add_argument("--all", action="store_true", help="run the whole registry")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--id", help="registry id")
+    which.add_argument("--all", action="store_true",
+                       help="run the whole registry")
     p.add_argument("--timing", action="store_true",
                    help="include wall times in the machine report")
     common(p)

@@ -403,15 +403,9 @@ class FinCategory:
 
     # -- isomorphisms, monics, initials -------------------------------------
 
-    def find_iso(self, a: str, b: str) -> tuple[str, str] | None:
-        """A mutual inverse pair (u: a->b, v: b->a) within the window tables."""
-        ida, idb = self.identity[a], self.identity[b]
-        for u in self.hom(a, b):
-            for v in self.hom(b, a):
-                if (self.compose_table.get((v, u)) == ida
-                        and self.compose_table.get((u, v)) == idb):
-                    return u, v
-        return None
+    def find_iso(self, a: str, b: str) -> str | None:
+        """An isomorphism a -> b within the window tables, or None."""
+        return next((u for u in self.hom(a, b) if self.is_iso(u)), None)
 
     def is_iso(self, f: str) -> bool:
         a = self.arrows[f]

@@ -18,7 +18,8 @@ documents, reports and counterexample payloads.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "FinPoset",
@@ -285,6 +286,17 @@ def _monotone_break(m: MonotoneMap) -> tuple[int, int] | None:
                 return i, j
             mask &= mask - 1
     return None
+
+
+def _monotone_maps(ups: Sequence[int],
+                   upd: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every monotone map between two finite orders given by their
+    ``uppers`` masks, as index tables in lexicographic order: ``img`` with
+    ``upd[img[i]]`` holding ``img[j]`` whenever ``ups[i]`` holds ``j``."""
+    pairs = [(i, j) for i, up in enumerate(ups) for j in range(len(ups))
+             if up >> j & 1]
+    return (img for img in product(range(len(upd)), repeat=len(ups))
+            if all(upd[img[i]] >> img[j] & 1 for i, j in pairs))
 
 
 def _composes_to(first: MonotoneMap, then: MonotoneMap,

@@ -29,7 +29,7 @@ from .doctrine import (Doctrine, frobenius, has_bottoms, has_tops, is_existentia
                        is_sigma_doctrine, memoized, validate_doctrine)
 from .fincat import FinCategory
 from .ioformat import instance_hash, to_document
-from .poset import FinPoset, MonotoneMap
+from .poset import FinPoset, MonotoneMap, _monotone_maps
 from .verdicts import ParseError, Verdict, combine
 
 __all__ = [
@@ -625,23 +625,12 @@ def _init_shapes() -> None:
         elements = [f"u{i}" for i in range(n)]
         leq = [(f"u{i}", f"u{j}") for i, j in pairs]
         _SHAPES[sid] = FinPoset(elements, leq + [(e, e) for e in elements])
-    for sid, p in _SHAPES.items():
-        n = len(p.elements)
-        auts = []
-        for perm in itertools.permutations(range(n)):
-            if all(p.leq_idx(i, j) == p.leq_idx(perm[i], perm[j])
-                   for i in range(n) for j in range(n)):
-                auts.append(perm)
-        _AUTS[sid] = tuple(auts)
     for sa, pa in _SHAPES.items():
         for sb, pb in _SHAPES.items():
-            na, nb = len(pa.elements), len(pb.elements)
-            maps = []
-            for img in itertools.product(range(nb), repeat=na):
-                if all(not pa.leq_idx(i, j) or pb.leq_idx(img[i], img[j])
-                       for i in range(na) for j in range(na)):
-                    maps.append(img)
-            _MONO[(sa, sb)] = tuple(maps)
+            _MONO[(sa, sb)] = tuple(_monotone_maps(pa.uppers, pb.uppers))
+        # a monotone bijection of a finite order permutes its comparable
+        # pairs, so it reflects the order: it is an automorphism
+        _AUTS[sa] = tuple(m for m in _MONO[(sa, sa)] if len(set(m)) == len(m))
 
 
 def _interned_map(src_shape: str, dst_shape: str,

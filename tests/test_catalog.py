@@ -126,18 +126,27 @@ def test_invalid_topology_rejected():
                                      ((), ("a",), ("b",), ("a", "b", "c")))})
 
 
-def test_ps_window_guard():
-    with pytest.raises(WindowExceeded):
-        catalog.powerset_finset(2, 0, ceiling=4)
+def test_ps_window_guard(monkeypatch):
+    # the builder alone limits carriers: PS(2,0)'s first one above 4 points
+    # is the triple carrier S2 x S2 x S2
+    monkeypatch.setattr(fincat, "MAX_POINTS", 4)
+    with pytest.raises(WindowExceeded, match="carrier of 8 points"):
+        catalog.powerset_finset(2, 0)
 
 
-@pytest.mark.parametrize("cid", ["PS(3,0)", "PS(9,0)", "PS(1000,0)", "PS(1,6)"])
+# the builder's floor refuses PS(3,0); PS(1000,0) needs a carrier above the
+# limit in its window alone, and PS(1,6) would form the powerset of a
+# 65,536-point set
+OVERSIZED = {"PS(3,0)": "at least 301191 arrows",
+             "PS(9,0)": "a carrier of 288 points",
+             "PS(1000,0)": "a carrier of 257 points",
+             "PS(1,6)": "a carrier of 65536 points"}
+
+
+@pytest.mark.parametrize("cid", list(OVERSIZED))
 def test_oversized_powerset_window_refused_before_building(cid):
-    # PS(3,0) needs at least 31,920 arrows, PS(9,0) a carrier of 729 points;
-    # PS(1000,0) exceeds the ceiling with its window alone, and PS(1,6)
-    # would form the powerset of a 65,536-point set
     start = time.perf_counter()
-    with pytest.raises(WindowExceeded):
+    with pytest.raises(WindowExceeded, match=f" needs {OVERSIZED[cid]};"):
         catalog.instance(cid)
     assert time.perf_counter() - start < 1.0
 

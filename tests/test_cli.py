@@ -235,6 +235,16 @@ def test_theorem_single_id():
     assert "frodo" in r.stdout
 
 
+def test_theorem_id_and_all_together_exit_2(capsys):
+    assert cli.main(["theorem", "TRIV", "--id", "nonloso", "--all"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_theorem_without_id_or_all_exits_2(capsys):
+    assert cli.main(["theorem", "TRIV"]) == 2
+    assert capsys.readouterr().err == "error: theorem needs --id NAME or --all\n"
+
+
 def test_theorem_unknown_id():
     r = run_cli("theorem", "TRIV", "--id", "nonsense")
     assert r.returncode == 2

@@ -1,14 +1,19 @@
 """The benchmark's layer tracer names package functions by string; a span
 name that no longer resolves (a renamed or unexported check) is never
-wrapped, and its per-layer metric silently reads 0."""
+wrapped, and its per-layer metric silently reads 0.  README's catalog table
+is checked against the catalog the same way."""
 
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from doctrinelab import catalog
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -97,3 +102,10 @@ def test_the_tracer_reaches_the_theorem_registry():
     assert missed == []
     assert all(theorems.REGISTRY[tid] is entry for tid, entry in before.items())
     assert checks(theorems.REGISTRY) == originals
+
+
+def test_readme_catalog_table_lists_the_catalog_in_order():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Catalog instances\n\n", 1)[1].split("\n\n", 1)[0]
+    ids = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert ids == list(catalog.CATALOG)

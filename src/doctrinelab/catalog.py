@@ -198,6 +198,21 @@ def _upset_masks(uppers: Sequence[int]) -> list[int]:
     return out
 
 
+def _product_uppers(ua: Sequence[int], ub: Sequence[int]) -> list[int]:
+    """The specialization order of the product topology, in the builder's
+    point coding (i, j) -> i * |b| + j."""
+    na, nb = len(ua), len(ub)
+    out = []
+    for p in range(na * nb):
+        i, j = p // nb, p % nb
+        m = 0
+        for q in range(na * nb):
+            if ua[i] >> (q // nb) & 1 and ub[j] >> (q % nb) & 1:
+                m |= 1 << q
+        out.append(m)
+    return out
+
+
 def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[str]]]],
                   name: str = "opens") -> Doctrine:
     """Open-set doctrine over the given finite spaces and all continuous maps.
@@ -233,21 +248,9 @@ def openset_space(spaces: Mapping[str, tuple[Sequence[str], Sequence[Sequence[st
             for img in _monotone_maps(uppers[src], uppers[dst]):
                 b.add_arrow(src, dst, img)
 
-    def product_uppers(ua: list[int], ub: list[int]) -> list[int]:
-        na, nb = len(ua), len(ub)
-        out = []
-        for p in range(na * nb):
-            i, j = p // nb, p % nb
-            m = 0
-            for q in range(na * nb):
-                if ua[i] >> (q // nb) & 1 and ub[j] >> (q % nb) & 1:
-                    m |= 1 << q
-            out.append(m)
-        return out
-
     for a, c in rows:
         nm = f"({a}x{c})"
-        uppers[nm] = product_uppers(uppers[a], uppers[c])
+        uppers[nm] = _product_uppers(uppers[a], uppers[c])
         b.add_object(nm, len(uppers[nm]))
         b.declare_product(a, c, nm)
     for nm in order:

@@ -22,15 +22,6 @@ WINDOW = ("E", "U")
 SPACES = tuple(catalog.SIERPINSKI_SPACES)  # E, U and S; S is in the pool only
 
 
-def _product_uppers(ua, ub):
-    """The specialization order of the product topology, in the point
-    coding (i, j) -> i * |b| + j that ``openset_space`` uses."""
-    nb, n = len(ub), len(ua) * len(ub)
-    return [sum(1 << q for q in range(n)
-                if ua[p // nb] >> (q // nb) & 1 and ub[p % nb] >> (q % nb) & 1)
-            for p in range(n)]
-
-
 def opens_with_a_power_pool() -> Doctrine:
     uppers = {}
     for nm in SPACES:
@@ -51,7 +42,7 @@ def opens_with_a_power_pool() -> Doctrine:
             *((f"({w}x{a})", a) for w in WINDOW for a in WINDOW)]
     for a, c in dict.fromkeys(rows):
         nm = f"({a}x{c})"
-        uppers[nm] = _product_uppers(uppers[a], uppers[c])
+        uppers[nm] = catalog._product_uppers(uppers[a], uppers[c])
         b.add_object(nm, len(uppers[nm]))
         b.declare_product(a, c, nm)
     b.terminal = "U"

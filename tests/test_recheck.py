@@ -166,47 +166,45 @@ def test_search_refutations_recheck_without_the_search(monkeypatch, flag, kind,
     assert not any(recheck(d, v) for d, v in witnessed)
 
 
-def _payload(**fields):
-    return Verdict.refuted(**fields)
-
-
 def test_unstable_initial_rechecks_through_the_isomorphism_search(ps11, sier):
+    def payload(obj, factor):
+        return Verdict.refuted(kind="unstable_initial", object=obj,
+                               factor=factor)
     # S2 x S1 is S2, which is not isomorphic to S1: S1 is not a stable initial
-    assert recheck(ps11, _payload(kind="unstable_initial", object="S1",
-                                  factor="S2"))
+    assert recheck(ps11, payload("S1", "S2"))
     # S1 x S0 is S0 itself
-    assert not recheck(ps11, _payload(kind="unstable_initial", object="S0",
-                                      factor="S1"))
+    assert not recheck(ps11, payload("S0", "S1"))
     # U x U is another object, but isomorphic to U
-    assert not recheck(sier, _payload(kind="unstable_initial", object="U",
-                                      factor="U"))
+    assert not recheck(sier, payload("U", "U"))
 
 
 def test_arrow_into_initial_rechecks_its_invertibility(ps11):
     # no catalog base has a non-invertible arrow into its stable initial,
     # so the payloads name arrows the handler must find (not) invertible
-    assert recheck(ps11, _payload(kind="arrow_into_initial_not_iso",
-                                  arrow="S1>S2:0", initial="S0"))
-    for iso in ("S0>S0:", "S2>S2:1,0"):
-        assert not recheck(ps11, _payload(kind="arrow_into_initial_not_iso",
-                                          arrow=iso, initial="S0"))
+    def payload(arrow):
+        return Verdict.refuted(kind="arrow_into_initial_not_iso", arrow=arrow,
+                               initial="S0")
+    assert recheck(ps11, payload("S1>S2:0"))
+    assert not recheck(ps11, payload("S0>S0:"))
+    assert not recheck(ps11, payload("S2>S2:1,0"))
 
 
 def test_initial_fiber_size_rechecks_from_the_fiber(ps11, sl3):
-    # P(1) has two elements; the fibers over S0 and over L0 have one
-    assert recheck(ps11, _payload(kind="initial_fiber_not_singleton",
-                                  object="S1", size=2))
-    assert not recheck(ps11, _payload(kind="initial_fiber_not_singleton",
-                                      object="S0", size=1))
-    assert not recheck(sl3, _payload(kind="initial_fiber_not_singleton",
-                                     object="L0", size=1))
+    # no catalog instance has a stable initial whose fiber has more than
+    # one element; P(1) has two, and the fibers over S0 and L0 have one
+    def payload(obj, size):
+        return Verdict.refuted(kind="initial_fiber_not_singleton", object=obj,
+                               size=size)
+    assert recheck(ps11, payload("S1", 2))
+    assert not recheck(ps11, payload("S0", 1))
+    assert not recheck(sl3, payload("L0", 1))
 
 
 def test_image_of_top_rechecks_with_a_fresh_sigma(ps11):
     # Sigma along the point 0 of S2 takes the top of P(1) to {0}, that is e1
     def payload(alpha):
-        return _payload(kind="image_of_top", object="S2", alpha=alpha,
-                        arrow="S1>S2:0", image="e1")
+        return Verdict.refuted(kind="image_of_top", object="S2", alpha=alpha,
+                               arrow="S1>S2:0", image="e1")
     assert recheck(ps11, payload("e2"))
     assert not recheck(ps11, payload("e1"))
 
@@ -215,8 +213,8 @@ def test_choice_not_maximal_rechecks_from_the_reindexing(ps11):
     # psi = {0} in P(S1 x S2): pulled back along the point 0 it is the top,
     # along the point 1 the bottom, so the point 1 is not a maximal choice
     def payload(h, epsilon):
-        return _payload(kind="choice_not_maximal", Gamma="S1", A="S2",
-                        psi="e1", h=h, epsilon=epsilon)
+        return Verdict.refuted(kind="choice_not_maximal", Gamma="S1", A="S2",
+                               psi="e1", h=h, epsilon=epsilon)
     assert recheck(ps11, payload("S1>S2:0", "S1>S2:1"))
     assert not recheck(ps11, payload("S1>S2:1", "S1>S2:0"))
     assert not recheck(ps11, payload("S1>S2:0", "S1>S2:0"))

@@ -195,7 +195,6 @@ def cmd_derive(args) -> int:
 
 def cmd_theorem(args) -> int:
     from . import theorems
-    d = load_instance(args.instance)
     if args.all:
         ids = theorems.theorem_ids()
     elif args.id:
@@ -204,6 +203,7 @@ def cmd_theorem(args) -> int:
         ids = [args.id]
     else:
         raise ParseError("theorem needs --id NAME or --all")
+    d = load_instance(args.instance)
     reports = [theorems.check_theorem(tid, d) for tid in ids]
     print(f"theorem run on {d.name}  [{d.window_descriptor}]")
     for r in reports:

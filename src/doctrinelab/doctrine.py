@@ -13,10 +13,11 @@ results are never silently over-claimed.
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .fincat import ArrowClass, FinCategory, Square, _unique_squares
+from .fincat import (_MISSING, ArrowClass, FinCategory, Square,
+                     _unique_squares, memoized)
 from .poset import (FinPoset, MonotoneMap, _composes_to, _monotone_break,
                     _unpreserved, left_adjoint, right_adjoint)
 from .verdicts import ShapeMismatch, Verdict, combine
@@ -34,18 +35,6 @@ __all__ = [
     "is_existential",
     "bc_squares",
 ]
-
-# marks a key never computed: None is a result the memo must keep
-_MISSING = object()
-
-
-def memoized(fn: Callable) -> Callable:
-    """Memoize ``fn(d, *args)`` in ``d`` under the key ``(fn, *args)``."""
-    @wraps(fn)
-    def call(d: "Doctrine", *args):
-        return d.cached((fn, *args), lambda: fn(d, *args))
-    return call
-
 
 class Doctrine:
     """A finite doctrine: base category, fibers, reindexing."""
@@ -232,12 +221,12 @@ def is_propositional(d: Doctrine) -> Verdict:
 def bc_squares(d: Doctrine, cls: ArrowClass) -> tuple[Square, ...]:
     """The window pullback squares over which Beck-Chevalley is quantified:
     for the projection class the product-table squares, plus the window
-    pullbacks of window-arrow members found by search."""
-    squares: list[Square] = []
-    if cls.name == "Prj":
-        squares.extend(d.base.canonical_projection_squares())
-    squares.extend(d.base._window_pullbacks(cls))
-    return _unique_squares(squares)
+    pullbacks of window-arrow members found by search.  They depend on the
+    base alone, so the base computes them once for every doctrine over it."""
+    base = d.base
+    return base.cached(("bc_squares", cls), lambda: _unique_squares(
+        (*(base.canonical_projection_squares() if cls.name == "Prj" else ()),
+         *base._window_pullbacks(cls))))
 
 
 @memoized

@@ -17,9 +17,9 @@ construction.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .poset import FinPoset
 from .verdicts import (MalformedCategory, StructureMissing, Verdict,
@@ -43,6 +43,18 @@ __all__ = [
 MAX_ARROWS = 4096
 # The builder holds arrow images as bytes, so no carrier has more points.
 MAX_POINTS = 256
+
+# marks a key never computed: None is a result the memo must keep
+_MISSING = object()
+
+
+def memoized(fn: Callable) -> Callable:
+    """Memoize ``fn(owner, *args)`` through ``owner.cached`` under the key
+    ``(fn, *args)``; the owner is a doctrine or a base category."""
+    @wraps(fn)
+    def call(owner, *args):
+        return owner.cached((fn, *args), lambda: fn(owner, *args))
+    return call
 
 
 class Arrow:
@@ -123,7 +135,11 @@ class Presentation:
 
 
 class FinCategory:
-    """Objects, arrows, composition, chosen products, and the window."""
+    """Objects, arrows, composition, chosen products, and the window.
+
+    Every result that depends on the base alone is memoized in it by
+    :func:`memoized`, so the doctrines over one base share it.
+    """
 
     def __init__(self, objects: Sequence[str], arrows: Iterable[Arrow],
                  identity: Mapping[str, str],
@@ -168,10 +184,15 @@ class FinCategory:
         self.presentation = presentation
         self.sizes = dict(sizes) if sizes else None
         self.tables = dict(tables) if tables is not None else None
-        self._product_ok: dict[tuple[str, str], Any] = {}
-        self._pullback_cache: dict[tuple[str, str], Square | None] = {}
+        self._cache: dict = {}
 
     # -- basic structure ---------------------------------------------------
+
+    def cached(self, key, compute: Callable):
+        got = self._cache.get(key, _MISSING)
+        if got is _MISSING:
+            got = self._cache[key] = compute()
+        return got
 
     def obj_index(self, o: str) -> int:
         return self._obj_index[o]
@@ -218,6 +239,7 @@ class FinCategory:
         names = [n for n, a in self.arrows.items() if a.dom in ws and a.cod in ws]
         return tuple(self.sort_arrows(names))
 
+    @memoized
     def window_arrows_into(self, o: str) -> tuple[str, ...]:
         ws = set(self.window)
         return tuple(n for n in self.arrows_into(o) if self.arrows[n].dom in ws)
@@ -231,7 +253,7 @@ class FinCategory:
             raise MalformedCategory(f"incomplete table: ({g}) o ({f}) missing")
         return got
 
-    @property
+    @cached_property
     def window_descriptor(self) -> str:
         return (f"{self.presentation.descriptor()};window={len(self.window)}obj/"
                 f"{len(self.arrows)}arr")
@@ -345,20 +367,15 @@ class FinCategory:
                 if self.compose_table.get((p1, k)) == u
                 and self.compose_table.get((p2, k)) == v]
 
+    @memoized
     def _verify_product(self, row: Product) -> str | None:
-        key = (row.left, row.right)
-        if key in self._product_ok:
-            return self._product_ok[key]
-        result = None
         cones = ((x, f, g) for x in self.window
                  for f in self.hom(x, row.left) for g in self.hom(x, row.right))
         for x, f, g in cones:
             n = len(self._mediators(row.obj, row.proj1, row.proj2, x, f, g))
             if n != 1:
-                result = f"{n} mediators for ({f},{g})"
-                break
-        self._product_ok[key] = result
-        return result
+                return f"{n} mediators for ({f},{g})"
+        return None
 
     def verify_products(self) -> Verdict:
         """The universal property of every chosen product row against window
@@ -371,6 +388,7 @@ class FinCategory:
                                            detail=bad)
         return Verdict.holds(self.window_descriptor)
 
+    @memoized
     def pair(self, f: str, g: str) -> str:
         """The unique mediating arrow into the chosen product of the codomains."""
         af, ag = self.arrows[f], self.arrows[g]
@@ -392,6 +410,7 @@ class FinCategory:
     def diagonal(self, a: str) -> str:
         return self.pair(self.identity[a], self.identity[a])
 
+    @memoized
     def times(self, f: str, g: str) -> str:
         """f x g between the chosen products of the endpoints."""
         row = self.product(self.dom(f), self.dom(g))
@@ -448,6 +467,7 @@ class FinCategory:
 
     # -- pullbacks -----------------------------------------------------------
 
+    @memoized
     def pullback(self, f: str, g: str) -> Square | None:
         """A limiting square over the cospan ``f, g``, if the window holds one.
 
@@ -457,15 +477,11 @@ class FinCategory:
         af, ag = self.arrows[f], self.arrows[g]
         if af.cod != ag.cod:
             raise ValueError("pullback needs a cospan (equal codomains)")
-        if (f, g) in self._pullback_cache:
-            return self._pullback_cache[(f, g)]
         cones = list(self._cones(f, g, self.window))
-        found = next((Square(apex=q, to_f=p1, to_g=p2, f=f, g=g)
-                      for q, p1, p2 in self._cones(f, g, self.objects)
-                      if all(len(self._mediators(q, p1, p2, *c)) == 1
-                             for c in cones)), None)
-        self._pullback_cache[(f, g)] = found
-        return found
+        return next((Square(apex=q, to_f=p1, to_g=p2, f=f, g=g)
+                     for q, p1, p2 in self._cones(f, g, self.objects)
+                     if all(len(self._mediators(q, p1, p2, *c)) == 1
+                            for c in cones)), None)
 
     def _cones(self, f: str, g: str,
                apexes: Iterable[str]) -> Iterator[tuple[str, str, str]]:
@@ -498,6 +514,7 @@ class FinCategory:
                 if a in scope and b in scope]
         return tuple(rows)
 
+    @memoized
     def projection_class(self) -> ArrowClass:
         members: list[str] = []
         seen = set()
@@ -522,14 +539,10 @@ class FinCategory:
                     return True
         return False
 
+    @memoized
     def canonical_projection_squares(self) -> tuple[Square, ...]:
         """Each chosen projection pulled back along every window arrow into
-        its codomain, with the apex taken from the product table; computed
-        once per base, which the doctrines over it share."""
-        return self._projection_squares
-
-    @cached_property
-    def _projection_squares(self) -> tuple[Square, ...]:
+        its codomain, with the apex taken from the product table."""
         squares: list[Square] = []
         for r in self.first_level_rows:
             for h in self.window_arrows_into(r.left):
@@ -561,6 +574,7 @@ class FinCategory:
                     if s is not None:
                         yield s
 
+    @memoized
     def is_pullback_stable(self, cls: ArrowClass) -> Verdict:
         """Is the class closed under the window pullbacks that exist?"""
         squares = (self.canonical_projection_squares() if cls.name == "Prj"

@@ -250,6 +250,18 @@ def test_theorem_unknown_id():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("flags,error", [
+    ([], "theorem needs --id NAME or --all"),
+    (["--id", "nonsense"], "unknown theorem id 'nonsense'")])
+def test_theorem_checks_its_flags_before_loading(monkeypatch, capsys, flags,
+                                                  error):
+    def load(spec):
+        raise AssertionError(f"{spec} loaded before the flags were checked")
+    monkeypatch.setattr(cli, "load_instance", load)
+    assert cli.main(["theorem", "PS(2,0)", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_search_finds_intuitionistic_witness(tmp_path):
     out = tmp_path / "found.jsonl"
     r = run_cli("search", "--filter", "full_comp&!classical", "--limit", "1",

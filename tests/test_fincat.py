@@ -1,12 +1,14 @@
 import pytest
 
+from doctrinelab import catalog, theorems
 from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
-                                FinCategory, Presentation)
+                                FinCategory, Presentation, Product)
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import MalformedCategory, WindowExceeded
 
 from oracles import parse_arrow
+from test_doctrine import _fault_injected, _fresh
 
 
 def one_object_category():
@@ -220,3 +222,121 @@ def test_builder_refuses_a_carrier_above_its_point_limit():
     base = b.close()
     assert base.tables[base.identity["X"]] == tuple(range(MAX_POINTS))
     assert base.validate()
+
+
+# -- the base memo ----------------------------------------------------------------
+
+def _copy(base):
+    """A base built from the tables of ``base``, with an empty memo."""
+    return FinCategory(base.objects, base.arrows.values(), base.identity,
+                       base.compose_table, base.window, base.products,
+                       base.terminal_obj, base.presentation, base.sizes,
+                       base.power_pool, base.tables)
+
+
+def _outcome(method, *args):
+    try:
+        got = method(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.to_json() if hasattr(got, "to_json") else got
+
+
+MEMO_BASES = [*catalog.catalog_ids(), *(f"chain{n}" for n in range(1, 5))]
+
+
+def _memo_base(name):
+    if name.startswith("chain"):
+        return theorems.chain_base(int(name[len("chain"):]))
+    return catalog.instance(name).base
+
+
+@pytest.mark.parametrize("name", MEMO_BASES)
+def test_memoized_base_results_match_a_fresh_base(name):
+    base = _memo_base(name)
+    fresh = _copy(base)
+    assert fresh._cache == {}
+    wa = base.window_arrows
+    calls = [("pair", f, g) for f in wa for g in wa
+             if base.dom(f) == base.dom(g)
+             and (base.cod(f), base.cod(g)) in base.products]
+    calls += [("times", f, g) for f in wa for g in wa
+              if (base.dom(f), base.dom(g)) in base.products
+              and (base.cod(f), base.cod(g)) in base.products]
+    calls += [("window_arrows_into", o) for o in base.objects]
+    prj = base.projection_class()
+    others = ArrowClass("all", wa)
+    calls += [("projection_class",), ("is_pullback_stable", prj),
+              ("is_pullback_stable", others)]
+    assert any(c[0] == "pair" for c in calls)
+    assert any(c[0] == "times" for c in calls)
+    for name_, *args in calls:
+        want = _outcome(getattr(fresh, name_), *args)
+        # the first call may compute, the second reads the memo
+        assert _outcome(getattr(base, name_), *args) == want, (name_, args)
+        assert _outcome(getattr(base, name_), *args) == want, (name_, args)
+    assert base.projection_class() is base.projection_class()
+    assert base.window_descriptor == fresh.window_descriptor
+
+
+@pytest.mark.parametrize("cid", ["PS(1,1)", "SIER", "TRIV", "SL3"])
+def test_doctrines_over_one_base_share_its_memo(cid):
+    d = catalog.instance(cid)
+    theorems.check_all(_fresh(d))
+    entries = dict(d.base._cache)
+    assert entries
+    theorems.check_all(_fresh(d))
+    assert d.base._cache == entries
+
+
+def test_a_rebuilt_base_starts_with_an_empty_memo(ps11):
+    base = ps11.base
+    ident, swap = "S2>S2:0,1", "S2>S2:1,0"
+    memoized = base.pullback(swap, ident)
+    assert (memoized.to_f, memoized.to_g) == (ident, swap)
+    broken = _fault_injected(ps11, composite=((ident, swap), "S2>S2:0,0"))
+    assert broken.base._cache == {}
+    v = broken.base.validate()
+    assert v.counterexample == {"kind": "identity_law", "object": "S2",
+                                "arrow": swap, "composite": "S2>S2:0,0"}
+    assert recheck(broken, v)
+    # the broken cell changes which cones commute over the swap, so the
+    # rebuilt base finds another square than the one in the memo above
+    got = broken.base.pullback(swap, ident)
+    assert (got.to_f, got.to_g) == (swap, ident)
+    assert _copy(broken.base).pullback(swap, ident) == got
+
+
+def _not_a_product():
+    """One object ``A`` with an idempotent ``e``, and ``(A, id, e)`` chosen
+    as ``A x A``: the cone ``(id, id)`` has no mediator."""
+    return FinCategory(["A"], [Arrow("id", "A", "A"), Arrow("e", "A", "A")],
+                       {"A": "id"}, {("id", "id"): "id", ("id", "e"): "e",
+                                     ("e", "id"): "e", ("e", "e"): "e"},
+                       products={("A", "A"): Product("A", "A", "A", "id", "e")})
+
+
+def test_pair_on_a_broken_product_raises_on_every_call():
+    base = _not_a_product()
+    for _ in range(2):
+        with pytest.raises(MalformedCategory, match="not a product"):
+            base.pair("id", "id")
+    assert not any(key[0].__name__ == "pair" for key in base._cache)
+
+
+def test_a_missing_pullback_is_computed_once():
+    # the cospan A --f--> C <--g-- B has no commuting cone at all
+    arrows = [Arrow(f"1{o}", o, o) for o in "ABC"]
+    arrows += [Arrow("f", "A", "C"), Arrow("g", "B", "C")]
+    table = {(f"1{o}", f"1{o}"): f"1{o}" for o in "ABC"}
+    table.update({("1C", "f"): "f", ("f", "1A"): "f",
+                  ("1C", "g"): "g", ("g", "1B"): "g"})
+    base = FinCategory("ABC", arrows, {o: f"1{o}" for o in "ABC"}, table)
+    cones = []
+    search = base._cones
+    base._cones = lambda *args: cones.append(args) or search(*args)
+    assert base.pullback("f", "g") is None
+    computed = len(cones)
+    assert computed
+    assert base.pullback("f", "g") is None
+    assert len(cones) == computed

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from doctrinelab import ioformat, logic, theorems
+from doctrinelab import constructions, ioformat, logic, theorems
 from doctrinelab import recheck as recheck_module
-from doctrinelab.constructions import derived_implication_tables
+from doctrinelab.constructions import derived_implication_tables, dualize
 from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import Square
 from doctrinelab.poset import MonotoneMap
@@ -218,3 +218,74 @@ def test_choice_not_maximal_rechecks_from_the_reindexing(ps11):
     assert recheck(ps11, payload("S1>S2:0", "S1>S2:1"))
     assert not recheck(ps11, payload("S1>S2:1", "S1>S2:0"))
     assert not recheck(ps11, payload("S1>S2:0", "S1>S2:0"))
+
+
+def test_not_substitutive_rechecks_against_the_chosen_equality(monkeypatch,
+                                                               ps20, sier):
+    # every equality predicate found on a catalog or enumerated doctrine is
+    # substitutive; the top over S2 x S2 is not: the subset {0} of S2 pulls
+    # back to {0} x S2 along the first projection and to S2 x {0} along the
+    # second, and meeting the top keeps both
+    base = ps20.base
+    top = {a: ps20.fibers[base.products[(a, a)].obj].ops.top
+           for a in base.window}
+    v = logic.check_substitutive(ps20, top)
+    assert v.counterexample["kind"] == "not_substitutive"
+    assert v.counterexample["object"] == "S2"
+    assert not recheck(ps20, v)  # PS(2,0)'s own equality is substitutive
+    monkeypatch.setattr(logic, "find_equality", lambda d: top)
+    assert recheck(ps20, v)
+    # the empty set pulls back to the empty set along both projections
+    assert not recheck(ps20, Verdict.refuted(
+        kind="not_substitutive", object="S2", psi=ps20.fibers["S2"].ops.bottom))
+    # SIER has no equality predicate to recheck against
+    monkeypatch.undo()
+    assert not recheck(sier, Verdict.refuted(kind="not_substitutive",
+                                             object="U", psi="e1"))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_order_law_rechecks_from_the_witness_table(sl3, dual):
+    # SL3's co-comprehension of e3 over L2 is L0 -> L2, which pulls every
+    # element back to the bottom of the one-element fiber over L0, e7 too,
+    # although e7 is not below e3; with every fiber reversed, the same
+    # failure is on the comprehension side
+    d = sl3 if dual else dualize(sl3)
+    kind = f"{logic._kind(dual)}_order_law"
+
+    def payload(alpha, beta):
+        return Verdict.refuted(kind=kind, object="L2", alpha=alpha, beta=beta)
+    assert recheck(d, payload("e3", "e7"))
+    assert not recheck(d, payload("e3", "e3"))
+    assert not recheck(d, payload("e7", "e7"))
+
+
+def test_eaco_compat_rechecks_with_the_choice_table(monkeypatch, ps20):
+    # the equation holds on every catalog and enumerated doctrine for any
+    # table of AC witnesses; choosing another arrow wherever the hom-set
+    # has one breaks it
+    def payload(alpha):
+        return Verdict.refuted(kind="eaco_compat", arrow="S1>S2:1",
+                               alpha=alpha)
+    assert not recheck(ps20, payload("e0"))
+    holds, eps = logic.ac_check(ps20)
+    other = {k: next((e for e in ps20.base.hom(*k[:2]) if e != v), v)
+             for k, v in eps.items()}
+    monkeypatch.setattr(constructions, "ac_check", lambda d: (holds, other))
+    assert recheck(ps20, payload("e0"))
+    assert not recheck(ps20, payload("e1"))
+
+
+def test_no_tripos_equality_rechecks_from_the_diagonal(ps11, sl3):
+    # every catalog fiber has a top, and then the elements pulled back to
+    # the top along the diagonal form a principal filter; a fiber without a
+    # top has no such delta
+    antichain = next(d for d in theorems.enumerate_doctrines(
+        max_base=1, max_fiber=2, budget=1000, max_emit=10)
+        if d.top("L0") is None)
+
+    def payload(obj):
+        return Verdict.refuted(kind="no_tripos_equality", object=obj)
+    assert recheck(antichain, payload("L0"))
+    assert not recheck(ps11, payload("S1"))
+    assert not recheck(sl3, payload("L2"))

@@ -1,8 +1,11 @@
 """The benchmark's layer tracer names package functions by string; a span
 name that no longer resolves (a renamed or unexported check) is never
 wrapped, and its per-layer metric silently reads 0.  README's catalog table
-is checked against the catalog the same way."""
+is checked against the catalog the same way.  The tracer counts memo hits
+and misses by wrapping ``Doctrine.cached``, so no other code may touch a
+memo dict."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -109,3 +112,50 @@ def test_readme_catalog_table_lists_the_catalog_in_order():
     table = text.split("## Catalog instances\n\n", 1)[1].split("\n\n", 1)[0]
     ids = re.findall(r"^\| `([^`]+)` \|", table, re.M)
     assert ids == list(catalog.CATALOG)
+
+
+def _memo_uses(source: str) -> list[tuple[int, str]]:
+    """``(line, function)`` of each use of a memo dict, an attribute or a
+    string ``_cache``, other than creating it empty in ``__init__``."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (func == "__init__" and isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(node.value, ast.Dict) and not node.value.keys):
+            return
+        if ((isinstance(node, ast.Attribute) and node.attr == "_cache")
+                or (isinstance(node, ast.Constant) and node.value == "_cache")):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+    visit(ast.parse(source), None)
+    return found
+
+
+def _outside_cached(source: str) -> list[tuple[int, str]]:
+    return [use for use in _memo_uses(source) if use[1] != "cached"]
+
+
+def test_only_the_cached_methods_touch_a_memo():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "doctrinelab").glob("*.py"))}
+    assert {name: _outside_cached(text) for name, text in sources.items()
+            if _outside_cached(text)} == {}
+    owners = sorted(name for name, text in sources.items() if _memo_uses(text))
+    assert owners == ["doctrine.py", "fincat.py"]
+
+
+def test_the_memo_gate_sees_a_fast_path_around_cached():
+    source = (ROOT / "src" / "doctrinelab" / "fincat.py").read_text(
+        encoding="utf-8")
+    fast_path = source.replace(
+        "    def call(owner, *args):\n",
+        "    def call(owner, *args):\n"
+        "        got = owner._cache.get((fn, *args), _MISSING)\n"
+        "        if got is not _MISSING:\n"
+        "            return got\n")
+    assert fast_path != source
+    assert _outside_cached(source) == []
+    assert [func for _, func in _outside_cached(fast_path)] == ["call"]

@@ -5,7 +5,7 @@ import pytest
 
 from doctrinelab import constructions, ioformat, logic, theorems
 from doctrinelab import recheck as recheck_module
-from doctrinelab.constructions import derived_implication_tables, dualize
+from doctrinelab.constructions import derived_implication_tables
 from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import Square
 from doctrinelab.poset import MonotoneMap
@@ -250,7 +250,7 @@ def test_order_law_rechecks_from_the_witness_table(sl3, dual):
     # element back to the bottom of the one-element fiber over L0, e7 too,
     # although e7 is not below e3; with every fiber reversed, the same
     # failure is on the comprehension side
-    d = sl3 if dual else dualize(sl3)
+    d = sl3 if dual else constructions.dualize(sl3)
     kind = f"{logic._kind(dual)}_order_law"
 
     def payload(alpha, beta):
@@ -261,9 +261,10 @@ def test_order_law_rechecks_from_the_witness_table(sl3, dual):
 
 
 def test_eaco_compat_rechecks_with_the_choice_table(monkeypatch, ps20):
-    # the equation holds on every catalog and enumerated doctrine for any
-    # table of AC witnesses; choosing another arrow wherever the hom-set
-    # has one breaks it
+    # the equation holds on every catalog and enumerated doctrine with the
+    # AC witnesses ac_check chooses, and with any other valid ones (see
+    # test_eaco_compat_epsilon_independent); choosing another arrow
+    # wherever the hom-set has one breaks it
     def payload(alpha):
         return Verdict.refuted(kind="eaco_compat", arrow="S1>S2:1",
                                alpha=alpha)

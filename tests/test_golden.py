@@ -13,6 +13,17 @@ for each of the five catalog ids and each ``WHAT`` of ``DERIVATIONS``.  The
 commands run through ``cli.main`` in this process, so they reuse the
 session's cached catalog instances.
 
+Those reports embed catalog-block documents.  ``theorem_TAG.jsonl`` for
+each ``TAG`` of ``INSTANCE_FILES`` gates the explicit ``base``, ``fibers``
+and ``reindex`` document instead::
+
+    doctrinelab theorem data/TAG.json --all --json theorem_TAG.jsonl
+
+``data/enum29.json`` is ``ioformat.serialize`` of the enumerated doctrine
+``enum-2-9``, one of the two in criterion 8's space on which all 18
+theorems have their hypotheses satisfied, and ``data/enum29op.json`` that
+of its dual.
+
 ``test_enumerated_reports_match_digest`` gates the reports that no golden
 file holds: every classification, witness report and theorem report of an
 enumerated sample, hashed in the order the package writes their keys.
@@ -31,8 +42,10 @@ from doctrinelab import catalog, cli, theorems
 from doctrinelab.constructions import dualize
 from doctrinelab.recheck import recheck
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 DERIVATIONS = ("sigma", "implication", "cocomp", "dual", "graph", "epsilon")
+INSTANCE_FILES = ("enum29", "enum29op")
 
 
 def _cases():
@@ -44,6 +57,8 @@ def _cases():
         for what in DERIVATIONS:
             yield f"derive_{what}_{tag}.json", ["derive", cid, "--what", what]
     yield "search.jsonl", ["search", "--filter", "full_comp&!classical"]
+    for tag in INSTANCE_FILES:
+        yield f"theorem_{tag}.jsonl", ["theorem", str(DATA / f"{tag}.json"), "--all"]
 
 
 @pytest.mark.parametrize("name,argv", list(_cases()),

@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
-from . import logic
+from . import ioformat, logic
 from .catalog import semilattice_category
 from .constructions import (derived_implication_tables, dualize, is_eaco,
                             is_heaco)
@@ -28,7 +28,6 @@ from .doctrine import (Doctrine, frobenius, has_bottoms, has_tops, is_existentia
                        is_pi_doctrine, is_primary, is_propositional,
                        is_sigma_doctrine, memoized, validate_doctrine)
 from .fincat import FinCategory
-from .ioformat import instance_hash, to_document
 from .poset import FinPoset, MonotoneMap, _monotone_maps
 from .verdicts import ParseError, Verdict, combine
 
@@ -249,17 +248,30 @@ def parse_filter(text: str) -> FilterExpr:
 # -- theorem registry -------------------------------------------------------------
 
 class TheoremReport:
-    __slots__ = ("theorem", "instance", "instance_hash", "hypotheses",
-                 "conclusion", "wall_ms", "instance_document")
+    """One theorem checked on one instance.
 
-    def __init__(self, theorem: str, instance: str, instance_hash: str,
+    ``instance_hash`` and ``instance_document`` are computed on first read,
+    through the doctrine's memo, so a report that is only counted never
+    serialises its instance, and every report of a doctrine shares one
+    document.  A report therefore pins its doctrine."""
+    __slots__ = ("theorem", "instance", "hypotheses", "conclusion", "wall_ms",
+                 "_doctrine")
+
+    def __init__(self, theorem: str, doctrine: Doctrine,
                  hypotheses: tuple[tuple[str, Verdict], ...],
-                 conclusion: Verdict, wall_ms: float,
-                 instance_document: Mapping | None = None):
-        self.theorem, self.instance, self.instance_hash = \
-            theorem, instance, instance_hash
-        self.hypotheses, self.conclusion = hypotheses, conclusion
-        self.wall_ms, self.instance_document = wall_ms, instance_document
+                 conclusion: Verdict, wall_ms: float):
+        self.theorem, self.instance, self._doctrine = \
+            theorem, doctrine.name, doctrine
+        self.hypotheses, self.conclusion, self.wall_ms = \
+            hypotheses, conclusion, wall_ms
+
+    @property
+    def instance_hash(self) -> str:
+        return ioformat.instance_hash(self._doctrine)
+
+    @property
+    def instance_document(self) -> dict:
+        return ioformat.to_document(self._doctrine)
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -586,8 +598,7 @@ def check_theorem(tid: str, d: Doctrine) -> TheoremReport:
         failed = hyps[-1][0]
         conclusion = Verdict.not_applicable(f"hypothesis {failed!r} not satisfied")
     wall = (time.perf_counter() - start) * 1000.0
-    return TheoremReport(tid, d.name, instance_hash(d), tuple(hyps),
-                         conclusion, wall, instance_document=to_document(d))
+    return TheoremReport(tid, d, tuple(hyps), conclusion, wall)
 
 
 def check_all(d: Doctrine) -> list[TheoremReport]:

@@ -1,6 +1,6 @@
 import pytest
 
-from doctrinelab import catalog, theorems
+from doctrinelab import catalog, ioformat, theorems
 from doctrinelab.doctrine import (Doctrine, frobenius, has_bottoms, has_tops,
                                   is_existential, is_pi_doctrine, is_primary,
                                   is_propositional, is_sigma_doctrine,
@@ -279,6 +279,7 @@ def _memo_entries(d: Doctrine) -> int:
     theorems.classify(d)
     theorems.witness_report(d)
     reports = theorems.check_all(d)
+    assert len(reports[0].instance_hash) == 16
     assert all(r.instance_document is reports[0].instance_document
                for r in reports)
     return len(d._cache)
@@ -296,6 +297,39 @@ def test_memo_entries_over_enumerated_doctrines():
     found = theorems.enumerate_doctrines(max_base=4, max_fiber=3,
                                          budget=500_000, max_emit=500)
     assert sum(_memo_entries(_fresh(s)) for s in found) == 19_743
+
+
+def _serialised(d: Doctrine) -> set[str]:
+    return {key[0].__name__ for key in d._cache if callable(key[0])} & {
+        "to_document", "instance_hash"}
+
+
+def _one_of_each_source() -> list[Doctrine]:
+    """A catalog doctrine, whose document is a catalog block, and an
+    enumerated one, whose document holds its tables."""
+    enumerated = next(theorems.enumerate_doctrines(
+        max_base=2, max_fiber=2, budget=1000, max_emit=1))
+    return [_fresh(catalog.instance("PS(1,1)")), _fresh(enumerated)]
+
+
+def test_check_all_serialises_nothing():
+    for d in _one_of_each_source():
+        reports = theorems.check_all(d)
+        assert not any(r.is_violation for r in reports)
+        assert _serialised(d) == set()
+
+
+def test_reports_serialise_on_first_read():
+    for d in _one_of_each_source():
+        reports = theorems.check_all(d)
+        twin = _fresh(d)
+        assert len(reports) == 18
+        assert {r.instance_hash for r in reports} == {
+            ioformat.instance_hash(twin)}
+        assert reports[0].instance_document == ioformat.to_document(twin)
+        assert all(r.instance_document is ioformat.to_document(d)
+                   for r in reports)
+        assert _serialised(d) == {"to_document", "instance_hash"}
 
 
 def test_defaulted_arguments_share_one_memo_entry(triv):

@@ -605,28 +605,21 @@ def epsilon(d: Doctrine, gamma: str, a: str, psi: str) -> str | None:
 
 # -- triposes -----------------------------------------------------------------
 
-def _tripos_delta(d: Doctrine, x: str) -> str | None:
-    """delta with  top <= Delta*(alpha)  iff  delta <= alpha, if any."""
-    base = d.base
-    row = base.products[(x, x)]
-    fiber_xx = d.fibers[row.obj]
-    top_x = d.top(x)
-    if top_x is None:
-        return None
-    above_top = d.fibers[x].uppers[d.fibers[x].index[top_x]]
-    # the alpha with top <= Delta*(alpha), as a mask: delta's up-set
-    mask = 0
-    for alpha, image in enumerate(d.reindex[base.diagonal(x)].idx_table):
-        if above_top >> image & 1:
-            mask |= 1 << alpha
-    delta = fiber_xx.least_of_upset(mask)
-    return None if delta is None else fiber_xx.elements[delta]
-
-
 @memoized
 def is_tripos(d: Doctrine) -> Verdict:
     """Propositional + Sigma- and Pi-doctrine + equality by the adjoint-free
-    characterization + weak power objects."""
+    characterization + weak power objects.
+
+    The equality needs no search once the doctrine is propositional: for
+    each window object X with a product row (X, X) there is a delta in
+    fiber(X x X) with ``top <= Delta*(alpha)  iff  delta <= alpha``.  X x X
+    is then a first-level product carrier, so the diagonal X -> X x X is a
+    scope arrow and ``is_propositional`` has made reindexing along it a
+    Heyting map.  The alpha with ``top <= Delta*(alpha)`` are those sent
+    to top: a set that holds top (top is preserved), is closed under binary
+    meets (meets are preserved) and is up-closed (reindexing is monotone).
+    In a finite lattice such a set is the principal filter of the meet of
+    its elements, and that meet is delta."""
     prop = is_propositional(d)
     if not prop:
         return prop if prop.is_refuted else Verdict.not_applicable(
@@ -634,9 +627,6 @@ def is_tripos(d: Doctrine) -> Verdict:
     for part in [is_sigma_doctrine(d), is_pi_doctrine(d)]:
         if not part:
             return part
-    for x in d.base.window:
-        if _tripos_delta(d, x) is None:
-            return Verdict.refuted(kind="no_tripos_equality", object=x)
     ho = is_higher_order(d)
     if not ho:
         return ho

@@ -84,9 +84,6 @@ class FinPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, e: str) -> bool:
-        return e in self.index
-
     def leq(self, a: str, b: str) -> bool:
         return bool(self.uppers[self.index[a]] >> self.index[b] & 1)
 

@@ -381,11 +381,6 @@ def _h_no_weak_power_object(d, base, p):
                    for mem in d.fibers[base.products[(a, power)].obj].elements)
 
 
-def _h_no_tripos_equality(d, base, p):
-    from .logic import _tripos_delta
-    return _tripos_delta(d, p["object"]) is None
-
-
 def _h_image_of_top(d, base, p):
     adj = _fresh_adjoint(d, "sigma", p["arrow"])
     if adj is None:
@@ -527,7 +522,6 @@ _HANDLERS = {
     "no_comprehension_witness": _h_no_witness(False),
     "no_cocomprehension_witness": _h_no_witness(True),
     "no_weak_power_object": _h_no_weak_power_object,
-    "no_tripos_equality": _h_no_tripos_equality,
     "image_of_top": _h_image_of_top,
     "arrow_into_initial_not_iso": _h_arrow_into_initial_not_iso,
     "initial_fiber_not_singleton": _h_initial_fiber_not_singleton,

@@ -1,4 +1,5 @@
-from doctrinelab import logic
+from doctrinelab import catalog, logic, theorems
+from doctrinelab.constructions import dualize
 from doctrinelab.recheck import recheck
 
 from oracles import mask_of, named, pair_code
@@ -287,6 +288,36 @@ def test_tripos_checkers(ps11, triv, sier, ps20):
     assert logic.is_tripos_via_characterization(triv)
     assert logic.is_tripos(sier).is_refuted
     assert logic.is_tripos(ps20).is_na  # higher order is window-limited
+
+
+def _tripos_delta(d, x):
+    """The delta of ``logic.is_tripos``'s docstring, by a scan of
+    fiber(X x X): the element whose up-set is the set of alpha with
+    ``top <= Delta*(alpha)``, or None."""
+    fiber = d.fibers[d.base.products[(x, x)].obj]
+    top, diagonal = d.top(x), d.base.diagonal(x)
+    above = {a for a in fiber.elements
+             if d.fibers[x].leq(top, d.star(diagonal, a))}
+    return next((a for a in fiber.elements
+                 if above == {b for b in fiber.elements if fiber.leq(a, b)}),
+                None)
+
+
+def test_tripos_delta_exists_wherever_there_is_a_top():
+    # is_tripos no longer searches for delta, nor refutes its absence: its
+    # docstring proves that a propositional doctrine has one; it exists on
+    # every window object with a top here, propositional or not
+    doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
+    doctrines += [dualize(d) for d in doctrines]
+    doctrines += theorems.enumerate_doctrines(max_base=4, max_fiber=3,
+                                              budget=500_000, max_emit=10_000)
+    checked = missing = 0
+    for d in doctrines:
+        for x in d.base.window:
+            if d.top(x) is not None:
+                checked += 1
+                missing += _tripos_delta(d, x) is None
+    assert (checked, missing) == (14_041, 0)
 
 
 def test_validate_witness_helper(ps20):

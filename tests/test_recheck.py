@@ -276,17 +276,3 @@ def test_eaco_compat_rechecks_with_the_choice_table(monkeypatch, ps20):
     assert recheck(ps20, payload("e0"))
     assert not recheck(ps20, payload("e1"))
 
-
-def test_no_tripos_equality_rechecks_from_the_diagonal(ps11, sl3):
-    # every catalog fiber has a top, and then the elements pulled back to
-    # the top along the diagonal form a principal filter; a fiber without a
-    # top has no such delta
-    antichain = next(d for d in theorems.enumerate_doctrines(
-        max_base=1, max_fiber=2, budget=1000, max_emit=10)
-        if d.top("L0") is None)
-
-    def payload(obj):
-        return Verdict.refuted(kind="no_tripos_equality", object=obj)
-    assert recheck(antichain, payload("L0"))
-    assert not recheck(ps11, payload("S1"))
-    assert not recheck(sl3, payload("L2"))

@@ -304,9 +304,9 @@ def _tripos_delta(d, x):
 
 
 def test_tripos_delta_exists_wherever_there_is_a_top():
-    # is_tripos no longer searches for delta, nor refutes its absence: its
-    # docstring proves that a propositional doctrine has one; it exists on
-    # every window object with a top here, propositional or not
+    # is_tripos does not search for delta: its docstring proves that a
+    # propositional doctrine has one; here it exists on every window object
+    # with a top, propositional or not
     doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
     doctrines += [dualize(d) for d in doctrines]
     doctrines += theorems.enumerate_doctrines(max_base=4, max_fiber=3,

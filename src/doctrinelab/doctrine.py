@@ -13,7 +13,6 @@ results are never silently over-claimed.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .fincat import (_MISSING, ArrowClass, FinCategory, Square,
@@ -66,23 +65,13 @@ class Doctrine:
     def window_descriptor(self) -> str:
         return self.base.window_descriptor
 
-    @cached_property
+    @property
     def scope_objects(self) -> tuple[str, ...]:
-        """Window objects plus first-level product carriers: the fibers the
-        quantified logic actually touches (triple carriers join only through
-        the equality-predicate adjunction)."""
-        seen = list(self.base.window)
-        for r in self.base.first_level_rows:
-            if r.obj not in seen:
-                seen.append(r.obj)
-        return tuple(sorted(seen, key=self.base.obj_index))
+        return self.base.scope_objects
 
-    @cached_property
+    @property
     def scope_arrows(self) -> tuple[str, ...]:
-        scope = set(self.scope_objects)
-        names = [n for n, a in self.base.arrows.items()
-                 if a.dom in scope and a.cod in scope]
-        return tuple(self.base.sort_arrows(names))
+        return self.base.scope_arrows
 
     def sigma(self, f: str) -> MonotoneMap | None:
         """Left adjoint to reindexing along ``f``, if it exists."""

@@ -514,6 +514,24 @@ class FinCategory:
                 if a in scope and b in scope]
         return tuple(rows)
 
+    @cached_property
+    def scope_objects(self) -> tuple[str, ...]:
+        """Window objects plus first-level product carriers: the fibers the
+        quantified logic actually touches (triple carriers join only through
+        the equality-predicate adjunction)."""
+        seen = list(self.window)
+        for r in self.first_level_rows:
+            if r.obj not in seen:
+                seen.append(r.obj)
+        return tuple(sorted(seen, key=self.obj_index))
+
+    @cached_property
+    def scope_arrows(self) -> tuple[str, ...]:
+        scope = set(self.scope_objects)
+        names = [n for n, a in self.arrows.items()
+                 if a.dom in scope and a.cod in scope]
+        return tuple(self.sort_arrows(names))
+
     @memoized
     def projection_class(self) -> ArrowClass:
         members: list[str] = []

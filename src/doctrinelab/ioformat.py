@@ -312,6 +312,9 @@ def parse_document(doc: Mapping) -> Doctrine:
                            power_pool=base_doc.get("power_pool"))
     except MalformedCategory as exc:
         raise ParseError(str(exc), "$.base") from None
+    for o in base.window:  # every equality check reads the diagonal's row
+        _known((o, o), products, f"no product row ({o}, {o}) for window object"
+               f" {o!r}", "$.base.products")
 
     fibers = {}
     for o in objects:

@@ -611,8 +611,9 @@ def is_tripos(d: Doctrine) -> Verdict:
     characterization + weak power objects.
 
     The equality needs no search once the doctrine is propositional: for
-    each window object X with a product row (X, X) there is a delta in
-    fiber(X x X) with ``top <= Delta*(alpha)  iff  delta <= alpha``.  X x X
+    each window object X, whose product row (X, X) the parser requires,
+    there is a delta in fiber(X x X) with
+    ``top <= Delta*(alpha)  iff  delta <= alpha``.  X x X
     is then a first-level product carrier, so the diagonal X -> X x X is a
     scope arrow and ``is_propositional`` has made reindexing along it a
     Heyting map.  The alpha with ``top <= Delta*(alpha)`` are those sent

@@ -16,6 +16,7 @@ automorphisms.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from typing import Callable, Iterator, Sequence
@@ -693,6 +694,21 @@ def _action(src_shape: str, dst_shape: str) -> tuple:
     return got
 
 
+def _orbit_step(table: tuple, reach, k: int) -> set[int] | None:
+    """The automorphisms of the next fiber that reach the least prefix
+    through cover index ``k`` and ``table = _action(...)``, from ``reach``
+    of this fiber; None if some reachable pair gives a smaller index."""
+    nxt = set()
+    for a in reach:
+        for b, row in enumerate(table[a]):
+            image = row[k]
+            if image < k:
+                return None
+            if image == k:
+                nxt.add(b)
+    return nxt
+
+
 def _orbit_least(shapes: Sequence[str], ks: Sequence[int]) -> bool:
     """Whether the cover indices ``ks`` (``ks[i]`` into
     ``_MONO[(shapes[i + 1], shapes[i])]``) are the lexicographically least
@@ -706,17 +722,41 @@ def _orbit_least(shapes: Sequence[str], ks: Sequence[int]) -> bool:
     """
     reach = range(len(_AUTS[shapes[0]]))
     for i, k in enumerate(ks):
-        table = _action(shapes[i + 1], shapes[i])
-        nxt = set()
-        for a in reach:
-            for b, row in enumerate(table[a]):
-                image = row[k]
-                if image < k:
-                    return False
-                if image == k:
-                    nxt.add(b)
-        reach = nxt
+        reach = _orbit_step(_action(shapes[i + 1], shapes[i]), reach, k)
+        if reach is None:
+            return False
     return True
+
+
+def _walk(shapes: Sequence[str], maps: dict, p: int,
+          reach) -> Iterator[tuple[int, dict | None]]:
+    """The cover indices from position ``p`` on, depth first in
+    lexicographic order, below a prefix whose orbit step left ``reach``.
+    Yields ``(size, None)`` for each subtree of ``size`` candidates whose
+    root index is not orbit-least, and ``(1, maps)`` for each least
+    candidate, whose ``maps[(i, j)]`` (the reindexing from fiber ``j`` to
+    fiber ``i``, filled in as each prefix is entered) holds until resumed."""
+    last = len(shapes) - 1
+    if p == last:
+        yield 1, maps
+        return
+    table = _action(shapes[p + 1], shapes[p])
+    below = math.prod(len(_MONO[(shapes[q + 1], shapes[q])])
+                      for q in range(p + 1, last))
+    for k, cover in enumerate(_MONO[(shapes[p + 1], shapes[p])]):
+        nxt = _orbit_step(table, reach, k)
+        if nxt is None:
+            yield below, None
+            continue
+        maps[(p, p + 1)] = _interned_map(shapes[p + 1], shapes[p], cover)
+        for i in range(p):
+            lower = maps[(i, p)].idx_table
+            maps[(i, p + 1)] = _interned_map(shapes[p + 1], shapes[i],
+                                             tuple(lower[x] for x in cover))
+        if p + 1 == last:
+            yield 1, maps
+        else:
+            yield from _walk(shapes, maps, p + 1, nxt)
 
 
 def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
@@ -736,8 +776,16 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
     so the least member of an orbit is also the first one met: every
     doctrine is emitted once, under the name of its first candidate.
 
-    ``budget`` caps the raw candidates examined; ``stats`` (if given) is
-    filled with candidate/emitted counts and whether the budget ran out.
+    The cover indices of an assignment are walked depth first: whether a
+    prefix is orbit-least depends on the prefix alone, so its orbit step and
+    composite reindexing tables are computed once for its whole subtree,
+    and a subtree whose root is not least is skipped whole.
+
+    ``budget`` caps the raw candidates examined, a skipped subtree counting
+    as all its candidates (a budget that ends inside one stops at exactly
+    ``budget``); ``max_emit`` is checked first.  ``stats`` (if given) is
+    filled with candidate/emitted counts and whether the budget ran out;
+    when a doctrine is yielded, its candidates count is the one in its name.
     """
     _init_shapes()
     env_budget = os.environ.get("DOCTRINELAB_BUDGET")
@@ -753,50 +801,28 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
     counters.update({"candidates": 0, "emitted": 0, "budget_exhausted": False})
     for n in range(1, max_base + 1):
         base = chain_base(n)
+        objs = base.objects
+        arrows = [(a.name, (base.obj_index(a.dom), base.obj_index(a.cod)))
+                  for a in base.arrows.values()]
         for shape_assign in itertools.product(shapes, repeat=n):
-            cover_options = [_MONO[(shape_assign[i + 1], shape_assign[i])]
-                             for i in range(n - 1)]
-            for ks in itertools.product(*(range(len(opts))
-                                        for opts in cover_options)):
+            fibers = {o: _SHAPES[s] for o, s in zip(objs, shape_assign)}
+            maps = {(i, i): _interned_map(s, s, tuple(range(len(_SHAPES[s]))))
+                    for i, s in enumerate(shape_assign)}
+            for size, got in _walk(shape_assign, maps, 0,
+                                   range(len(_AUTS[shape_assign[0]]))):
                 if max_emit is not None and counters["emitted"] >= max_emit:
                     return
-                if counters["candidates"] >= budget:
+                if counters["candidates"] + size > budget:
+                    counters["candidates"] = budget
                     counters["budget_exhausted"] = True
                     return
-                counters["candidates"] += 1
-                if not _orbit_least(shape_assign, ks):
+                counters["candidates"] += size
+                if got is None:
                     continue
-                covers = [opts[k] for opts, k in zip(cover_options, ks)]
-                d = _build_thin_doctrine(base, shape_assign, covers,
-                                         f"enum-{n}-{counters['candidates']}")
+                d = Doctrine(base, fibers, {name: got[ij] for name, ij in arrows},
+                             name=f"enum-{n}-{counters['candidates']}",
+                             source={"kind": "explicit"})
                 if filter_expr is not None and not filter_expr.evaluate(d):
                     continue
                 counters["emitted"] += 1
                 yield d
-
-
-def _build_thin_doctrine(base: FinCategory, shapes: Sequence[str],
-                         covers: Sequence[tuple[int, ...]],
-                         name: str) -> Doctrine:
-    objs = base.objects
-    n = len(objs)
-    fibers = {objs[i]: _SHAPES[shapes[i]] for i in range(n)}
-    tables: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(n - 1):
-        tables[(i, i + 1)] = covers[i]
-    for span in range(2, n):
-        for i in range(n - span):
-            j = i + span
-            lower = tables[(i, j - 1)]
-            top = tables[(j - 1, j)]
-            tables[(i, j)] = tuple(lower[x] for x in top)
-    reindex = {}
-    for a in base.arrows.values():
-        i, j = int(a.dom[1:]), int(a.cod[1:])
-        if i == j:
-            table = tuple(range(len(_SHAPES[shapes[i]].elements)))
-        else:
-            table = tables[(i, j)]
-        reindex[a.name] = _interned_map(shapes[j], shapes[i], table)
-    return Doctrine(base, fibers, reindex, name=name,
-                    source={"kind": "explicit"})

@@ -12,6 +12,8 @@ from doctrinelab import catalog, cli, ioformat, theorems
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import REFUTED, Verdict
 
+DATA = Path(__file__).parent / "data"
+
 
 def rechecks(path, report) -> bool:
     """Every refuted check of a validation report re-derives on the instance."""
@@ -431,6 +433,24 @@ def test_validate_refutes_a_broken_product_row(tmp_path, capsys):
     assert rechecks(path, out)
     assert not recheck(intact, Verdict(REFUTED,
                                        counterexample=verdict["counterexample"]))
+
+
+@pytest.mark.parametrize("command", [["validate"], ["classify"],
+                                     ["theorem", "--all"]])
+def test_missing_diagonal_row_is_rejected_at_its_position(tmp_path, capsys,
+                                                          command):
+    # every equality check reads the product row (X, X) of a window object
+    doc = json.loads((DATA / "enum29.json").read_text(encoding="utf-8"))
+    rows = doc["base"]["products"]
+    doc["base"]["products"] = [r for r in rows
+                               if not r["left"] == r["right"] == "L1"]
+    assert len(doc["base"]["products"]) == len(rows) - 1
+    path = tmp_path / "no_diagonal.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.base.products: no product row (L1, L1)")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])

@@ -1,6 +1,7 @@
 import pytest
 
 from doctrinelab import catalog, ioformat, theorems
+from doctrinelab.constructions import dualize
 from doctrinelab.doctrine import (Doctrine, frobenius, has_bottoms, has_tops,
                                   is_existential, is_pi_doctrine, is_primary,
                                   is_propositional, is_sigma_doctrine,
@@ -269,6 +270,32 @@ def test_memo_stores_a_none_result_once(triv):
     assert d.cached(("probe",), compute) is None
     assert d.cached(("probe",), compute) is None
     assert len(calls) == 1
+
+
+def _per_doctrine_scope(base) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The scope as each doctrine used to compute it for itself: the window
+    and the carriers of the product rows with window or power-pool factors,
+    in object order, and the arrows among them, by domain, codomain and
+    name."""
+    factors = set(base.window) | set(base.power_pool)
+    scope = set(base.window) | {r.obj for (a, b), r in base.products.items()
+                                if a in factors and b in factors}
+    at = {o: i for i, o in enumerate(base.objects)}
+    arrows = sorted((n for n, a in base.arrows.items()
+                     if a.dom in scope and a.cod in scope),
+                    key=lambda n: (at[base.dom(n)], at[base.cod(n)], n))
+    return tuple(o for o in base.objects if o in scope), tuple(arrows)
+
+
+def test_scope_is_computed_once_per_base(ps20, ps11, sier, triv, sl3):
+    chains = list(theorems.enumerate_doctrines(max_base=4, max_fiber=1))
+    assert [len(d.base.objects) for d in chains] == [1, 2, 3, 4]
+    for d in [ps20, ps11, sier, triv, sl3, *chains]:
+        expected = _per_doctrine_scope(d.base)
+        assert (d.scope_objects, d.scope_arrows) == expected
+        for other in (dualize(d), _fresh(d)):
+            assert other.scope_objects is d.scope_objects
+            assert other.scope_arrows is d.scope_arrows
 
 
 def _fresh(s: Doctrine) -> Doctrine:

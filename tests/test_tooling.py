@@ -65,6 +65,17 @@ def test_the_guard_sees_a_renamed_check():
     assert not _resolves("nomodule.", tracing)
 
 
+def test_every_traced_generator_is_a_generator_function():
+    # the tracer times a generator only around each next() on what the call
+    # returns, so the work a plain function does before returning an
+    # iterator (or a list) would fall outside every span
+    tracing = _tracing()
+    assert tracing.GENERATORS
+    for m, name in sorted(tracing.GENERATORS):
+        fn = getattr(importlib.import_module(f"doctrinelab.{m}"), name)
+        assert inspect.isgeneratorfunction(fn), f"{m}.{name}"
+
+
 def _wraps(wrapper, fn) -> bool:
     """Is ``wrapper`` a wrapper (of a wrapper ...) around ``fn``?"""
     while wrapper is not fn:

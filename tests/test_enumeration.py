@@ -128,11 +128,6 @@ def assert_matches_reference(max_base=3, max_fiber=3, min_fiber=1,
     assert stats == reference_stats
 
 
-def cover_sizes(assign):
-    return [len(theorems._MONO[(assign[i + 1], assign[i])])
-            for i in range(len(assign) - 1)]
-
-
 def space_boundaries(min_fiber):
     """The window-3 space's size, the candidates before its last base, and
     (candidates before it, its size) of the first subtree of more than one
@@ -144,7 +139,8 @@ def space_boundaries(min_fiber):
         if n == 3:
             before_last = count
         for assign in itertools.product(shapes, repeat=n):
-            sizes = cover_sizes(assign)
+            sizes = [len(theorems._MONO[(assign[i + 1], assign[i])])
+                     for i in range(n - 1)]
             if n == 3 and subtree is None:
                 subtree = next(
                     ((count + k * sizes[1], sizes[1]) for k in range(sizes[0])

@@ -233,14 +233,11 @@ class FinCategory:
     def arrows_into(self, o: str) -> tuple[str, ...]:
         return self._into[o]
 
-    def _arrows_among(self, objects: Iterable[str]) -> tuple[str, ...]:
-        among = set(objects)
-        return tuple(self.sort_arrows(n for n, a in self.arrows.items()
-                                      if a.dom in among and a.cod in among))
-
     @cached_property
     def window_arrows(self) -> tuple[str, ...]:
-        return self._arrows_among(self.window)
+        ws = set(self.window)
+        names = [n for n, a in self.arrows.items() if a.dom in ws and a.cod in ws]
+        return tuple(self.sort_arrows(names))
 
     @memoized
     def window_arrows_into(self, o: str) -> tuple[str, ...]:
@@ -530,7 +527,10 @@ class FinCategory:
 
     @cached_property
     def scope_arrows(self) -> tuple[str, ...]:
-        return self._arrows_among(self.scope_objects)
+        scope = set(self.scope_objects)
+        names = [n for n, a in self.arrows.items()
+                 if a.dom in scope and a.cod in scope]
+        return tuple(self.sort_arrows(names))
 
     @memoized
     def projection_class(self) -> ArrowClass:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .fincat import (_MISSING, ArrowClass, FinCategory, Square,
-                     _unique_squares, memoized)
+                     _unique_squares, memoized, tables_compose)
 from .poset import (FinPoset, MonotoneMap, _composes_to, _monotone_break,
                     _unpreserved, left_adjoint, right_adjoint)
 from .verdicts import ShapeMismatch, Verdict, combine
@@ -128,6 +128,10 @@ def validate_doctrine(d: Doctrine) -> Verdict:
                 kind="not_monotone", arrow=n,
                 pair=[src.elements[i], src.elements[j]],
                 images=[tgt.elements[it[i]], tgt.elements[it[j]]])
+    luts = {n: d.reindex[n]._translation for n in base.arrows}
+    if None not in luts.values() and tables_compose(base.compose_table, {
+            n: d.reindex[n]._idx_bytes for n in base.arrows}, luts, contravariant=True):
+        return Verdict.holds(d.window_descriptor)
     for (g, f), gf in base.compose_table.items():
         mg, mf, mgf = d.reindex[g], d.reindex[f], d.reindex[gf]
         if _composes_to(mg, mf, mgf):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, wraps
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -134,6 +135,17 @@ class Presentation:
         return f"{self.kind}({','.join(str(s) for s in self.spec)})"
 
 
+def tables_compose(compose: Mapping[tuple[str, str], str], images: Mapping[str, bytes],
+                   luts: Mapping[str, bytes], contravariant: bool = False) -> bool:
+    """Is ``images[f].translate(luts[g]) == images[gf]`` (``contravariant``:
+    ``images[g].translate(luts[f])``) for every ``(g, f) -> gf`` of ``compose``?"""
+    if contravariant:
+        return all(images[g].translate(luts[f]) == images[gf]
+                   for (g, f), gf in compose.items())
+    return all(images[f].translate(luts[g]) == images[gf]
+               for (g, f), gf in compose.items())
+
+
 class FinCategory:
     """Objects, arrows, composition, chosen products, and the window.
 
@@ -170,9 +182,12 @@ class FinCategory:
             if self.arrows[i].dom != o or self.arrows[i].cod != o:
                 raise MalformedCategory(f"identity of {o} is not an endo-arrow")
         self.compose_table = dict(compose)
-        for (g, f), gf in self.compose_table.items():
-            if g not in self.arrows or f not in self.arrows or gf not in self.arrows:
-                raise MalformedCategory(f"composition entry ({g},{f}) references unknown arrow")
+        comp = self.compose_table
+        if not set(self.arrows).issuperset(chain(chain.from_iterable(comp), comp.values())):
+            for (g, f), gf in comp.items():
+                if g not in self.arrows or f not in self.arrows or gf not in self.arrows:
+                    raise MalformedCategory(f"composition entry ({g},{f}) references "
+                                            "unknown arrow")
         self.window = tuple(window) if window is not None else self.objects
         self.power_pool = tuple(power_pool) if power_pool is not None else self.window
         for kind, objs in (("window", self.window), ("power-pool", self.power_pool)):
@@ -276,15 +291,21 @@ class FinCategory:
         for n, a in arrows.items():
             into[a.cod].append(idx[n])
             outof[a.dom].append(idx[n])
-        for f, a_f in arrows.items():
-            for g_i in outof[a_f.cod]:
-                g = names[g_i]
-                gf = comp.get((g, f))
-                if gf is None:
-                    raise MalformedCategory(f"incomplete table: ({g}) o ({f}) missing")
-                if arrows[gf].dom != a_f.dom or arrows[gf].cod != arrows[g].cod:
-                    raise MalformedCategory(
-                        f"composite ({g}) o ({f}) has wrong endpoints")
+        # as many entries as composable pairs, each composable, right endpoints?
+        pairs = sum(len(into[o]) * len(outof[o]) for o in self.objects)
+        if pairs != len(comp) or not all(
+                (af := arrows[f]).cod == (ag := arrows[g]).dom
+                and (agf := arrows[gf]).dom == af.dom and agf.cod == ag.cod
+                for (g, f), gf in comp.items()):
+            for f, a_f in arrows.items():
+                for g_i in outof[a_f.cod]:
+                    g = names[g_i]
+                    gf = comp.get((g, f))
+                    if gf is None:
+                        raise MalformedCategory(f"incomplete table: ({g}) o ({f}) missing")
+                    if arrows[gf].dom != a_f.dom or arrows[gf].cod != arrows[g].cod:
+                        raise MalformedCategory(
+                            f"composite ({g}) o ({f}) has wrong endpoints")
         for o in self.objects:
             i = self.identity[o]
             # id after f, then g after id
@@ -345,8 +366,7 @@ class FinCategory:
                 for n, a in self.arrows.items()}) < len(images):
             return False
         lut = {n: t.ljust(256, b"\0") for n, t in images.items()}
-        return all(images[f].translate(lut[g]) == images[gf]
-                   for (g, f), gf in self.compose_table.items())
+        return tables_compose(self.compose_table, images, lut)
 
     # -- products ----------------------------------------------------------
 
@@ -610,7 +630,6 @@ class FinCategory:
     def subobject_poset(self, a: str) -> FinPoset:
         """Window monics into ``a`` modulo mutual factorization, ordered by
         factorization; class representative is the least arrow id."""
-        ws = set(self.window)
         monics = [m for m in self.window_arrows_into(a) if self.is_monic(m)]
         factors: dict[str, set[str]] = {}
         for m in monics:
@@ -748,7 +767,7 @@ class ConcreteBuilder:
         by_dom: dict[str, list[str]] = {o: [] for o in self.order}
         by_cod: dict[str, list[str]] = {o: [] for o in self.order}
         table: dict[tuple[str, str], str] = {}
-        queue: list[str] = []
+        queue: list[tuple[str, int, int]] = []
 
         def intern(dom: str, cod: str, img: bytes) -> str:
             key = (dom, cod, img)
@@ -762,8 +781,10 @@ class ConcreteBuilder:
                 images[name] = img
                 lut[name] = img.ljust(256, b"\0")
                 by_dom[dom].append(name)
+                # with how many arrows out of its codomain (itself included)
+                # and into its domain were born up to it
+                queue.append((name, len(by_dom[cod]), len(by_cod[dom])))
                 by_cod[cod].append(name)
-                queue.append(name)
             return name
 
         ids = {o: (o, o, bytes(range(self.carriers[o]))) for o in self.order}
@@ -785,17 +806,19 @@ class ConcreteBuilder:
 
         window_set = set(self.window)
 
-        def process(name: str) -> None:
-            a = arrows[name]
-            img = images[name]
-            for g in list(by_dom[a.cod]):
-                if (g, name) not in table:
-                    table[(g, name)] = intern(a.dom, arrows[g].cod,
-                                              img.translate(lut[g]))
-            for f in list(by_cod[a.dom]):
-                if (name, f) not in table:
-                    table[(name, f)] = intern(arrows[f].dom, a.cod,
-                                              images[f].translate(lut[name]))
+        # an arrow born after ``name`` and before ``process(name)`` has been
+        # processed since (the queue is a stack), so its pairs with ``name``
+        # are in the table: only those born earlier or during this call are new
+        def process(name: str, after: int, before: int) -> None:
+            a, img, then = arrows[name], images[name], lut[name]
+            fs = by_cod[a.dom]
+            now = len(fs)
+            for g in by_dom[a.cod][:after]:
+                key = (a.dom, arrows[g].cod, img.translate(lut[g]))
+                table[(g, name)] = arrow_of.get(key) or intern(*key)
+            for f in fs[:before] + fs[now:]:
+                key = (arrows[f].dom, a.cod, images[f].translate(then))
+                table[(name, f)] = arrow_of.get(key) or intern(*key)
             if a.dom in window_set:
                 for g in list(by_dom[a.dom]):
                     for f_, g_ in ((name, g), (g, name)):
@@ -845,7 +868,7 @@ class ConcreteBuilder:
 
         inject_structural()
         while queue:
-            process(queue.pop())
+            process(*queue.pop())
 
         products: dict[tuple[str, str], Product] = {}
         for (a, b), carrier in self.rows.items():

@@ -9,14 +9,15 @@ single dictionary lookup.
 Monotone maps and lattice operations are stored only as integer index
 tables: ``MonotoneMap.idx_table`` holds the index of each source element's
 image, and the meet, join and Heyting-implication tables of
-:class:`LatticeOps` are rows of indices.  The checks walk these tables
-(implication by bitmask rows, monotonicity on Hasse covers, composites of
-reindexing maps by byte-table translation); element names appear only in
-documents, reports and counterexample payloads.
+:class:`LatticeOps` are rows of indices, each computed on first read.  The
+checks walk these tables (implication by bitmask rows, monotonicity on Hasse
+covers, composites of reindexing maps by byte-table translation); element
+names appear only in documents, reports and counterexample payloads.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -108,6 +109,12 @@ class FinPoset:
         return tuple(pairs)
 
     @cached_property
+    def _cover_codes(self) -> bytes:
+        """The cover pairs as native 16-bit ``i | j << 8`` (at most 256 elements)."""
+        return b"".join((i | j << 8).to_bytes(2, sys.byteorder)
+                        for i, j in self.cover_pairs)
+
+    @cached_property
     def _principal_filters(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.uppers)}
 
@@ -147,17 +154,37 @@ class FinPoset:
 
 
 class LatticeOps:
-    """Partial lattice structure; each table is present only when the
-    defining universal property holds for every required argument.  A table
-    is index rows, ``meet[i][j]`` being the index of the meet of elements
-    ``i`` and ``j``; ``top`` and ``bottom`` are element names."""
-    __slots__ = ("meet", "join", "top", "bottom", "heyting_implication")
+    """Partial lattice structure of a poset, each table computed on first read
+    and present only when the defining universal property holds for every
+    required argument.  A table is index rows, ``meet[i][j]`` being the index
+    of the meet of elements ``i`` and ``j``; ``top``, ``bottom`` are names."""
+    __slots__ = ("poset", "__dict__")
 
-    def __init__(self, meet: list[list[int]] | None, join: list[list[int]] | None,
-                 top: str | None, bottom: str | None,
-                 heyting_implication: list[list[int]] | None):
-        self.meet, self.join, self.top, self.bottom = meet, join, top, bottom
-        self.heyting_implication = heyting_implication
+    def __init__(self, poset: FinPoset):
+        self.poset = poset
+
+    @cached_property
+    def meet(self) -> list[list[int]] | None:
+        return _op_rows(self.poset.lowers, self.poset._principal_ideals.get)
+
+    @cached_property
+    def join(self) -> list[list[int]] | None:
+        return _op_rows(self.poset.uppers, self.poset._principal_filters.get)
+
+    @cached_property
+    def top(self) -> str | None:
+        i = self.poset.greatest_of_downset((1 << len(self.poset)) - 1)
+        return None if i is None else self.poset.elements[i]
+
+    @cached_property
+    def bottom(self) -> str | None:
+        i = self.poset.least_of_upset((1 << len(self.poset)) - 1)
+        return None if i is None else self.poset.elements[i]
+
+    @cached_property
+    def heyting_implication(self) -> list[list[int]] | None:
+        meet = self.meet
+        return None if meet is None else _implication_rows(self.poset, meet)
 
     @property
     def is_heyting(self) -> bool:
@@ -208,16 +235,7 @@ def _implication_rows(p: FinPoset, meet: list[list[int]]) -> list[list[int]] | N
 
 
 def lattice_ops(p: FinPoset) -> LatticeOps:
-    n = len(p.elements)
-    full = (1 << n) - 1
-    top = p.greatest_of_downset(full) if n else None
-    bottom = p.least_of_upset(full) if n else None
-    join = _op_rows(p.uppers, p._principal_filters.get)
-    meet = _op_rows(p.lowers, p._principal_ideals.get)
-    impl = None if meet is None else _implication_rows(p, meet)
-    top_e = p.elements[top] if top is not None else None
-    bot_e = p.elements[bottom] if bottom is not None else None
-    return LatticeOps(meet, join, top_e, bot_e, impl)
+    return LatticeOps(p)
 
 
 class MonotoneMap:
@@ -273,8 +291,12 @@ def _monotone_break(m: MonotoneMap) -> tuple[int, int] | None:
     The target order is transitive, so the Hasse covers of the source decide
     whether such a pair exists; only then is the whole order scanned.
     """
-    it, up = m.idx_table, m.target.uppers
-    if all(up[it[i]] >> it[j] & 1 for i, j in m.source.cover_pairs):
+    it, up, table = m.idx_table, m.target.uppers, m._translation
+    if table is not None:  # each distinct pair of images of a cover, once
+        codes = set(memoryview(m.source._cover_codes.translate(table)).cast("H"))
+        if all(up[c & 255] >> (c >> 8) & 1 for c in codes):
+            return None
+    elif all(up[it[i]] >> it[j] & 1 for i, j in m.source.cover_pairs):
         return None
     for i, mask in enumerate(m.source.uppers):
         while mask:

@@ -82,3 +82,24 @@ def named(poset, rows):
     names = poset.elements
     return {(names[i], names[j]): names[k]
             for i, row in enumerate(rows) for j, k in enumerate(row)}
+
+
+def reference_lattice_ops(p) -> dict:
+    """Every lattice table of the poset ``p`` at once, by name, with
+    ``is_heyting``: the body ``poset.lattice_ops`` had before its tables
+    were computed on first read."""
+    from doctrinelab.poset import _implication_rows, _op_rows
+
+    n = len(p.elements)
+    full = (1 << n) - 1
+    top = p.greatest_of_downset(full) if n else None
+    bottom = p.least_of_upset(full) if n else None
+    join = _op_rows(p.uppers, p._principal_filters.get)
+    meet = _op_rows(p.lowers, p._principal_ideals.get)
+    impl = None if meet is None else _implication_rows(p, meet)
+    top_e = p.elements[top] if top is not None else None
+    bot_e = p.elements[bottom] if bottom is not None else None
+    tables = {"meet": meet, "join": join, "top": top_e, "bottom": bot_e,
+              "heyting_implication": impl}
+    tables["is_heyting"] = None not in tables.values()
+    return tables

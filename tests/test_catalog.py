@@ -1,17 +1,22 @@
+import gc
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from doctrinelab import catalog, fincat, ioformat, logic, theorems
+from doctrinelab.constructions import dualize
 from doctrinelab.doctrine import validate_doctrine
 from doctrinelab.verdicts import InvalidTopology, WindowExceeded
 
 from oracles import (complement, direct_image, forall_image, parse_arrow,
                      preimage)
+from test_golden import WINDOWS
+from test_poset import assert_lattice_ops_match_reference
 
 
 def test_catalog_ids_build_and_validate():
@@ -231,3 +236,55 @@ def test_roundtrip_enumerated_explicit_instances():
         d2 = ioformat.parse(text)
         assert ioformat.serialize(d2) == text
         assert validate_doctrine(d2)
+
+
+def _doctrines(group):
+    if group == "catalog":
+        return [catalog.instance(cid) for cid in catalog.catalog_ids()]
+    if group == "duals":
+        return [dualize(d) for d in _doctrines("catalog")]
+    if group == "windows":
+        return [build() for build in WINDOWS.values()]
+    return theorems.enumerate_doctrines(max_base=4, max_fiber=3,
+                                        budget=500_000, max_emit=10_000)
+
+
+@pytest.mark.parametrize("group", ["catalog", "duals", "windows",
+                                   "criterion 8"])
+def test_lattice_ops_match_the_eager_reference_on_every_fiber(group):
+    # one poset per order: equal orders have equal tables
+    fibers = {(p.elements, p.uppers): p
+              for d in _doctrines(group) for p in d.fibers.values()}
+    for p in fibers.values():
+        assert_lattice_ops_match_reference(p)
+
+
+def test_ps20_checks_build_only_the_meet_of_s8(monkeypatch):
+    # S8 is a triple carrier: only the equality check reads its meets
+    monkeypatch.setattr(catalog, "_POWERSET_FIBERS", {})
+    d = catalog.powerset_finset(2, 0)
+    theorems.classify(d)
+    theorems.check_all(d)
+    assert list(vars(d.fibers["S8"].ops)) == ["meet"]
+
+
+# bytes still held after the checks below on a fresh PS(2,0), measured
+# (Python 3.11) when every lattice table was built at once and the window's
+# tables were scanned pair by pair; a column the length of the composition
+# table, kept on the base, would go past it
+HELD_BEFORE_LAZY_TABLES = 2_173_993
+
+
+def test_ps20_checks_hold_no_more_memory_than_the_eager_tables(monkeypatch):
+    monkeypatch.setattr(catalog, "_POWERSET_FIBERS", {})
+    d = catalog.powerset_finset(2, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert d.base.validate() and validate_doctrine(d)
+        theorems.classify(d)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= HELD_BEFORE_LAZY_TABLES

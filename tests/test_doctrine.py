@@ -84,6 +84,20 @@ def test_fault_injected_image_breaks_monotonicity(ps20):
     assert recheck(broken, v)
 
 
+def test_first_unordered_pair_off_the_covers_is_the_scan_payload(ps20):
+    # fiber(S2) is e0 < e1, e2 < e3; the images keep e0 below e1 and e2 but
+    # not below e3, so every cover is checked and the first pair the scan
+    # finds, (e0, e3), is no cover
+    broken = _fault_injected(ps20, lambda d: (
+        "S8>S2:0,0,0,0,1,1,1,1",
+        {"e0": "e1", "e1": "e255", "e2": "e255", "e3": "e2"}))
+    v = validate_doctrine(broken)
+    assert v.counterexample == {
+        "kind": "not_monotone", "arrow": "S8>S2:0,0,0,0,1,1,1,1",
+        "pair": ["e0", "e3"], "images": ["e1", "e2"]}
+    assert recheck(broken, v)
+
+
 def test_fault_injected_identity_reindex_rechecks(ps11):
     # reindexing along the identity of S1 sends the top {0} to the bottom
     broken = _fault_injected(ps11, lambda d: ("S1>S1:0", {"e0": "e0", "e1": "e0"}))
@@ -128,6 +142,16 @@ def test_fiber_above_256_elements_checks_composites_as_tuples():
     assert v.counterexample == {
         "kind": "functor_composition", "f": "e", "g": "e", "composite": "e",
         "element": "c299", "via_composite": "c151", "via_parts": "c150"}
+    assert recheck(broken, v)
+    assert "_idx_bytes" not in vars(broken.reindex["e"])
+
+
+def test_fiber_above_256_elements_checks_monotonicity_as_tuples():
+    # the top sent to the bottom: c1 <= c299 is the first unordered pair
+    broken = chain_doctrine(300, "c0")
+    v = validate_doctrine(broken)
+    assert v.counterexample == {"kind": "not_monotone", "arrow": "e",
+                                "pair": ["c1", "c299"], "images": ["c1", "c0"]}
     assert recheck(broken, v)
     assert "_idx_bytes" not in vars(broken.reindex["e"])
 

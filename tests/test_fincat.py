@@ -214,6 +214,46 @@ def test_shared_table_in_a_hom_set_falls_through_to_the_scan(ps20):
     assert broken.validate().counterexample == SWAP_FIXES_A_POINT
 
 
+# Whole-table passes decide that the composition table names known arrows
+# and holds each composable pair with the right endpoints; when one fails,
+# the scan finds the fault, so each error is the scan's.
+
+def test_an_entry_naming_an_unknown_arrow_gives_the_scan_error(ps20):
+    table = {**ps20.base.compose_table, ("S2>S2:1,0", "S1>S2:0"): "nowhere"}
+    with pytest.raises(MalformedCategory) as err:
+        _rebuilt(ps20.base, table)
+    assert str(err.value) == (
+        "composition entry (S2>S2:1,0,S1>S2:0) references unknown arrow")
+
+
+def _without_a_pair(table):
+    del table[("S2>S2:1,0", "S1>S2:0")]
+
+
+def _with_a_pair_that_does_not_compose(table):
+    _without_a_pair(table)  # as many entries as composable pairs
+    table[("S1>S2:0", "S1>S2:0")] = "S1>S2:0"
+
+
+def _with_wrong_endpoints(table):
+    table[("S2>S2:1,0", "S1>S2:0")] = "S2>S2:0,0"
+
+
+@pytest.mark.parametrize("fault,error", [
+    (_without_a_pair, "incomplete table: (S2>S2:1,0) o (S1>S2:0) missing"),
+    (_with_a_pair_that_does_not_compose,
+     "incomplete table: (S2>S2:1,0) o (S1>S2:0) missing"),
+    (_with_wrong_endpoints,
+     "composite (S2>S2:1,0) o (S1>S2:0) has wrong endpoints")])
+def test_a_faulty_table_gives_the_scan_error(ps20, fault, error):
+    table = dict(ps20.base.compose_table)
+    fault(table)
+    broken = _rebuilt(ps20.base, table, ps20.base.tables)
+    with pytest.raises(MalformedCategory) as err:
+        broken.validate()
+    assert str(err.value) == error
+
+
 def test_builder_refuses_a_carrier_above_its_point_limit():
     b = ConcreteBuilder(Presentation("points", ()))
     b.add_object("X", MAX_POINTS, window=True)

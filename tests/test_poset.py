@@ -8,7 +8,7 @@ from doctrinelab.poset import (FinPoset, MonotoneMap, _composes_to,
                                _monotone_break, lattice_ops, left_adjoint,
                                right_adjoint)
 
-from oracles import direct_image, named, preimage
+from oracles import direct_image, named, preimage, reference_lattice_ops
 
 
 def chain(n):
@@ -255,6 +255,32 @@ def test_implication_matches_reference_on_random_posets(p):
     expected = reference_implication(p)
     assert (None if impl is None else list(named(p, impl).items())) == (
         None if expected is None else list(expected.items()))
+
+
+LATTICE_FIELDS = ("meet", "join", "top", "bottom", "heyting_implication",
+                  "is_heyting")
+
+
+def assert_lattice_ops_match_reference(p):
+    """Each field of ``lattice_ops(p)``, read first on a fresh table set,
+    equals the eager reference's."""
+    expected = reference_lattice_ops(p)
+    for field in LATTICE_FIELDS:
+        assert getattr(lattice_ops(p), field) == expected[field], field
+
+
+@given(posets())
+@settings(max_examples=200, deadline=None)
+def test_lattice_ops_match_the_eager_reference_on_random_posets(p):
+    # random orders are often not lattices: their missing tables are None
+    assert_lattice_ops_match_reference(p)
+
+
+def test_lattice_ops_are_computed_on_first_read():
+    ops = lattice_ops(powerset_poset(3))
+    assert vars(ops) == {}
+    assert ops.heyting_implication is not None
+    assert sorted(vars(ops)) == ["heyting_implication", "meet"]
 
 
 @given(posets())

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -170,3 +171,16 @@ def test_the_memo_gate_sees_a_fast_path_around_cached():
     assert fast_path != source
     assert _outside_cached(source) == []
     assert [func for _, func in _outside_cached(fast_path)] == ["call"]
+
+
+def test_the_layer_script_runs_on_one_catalog_id():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "catalog_layers.py"), "TRIV",
+         "--repeat", "1"], capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "medians of 1 fresh processes, ms"
+    layers = lines[2].split()
+    assert layers[:3] == ["TRIV", "S0", "(1)"] and len(layers) == 9
+    commands = lines[4].split()
+    assert commands[0] == "TRIV" and len(commands) == 5
+    assert all(float(ms) > 0 for ms in commands[1:])

@@ -1,0 +1,144 @@
+"""Fresh-process layer times of the catalog instances and commands.
+
+    python3 tools/catalog_layers.py [--repeat N] [ID ...]
+
+Run from the root of a source checkout; the package is imported from
+``src/``.  For each catalog id (all five by default) it starts ``N`` fresh
+processes (5 by default), each of which builds the instance and times, in
+this order:
+
+* ``close``: every ``ConcreteBuilder.close`` the build makes;
+* ``build``: the whole ``catalog.instance`` call, ``close`` included;
+* ``base.validate``: the category laws;
+* ``validate_doctrine``: functoriality and monotonicity of reindexing;
+* ``meet`` and ``implication``: the first read of the meet table, then of
+  the Heyting-implication table, of the largest fiber (``S8`` on
+  ``PS(2,0)``).
+
+It then times, also ``N`` times each, the four catalog commands of the
+benchmark (``validate``, ``classify``, ``theorem --all``, ``derive --what
+sigma``), each in its own process with a ``--json`` report, import
+included.  Every figure printed is a median in milliseconds, unscaled.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+IDS = ("PS(2,0)", "PS(1,1)", "SIER", "TRIV", "SL3")
+COMMANDS = {"validate": ("validate",), "classify": ("classify",),
+            "theorem --all": ("theorem", "--all"),
+            "derive sigma": ("derive", "--what", "sigma")}
+LAYERS = ("close", "build", "base.validate", "validate_doctrine", "meet",
+          "implication")
+
+
+def layers(cid: str) -> dict:
+    """The layer times of one fresh build of ``cid``, in milliseconds, and
+    the name of its largest fiber."""
+    from doctrinelab import catalog, fincat
+    from doctrinelab.doctrine import validate_doctrine
+
+    clock = time.perf_counter
+    spent = {"close": 0.0}
+    close = fincat.ConcreteBuilder.close
+
+    def timed_close(builder):
+        start = clock()
+        try:
+            return close(builder)
+        finally:
+            spent["close"] += clock() - start
+
+    fincat.ConcreteBuilder.close = timed_close
+
+    def timed(name, fn):
+        start = clock()
+        got = fn()
+        spent[name] = clock() - start
+        return got
+
+    d = timed("build", lambda: catalog.instance(cid))
+    timed("base.validate", d.base.validate)
+    timed("validate_doctrine", lambda: validate_doctrine(d))
+    largest = max(d.base.objects, key=lambda o: len(d.fibers[o]))
+    fiber = d.fibers[largest]
+    timed("meet", lambda: fiber.ops.meet)
+    timed("implication", lambda: fiber.ops.heyting_implication)
+    return {"fiber": f"{largest} ({len(d.fibers[largest])})",
+            **{k: v * 1000 for k, v in spent.items()}}
+
+
+def environment() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "DOCTRINELAB_BUDGET"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+def fresh_layers(cid: str) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--child", cid],
+                          capture_output=True, text=True, env=environment())
+    if done.returncode:
+        last = (done.stderr.strip().splitlines() or ["no output"])[-1]
+        raise SystemExit(f"building {cid} failed: {last}")
+    return json.loads(done.stdout)
+
+
+def command_ms(argv, report: Path) -> float:
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "doctrinelab.cli", *argv,
+                           "--json", str(report)], capture_output=True,
+                          text=True, env=environment())
+    elapsed = (time.perf_counter() - start) * 1000
+    if done.returncode not in (0, 1):  # 1: some verdict is refuted
+        raise SystemExit(f"doctrinelab {' '.join(argv)} exited "
+                         f"{done.returncode}: {done.stderr.strip()}")
+    return elapsed
+
+
+def median_ms(argv, report: Path, repeat: int) -> float:
+    return statistics.median(command_ms(argv, report) for _ in range(repeat))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("ids", nargs="*", default=list(IDS), metavar="ID")
+    ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        sys.path.insert(0, str(SRC))
+        print(json.dumps(layers(args.child)))
+        return 0
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    print(f"medians of {args.repeat} fresh processes, ms")
+    print(f"{'id':8} {'largest fiber':14}"
+          + "".join(f" {name:>17}" for name in LAYERS))
+    for cid in args.ids:
+        runs = [fresh_layers(cid) for _ in range(args.repeat)]
+        print(f"{cid:8} {runs[0]['fiber']:14}" + "".join(
+            f" {statistics.median(r[name] for r in runs):17.1f}"
+            for name in LAYERS))
+    print(f"{'id':8}" + "".join(f" {name:>15}" for name in COMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        for cid in args.ids:
+            print(f"{cid:8}" + "".join(
+                f" {median_ms((*cmd, cid), report, args.repeat):15.1f}"
+                for cmd in COMMANDS.values()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

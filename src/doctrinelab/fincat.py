@@ -808,7 +808,7 @@ class ConcreteBuilder:
 
         # an arrow born after ``name`` and before ``process(name)`` has been
         # processed since (the queue is a stack), so its pairs with ``name``
-        # are in the table: only those born earlier or during this call are new
+        # are in the table; a pair composed again keeps its composite and place
         def process(name: str, after: int, before: int) -> None:
             a, img, then = arrows[name], images[name], lut[name]
             fs = by_cod[a.dom]

@@ -3,7 +3,8 @@ name that no longer resolves (a renamed or unexported check) is never
 wrapped, and its per-layer metric silently reads 0.  README's catalog table
 is checked against the catalog the same way.  The tracer counts memo hits
 and misses by wrapping ``Doctrine.cached``, so no other code may touch a
-memo dict."""
+memo dict.  The layer script under ``tools/`` runs once on the smallest
+catalog id, so that it keeps working."""
 
 import ast
 import importlib

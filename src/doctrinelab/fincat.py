@@ -278,8 +278,9 @@ class FinCategory:
     def validate(self) -> Verdict:
         """Identity and associativity laws over the materialized tables.
 
-        Missing composites raise :class:`MalformedCategory`; genuine law
-        violations come back as Refuted with the offending triple.  Where the
+        Missing, wrong-ended or non-composable entries raise
+        :class:`MalformedCategory`; genuine law violations come back as
+        Refuted with the offending triple.  Where the
         arrow ``tables`` prove associativity, no triple is visited; where
         they do not, or there are none, every composable triple is.
         """
@@ -306,6 +307,9 @@ class FinCategory:
                     if arrows[gf].dom != a_f.dom or arrows[gf].cod != arrows[g].cod:
                         raise MalformedCategory(
                             f"composite ({g}) o ({f}) has wrong endpoints")
+            # every composable pair is right, so some entry does not compose
+            g, f = next(k for k in comp if arrows[k[1]].cod != arrows[k[0]].dom)
+            raise MalformedCategory(f"entry ({g}) o ({f}) does not compose")
         for o in self.objects:
             i = self.identity[o]
             # id after f, then g after id

@@ -7,15 +7,15 @@ form's shape, with the optional ``declared`` witness block and ``meta``.
 
 Canonical form: keys sorted, id lists sorted, two-space indent; the instance
 hash is the sha256 of the canonical text, so identical instances hash
-identically across runs.  ``serialize`` writes it from fragments cached on the
-immutable base, fibers and maps: do not mutate them once serialized.
+identically across runs.  The canonical text is
+``json.dumps(document, sort_keys=True, indent=2)`` plus a newline, and the
+document is memoised per doctrine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from collections.abc import Mapping
 from typing import Any
 
@@ -35,48 +35,6 @@ def canonical_json(doc: Mapping) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _part(part: FinCategory | FinPoset | MonotoneMap) -> tuple[Any, str]:
-    """A base's, fiber's or map's document and canonical text, made once."""
-    got = _PARTS.get(part)
-    if got is None:
-        if isinstance(part, MonotoneMap):
-            doc = part.table
-        elif isinstance(part, FinPoset):
-            doc = {"elements": list(part.elements),
-                   "leq": sorted([a, b] for a, b in part.pairs() if a != b)}
-        else:
-            doc = {
-                "objects": list(part.objects),
-                "window": list(part.window),
-                "presentation": {"kind": part.presentation.kind,
-                                 "spec": list(part.presentation.spec),
-                                 "truncated": part.presentation.truncated},
-                "arrows": [{"id": n, "dom": a.dom, "cod": a.cod}
-                           for n, a in sorted(part.arrows.items())],
-                "identity": {o: part.identity[o] for o in part.objects},
-                "compose": sorted([g, f, gf]
-                                  for (g, f), gf in part.compose_table.items()),
-                "products": [{"left": r.left, "right": r.right, "obj": r.obj,
-                              "p1": r.proj1, "p2": r.proj2}
-                             for _, r in sorted(part.products.items())],
-                "terminal": part.terminal_obj,
-            }
-            if tuple(part.power_pool) != tuple(part.window):
-                doc["power_pool"] = list(part.power_pool)
-        got = _PARTS[part] = (doc, json.dumps(doc, sort_keys=True, indent=2))
-    return got
-
-
-def _object(texts: Mapping[str, str]) -> str:
-    """The object of these members' texts: each of their newlines ends a line."""
-    body = ",\n".join(f"  {json.dumps(k)}: " + texts[k].replace("\n", "\n  ")
-                      for k in sorted(texts))
-    return "{\n" + body + "\n}" if texts else "{}"
-
-
 @memoized
 def to_document(d: Doctrine) -> dict:
     """The instance document, built once per doctrine: do not mutate it."""
@@ -88,8 +46,29 @@ def to_document(d: Doctrine) -> dict:
         doc["catalog"] = {"id": d.source["id"],
                           "dual": bool(d.source.get("dual", False))}
     else:
-        doc["base"] = _part(d.base)[0]
-        doc["fibers"] = {o: _part(p)[0] for o, p in d.fibers.items()}
+        base = d.base
+        doc["base"] = {
+            "objects": list(base.objects),
+            "window": list(base.window),
+            "presentation": {"kind": base.presentation.kind,
+                             "spec": list(base.presentation.spec),
+                             "truncated": base.presentation.truncated},
+            "arrows": [{"id": n, "dom": a.dom, "cod": a.cod}
+                       for n, a in sorted(base.arrows.items())],
+            "identity": {o: base.identity[o] for o in base.objects},
+            "compose": sorted([g, f, gf]
+                              for (g, f), gf in base.compose_table.items()),
+            "products": [{"left": r.left, "right": r.right, "obj": r.obj,
+                          "p1": r.proj1, "p2": r.proj2}
+                         for _, r in sorted(base.products.items())],
+            "terminal": base.terminal_obj,
+        }
+        if tuple(base.power_pool) != tuple(base.window):
+            doc["base"]["power_pool"] = list(base.power_pool)
+        doc["fibers"] = {
+            o: {"elements": list(p.elements),
+                "leq": sorted([a, b] for a, b in p.pairs() if a != b)}
+            for o, p in d.fibers.items()}
         doc["reindex"] = {n: m.table for n, m in sorted(d.reindex.items())}
     if d.declared:
         doc["declared"] = d.declared
@@ -97,15 +76,7 @@ def to_document(d: Doctrine) -> dict:
 
 
 def serialize(d: Doctrine) -> str:
-    """``canonical_json(to_document(d))``, from the parts' cached texts."""
-    doc = to_document(d)
-    texts = {k: json.dumps(v, sort_keys=True, indent=2) for k, v in doc.items()
-             if k not in ("base", "fibers", "reindex")}
-    if "base" in doc:
-        texts["base"] = _part(d.base)[1]
-        texts["fibers"] = _object({o: _part(p)[1] for o, p in d.fibers.items()})
-        texts["reindex"] = _object({n: _part(m)[1] for n, m in d.reindex.items()})
-    return _object(texts) + "\n"
+    return canonical_json(to_document(d))
 
 
 @memoized

@@ -35,7 +35,7 @@ __all__ = [
 class FinPoset:
     """Immutable finite poset over string element ids."""
 
-    __slots__ = ("elements", "index", "uppers", "lowers", "__dict__", "__weakref__")
+    __slots__ = ("elements", "index", "uppers", "lowers", "__dict__")
 
     def __init__(self, elements: Iterable[str], leq: Iterable[tuple[str, str]],
                  validate: bool = True, _masks: tuple[int, ...] | None = None):
@@ -243,7 +243,7 @@ class MonotoneMap:
     index in ``target`` of the image of the ``i``-th element of ``source``.
     Monotonicity is not checked here; ``validate_doctrine`` checks it."""
 
-    __slots__ = ("source", "target", "idx_table", "__dict__", "__weakref__")
+    __slots__ = ("source", "target", "idx_table", "__dict__")
 
     def __init__(self, source: FinPoset, target: FinPoset,
                  idx_table: Iterable[int]):

@@ -709,25 +709,6 @@ def _orbit_step(table: tuple, reach, k: int) -> set[int] | None:
     return nxt
 
 
-def _orbit_least(shapes: Sequence[str], ks: Sequence[int]) -> bool:
-    """Whether the cover indices ``ks`` (``ks[i]`` into
-    ``_MONO[(shapes[i + 1], shapes[i])]``) are the lexicographically least
-    member of their orbit under the product of the fibers' automorphism
-    groups.
-
-    The orbit member for automorphisms ``(a_0, ..., a_n-1)`` has
-    ``a_i . m . a_i+1^-1`` at position ``i``, so its least prefix is found
-    position by position, carrying the automorphisms of the next fiber that
-    reach it; the work is a sum, not a product, of the group sizes.
-    """
-    reach = range(len(_AUTS[shapes[0]]))
-    for i, k in enumerate(ks):
-        reach = _orbit_step(_action(shapes[i + 1], shapes[i]), reach, k)
-        if reach is None:
-            return False
-    return True
-
-
 def _walk(shapes: Sequence[str], maps: dict, p: int,
           reach) -> Iterator[tuple[int, dict | None]]:
     """The cover indices from position ``p`` on, depth first in

@@ -453,6 +453,18 @@ def test_missing_diagonal_row_is_rejected_at_its_position(tmp_path, capsys,
     assert len(err.splitlines()) == 1
 
 
+def test_validate_rejects_a_composition_entry_that_does_not_compose(tmp_path,
+                                                                     capsys):
+    # L0>L1 after itself, though its codomain L1 is not its domain L0
+    doc = json.loads((DATA / "enum29.json").read_text(encoding="utf-8"))
+    doc["base"]["compose"].append(["L0>L1", "L0>L1", "L0>L1"])
+    path = tmp_path / "extra_entry.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
 def test_bad_env_budget_exits_2(monkeypatch, capsys, value):
     monkeypatch.setenv("DOCTRINELAB_BUDGET", value)

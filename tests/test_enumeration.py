@@ -128,6 +128,19 @@ def assert_matches_reference(max_base=3, max_fiber=3, min_fiber=1,
     assert stats == reference_stats
 
 
+def orbit_least(shapes, ks) -> bool:
+    """Whether the cover indices ``ks`` are orbit-least, decided as the walk
+    decides it: ``_orbit_step`` chained position by position from every
+    automorphism of the first fiber."""
+    reach = range(len(theorems._AUTS[shapes[0]]))
+    for i, k in enumerate(ks):
+        reach = theorems._orbit_step(theorems._action(shapes[i + 1], shapes[i]),
+                                     reach, k)
+        if reach is None:
+            return False
+    return True
+
+
 def space_boundaries(min_fiber):
     """The window-3 space's size, the candidates before its last base, and
     (candidates before it, its size) of the first subtree of more than one
@@ -145,7 +158,7 @@ def space_boundaries(min_fiber):
                 subtree = next(
                     ((count + k * sizes[1], sizes[1]) for k in range(sizes[0])
                      if sizes[1] > 1
-                     and not theorems._orbit_least(assign[:2], (k,))), None)
+                     and not orbit_least(assign[:2], (k,))), None)
             count += math.prod(sizes)
     return count, before_last, subtree
 
@@ -220,4 +233,4 @@ def test_orbit_least_matches_reference(candidate):
     covers = tuple(theorems._MONO[(assign[i + 1], assign[i])][k]
                    for i, k in enumerate(ks))
     least = reference_key(assign, covers) == covers
-    assert theorems._orbit_least(assign, ks) == least
+    assert orbit_least(assign, ks) == least

@@ -239,12 +239,18 @@ def _with_wrong_endpoints(table):
     table[("S2>S2:1,0", "S1>S2:0")] = "S2>S2:0,0"
 
 
+def _with_an_extra_pair_that_does_not_compose(table):
+    table[("S1>S2:0", "S1>S2:0")] = "S1>S2:0"  # no pair removed
+
+
 @pytest.mark.parametrize("fault,error", [
     (_without_a_pair, "incomplete table: (S2>S2:1,0) o (S1>S2:0) missing"),
     (_with_a_pair_that_does_not_compose,
      "incomplete table: (S2>S2:1,0) o (S1>S2:0) missing"),
     (_with_wrong_endpoints,
-     "composite (S2>S2:1,0) o (S1>S2:0) has wrong endpoints")])
+     "composite (S2>S2:1,0) o (S1>S2:0) has wrong endpoints"),
+    (_with_an_extra_pair_that_does_not_compose,
+     "entry (S1>S2:0) o (S1>S2:0) does not compose")])
 def test_a_faulty_table_gives_the_scan_error(ps20, fault, error):
     table = dict(ps20.base.compose_table)
     fault(table)

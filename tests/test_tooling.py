@@ -3,8 +3,10 @@ name that no longer resolves (a renamed or unexported check) is never
 wrapped, and its per-layer metric silently reads 0.  README's catalog table
 is checked against the catalog the same way.  The tracer counts memo hits
 and misses by wrapping ``Doctrine.cached``, so no other code may touch a
-memo dict.  The layer script under ``tools/`` runs once on the smallest
-catalog id, so that it keeps working."""
+memo dict.  Every private function of the package is called from the
+package, so none is kept alive by tests alone.  The layer script under
+``tools/`` runs once on the smallest catalog id, so that it keeps
+working."""
 
 import ast
 import importlib
@@ -19,6 +21,11 @@ from doctrinelab import catalog
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "src" / "doctrinelab").glob("*.py"))}
 
 
 def _tracing():
@@ -152,8 +159,7 @@ def _outside_cached(source: str) -> list[tuple[int, str]]:
 
 
 def test_only_the_cached_methods_touch_a_memo():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "src" / "doctrinelab").glob("*.py"))}
+    sources = _package_sources()
     assert {name: _outside_cached(text) for name, text in sources.items()
             if _outside_cached(text)} == {}
     owners = sorted(name for name, text in sources.items() if _memo_uses(text))
@@ -172,6 +178,48 @@ def test_the_memo_gate_sees_a_fast_path_around_cached():
     assert fast_path != source
     assert _outside_cached(source) == []
     assert [func for _, func in _outside_cached(fast_path)] == ["call"]
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level function or method named with
+    one leading underscore that no code in ``sources`` outside its own body
+    names."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            used = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) else None)
+            if used is not None:
+                uses.setdefault(used, []).append(node)
+    found = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and fn.name.startswith("_")
+                        and not fn.name.startswith("__")):
+                    inside = set(map(id, ast.walk(fn)))
+                    if all(id(use) in inside for use in uses.get(fn.name, [])):
+                        found.append(f"{name.removesuffix('.py')}.{fn.name}")
+    return found
+
+
+def test_every_private_function_is_used():
+    assert _orphans(_package_sources()) == []
+
+
+def test_the_orphan_gate_sees_a_helper_nothing_calls():
+    sources = _package_sources()
+    # a recursive helper names itself, and a method only its own class
+    sources["poset.py"] += (
+        "\n\ndef _helper(n):\n    return n if n < 2 else _helper(n - 1)\n"
+        "\n\nclass _Holder:\n    def _unused(self):\n"
+        "        return _Holder\n")
+    assert _orphans(sources) == ["poset._helper", "poset._unused"]
 
 
 def test_the_layer_script_runs_on_one_catalog_id():

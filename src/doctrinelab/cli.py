@@ -172,6 +172,9 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
 
 
 def cmd_derive(args) -> int:
+    # imported before the instance is built, as in classify and theorem, so
+    # that compiling the checkers does not add to the memory a window holds
+    from . import constructions  # noqa: F401
     d = load_instance(args.instance)
     try:
         title, payload = _derive_payload(d, args.what)

@@ -151,6 +151,10 @@ class FinCategory:
 
     Every result that depends on the base alone is memoized in it by
     :func:`memoized`, so the doctrines over one base share it.
+
+    A ``compose`` that is a ``dict`` is handed over: the category keeps it as
+    ``compose_table`` and the caller must not change it afterwards.  Any
+    other mapping is copied.
     """
 
     def __init__(self, objects: Sequence[str], arrows: Iterable[Arrow],
@@ -181,7 +185,9 @@ class FinCategory:
                 raise MalformedCategory(f"missing identity for {o}")
             if self.arrows[i].dom != o or self.arrows[i].cod != o:
                 raise MalformedCategory(f"identity of {o} is not an endo-arrow")
-        self.compose_table = dict(compose)
+        # a dict is kept, not copied: the table of a built window is its
+        # largest structure, and every caller builds a fresh one
+        self.compose_table = compose if type(compose) is dict else dict(compose)
         comp = self.compose_table
         if not set(self.arrows).issuperset(chain(chain.from_iterable(comp), comp.values())):
             for (g, f), gf in comp.items():
@@ -764,31 +770,32 @@ class ConcreteBuilder:
         """The window category.  Each arrow's image is ``bytes``, and ``g``
         after ``f`` is ``images[f].translate(lut[g])``, ``lut[g]`` being the
         image of ``g`` padded to a 256-byte translation table."""
-        arrow_of: dict[tuple[str, str, bytes], str] = {}
+        # hom[dom][cod] maps an image to the name of its arrow
+        hom: dict[str, dict[str, dict[bytes, str]]] = {
+            o: {c: {} for c in self.order} for o in self.order}
         arrows: dict[str, Arrow] = {}
         images: dict[str, bytes] = {}
         lut: dict[str, bytes] = {}
-        by_dom: dict[str, list[str]] = {o: [] for o in self.order}
-        by_cod: dict[str, list[str]] = {o: [] for o in self.order}
+        by_dom: dict[str, list[tuple[str, str, bytes]]] = {o: [] for o in self.order}
+        by_cod: dict[str, list[tuple[str, str, bytes]]] = {o: [] for o in self.order}
         table: dict[tuple[str, str], str] = {}
         queue: list[tuple[str, int, int]] = []
 
         def intern(dom: str, cod: str, img: bytes) -> str:
-            key = (dom, cod, img)
-            name = arrow_of.get(key)
+            known = hom[dom][cod]
+            name = known.get(img)
             if name is None:
                 if len(arrows) == MAX_ARROWS:
                     raise self._exceeded(f"more than {MAX_ARROWS}")
-                name = self._name(dom, cod, img)
-                arrow_of[key] = name
+                name = known[img] = self._name(dom, cod, img)
                 arrows[name] = Arrow(name, dom, cod)
                 images[name] = img
-                lut[name] = img.ljust(256, b"\0")
-                by_dom[dom].append(name)
+                lut[name] = padded = img.ljust(256, b"\0")
+                by_dom[dom].append((name, cod, padded))
                 # with how many arrows out of its codomain (itself included)
                 # and into its domain were born up to it
                 queue.append((name, len(by_dom[cod]), len(by_cod[dom])))
-                by_cod[cod].append(name)
+                by_cod[cod].append((name, dom, img))
             return name
 
         ids = {o: (o, o, bytes(range(self.carriers[o]))) for o in self.order}
@@ -815,23 +822,27 @@ class ConcreteBuilder:
         # are in the table; a pair composed again keeps its composite and place
         def process(name: str, after: int, before: int) -> None:
             a, img, then = arrows[name], images[name], lut[name]
-            fs = by_cod[a.dom]
+            dom, cod = a.dom, a.cod
+            fs = by_cod[dom]
             now = len(fs)
-            for g in by_dom[a.cod][:after]:
-                key = (a.dom, arrows[g].cod, img.translate(lut[g]))
-                table[(g, name)] = arrow_of.get(key) or intern(*key)
-            for f in fs[:before] + fs[now:]:
-                key = (arrows[f].dom, a.cod, images[f].translate(then))
-                table[(name, f)] = arrow_of.get(key) or intern(*key)
-            if a.dom in window_set:
-                for g in list(by_dom[a.dom]):
-                    for f_, g_ in ((name, g), (g, name)):
-                        row = self.rows.get((arrows[f_].cod, arrows[g_].cod))
+            out_of = hom[dom]
+            for g, c, g_lut in by_dom[cod][:after]:
+                gf = img.translate(g_lut)
+                table[(g, name)] = out_of[c].get(gf) or intern(dom, c, gf)
+            for f, d, f_img in fs[:before] + fs[now:]:
+                gf = f_img.translate(then)
+                table[(name, f)] = hom[d][cod].get(gf) or intern(d, cod, gf)
+            if dom in window_set:
+                for g, c, _ in list(by_dom[dom]):
+                    other = images[g]
+                    for c1, img1, c2, img2 in ((cod, img, c, other),
+                                               (c, other, cod, img)):
+                        row = self.rows.get((c1, c2))
                         if row is None:
                             continue
-                        nb = self.carriers[arrows[g_].cod]
-                        intern(a.dom, row, bytes(x * nb + y for x, y
-                                                 in zip(images[f_], images[g_])))
+                        nb = self.carriers[c2]
+                        intern(dom, row, bytes(x * nb + y
+                                               for x, y in zip(img1, img2)))
 
         # Structural injections with non-window domains: f x g, swaps, and the
         # pairing <id, p2> : XA -> (XA)xA used by the equality-predicate functor.

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 
 from doctrinelab import catalog, theorems
@@ -18,6 +20,15 @@ def one_object_category():
 
 def test_one_object_category_validates():
     assert one_object_category().validate()
+
+
+def test_a_composition_dict_is_kept_and_any_other_mapping_copied():
+    arrows = [Arrow("id", "A", "A")]
+    table = {("id", "id"): "id"}
+    assert FinCategory(["A"], arrows, {"A": "id"}, table).compose_table is table
+    view = MappingProxyType(table)
+    kept = FinCategory(["A"], arrows, {"A": "id"}, view).compose_table
+    assert type(kept) is dict and kept == table and kept is not table
 
 
 def test_missing_composite_is_distinct_error():
@@ -273,9 +284,11 @@ def test_builder_refuses_a_carrier_above_its_point_limit():
 # -- the base memo ----------------------------------------------------------------
 
 def _copy(base):
-    """A base built from the tables of ``base``, with an empty memo."""
+    """A base built from the tables of ``base``, with an empty memo and its
+    own composition table, so that nothing done to the copy reaches
+    ``base``."""
     return FinCategory(base.objects, base.arrows.values(), base.identity,
-                       base.compose_table, base.window, base.products,
+                       dict(base.compose_table), base.window, base.products,
                        base.terminal_obj, base.presentation, base.sizes,
                        base.power_pool, base.tables)
 

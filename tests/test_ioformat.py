@@ -245,10 +245,82 @@ def reference(d) -> str:
     return json.dumps(ioformat.to_document(d), sort_keys=True, indent=2) + "\n"
 
 
+def text_digest(texts) -> str:
+    """sha256 of the texts, one after another, as UTF-8."""
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _string(text: str) -> str:
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code > 0xFFFF:  # a surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 + (code >> 10):04x}"
+                       f"\\u{0xDC00 + (code & 0x3FF):04x}")
+        else:
+            out.append(f"\\u{code:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def encode(node, depth: int = 0) -> str:
+    """``node`` as ``json.dumps(node, sort_keys=True, indent=2)`` writes it,
+    written here without the ``json`` module, to check ``serialize``
+    against."""
+    if node is None or isinstance(node, bool):
+        return {None: "null", True: "true", False: "false"}[node]
+    if isinstance(node, int):
+        return str(node)
+    if isinstance(node, str):
+        return _string(node)
+    if isinstance(node, dict):
+        items = [f"{_string(k)}: {encode(node[k], depth + 1)}"
+                 for k in sorted(node)]
+        ends = "{}"
+    else:
+        items = [encode(v, depth + 1) for v in node]
+        ends = "[]"
+    if not items:
+        return ends
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return ends[0] + inner + ("," + inner).join(items) + outer + ends[1]
+
+
 # sha256 of the texts below, frozen while ``serialize`` was written apart from
 # ``reference``: now that both are one expression, only this digest checks them
 SAMPLE_TEXT_DIGEST = (
     "306a660116abd3ba3cc6a23eb21c27a5ee77680905ddd2182892f0f14f0210f4")
+# the same for the texts of the tests below that compare with ``reference``,
+# frozen from the ``serialize`` that wrote the goldens
+CATALOG_TEXT_DIGESTS = {
+    "PS(2,0)": (
+        "f04dd809425468199e1b1a9549900a058b1396e957d0f7c93384a7c8dc686922"),
+    "PS(1,1)": (
+        "502096ef18c7c33d7011c675ea473f58554d6fb6cda8f1f7e717405ddcaf951c"),
+    "SIER": (
+        "69c9fa40df4f0ae4781bb20c9a8b50fa4fd51986f0f388f951a4f36dba68f6f9"),
+    "TRIV": (
+        "30c54f272ba8fb98b95a8b93d9f9648f9258549fb2573182c6e287ac933b154e"),
+    "SL3": (
+        "7b29a95df4b609ec31b1f78c4e44b682cb98cc7eefd749a3c28f3f3f29f4af22"),
+}
+DECLARED_TEXT_DIGEST = (
+    "d3a3b5b3bde09c72c664e9890c6e24c7e074a107ee7c8f4b49a608feadafbd6a")
+ESCAPED_TEXT_DIGEST = (
+    "abbb601968b6394db407809b550de0035989eba0f3717f74842a3bc7245e9d40")
+SHARED_PARTS_TEXT_DIGEST = (
+    "667f4217003cafb87da2b05db0a35745f9d3bba44896ca96e3275939fa4319e6")
 
 
 def test_serialize_is_json_dumps_on_the_enumerated_sample():
@@ -270,6 +342,7 @@ def test_serialize_is_json_dumps_on_the_enumerated_sample():
 def test_serialize_is_json_dumps_on_the_catalog(cid):
     d = catalog.instance(cid)
     assert ioformat.serialize(d) == reference(d)
+    assert text_digest([ioformat.serialize(d)]) == CATALOG_TEXT_DIGESTS[cid]
 
 
 def test_serialize_is_json_dumps_with_a_declared_block(tmp_path):
@@ -282,6 +355,8 @@ def test_serialize_is_json_dumps_with_a_declared_block(tmp_path):
     for d in (every_kind, explicit):
         assert d.declared
         assert ioformat.serialize(d) == reference(d)
+    assert text_digest(ioformat.serialize(d) for d in (every_kind, explicit)) \
+        == DECLARED_TEXT_DIGEST
 
 
 def _renamed(node, names):
@@ -304,6 +379,7 @@ def test_serialize_is_json_dumps_with_escaped_names(tmp_path):
     text = ioformat.serialize(d)
     assert text == reference(d)
     assert '"u\\": 0"' in text and "\\u2603" in text
+    assert text_digest([text]) == ESCAPED_TEXT_DIGEST
 
 
 # nested JSON values of the kinds a document holds, empty containers included
@@ -328,6 +404,7 @@ def test_serialize_is_json_dumps_with_any_name_and_declared_block(name,
     d = _first_doctrine()
     e = Doctrine(d.base, d.fibers, d.reindex, name=name, declared=declared)
     assert ioformat.serialize(e) == reference(e)
+    assert ioformat.serialize(e) == encode(ioformat.to_document(e)) + "\n"
 
 
 def test_doctrines_sharing_their_parts_serialize_apart(tmp_path):
@@ -338,6 +415,7 @@ def test_doctrines_sharing_their_parts_serialize_apart(tmp_path):
     texts = [ioformat.serialize(e) for e in (d, *variants)]
     assert len(set(texts)) == 4
     assert texts == [reference(e) for e in (d, *variants)]
+    assert text_digest(texts) == SHARED_PARTS_TEXT_DIGEST
     # parsing the text back builds fresh parts with the same text
     again = ioformat.parse(texts[0])
     assert again.base is not d.base

@@ -227,9 +227,13 @@ def test_the_layer_script_runs_on_one_catalog_id():
         [sys.executable, str(ROOT / "tools" / "catalog_layers.py"), "TRIV",
          "--repeat", "1"], capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[0] == "medians of 1 fresh processes, ms"
+    assert lines[0] == ("medians of 1 fresh processes; times in ms, "
+                        "peak RSS in MB")
     layers = lines[2].split()
     assert layers[:3] == ["TRIV", "S0", "(1)"] and len(layers) == 9
+    assert lines[3].split()[1:5] == ["validate", "ms", "validate", "MB"]
     commands = lines[4].split()
-    assert commands[0] == "TRIV" and len(commands) == 5
-    assert all(float(ms) > 0 for ms in commands[1:])
+    assert commands[0] == "TRIV" and len(commands) == 9
+    assert all(float(ms) > 0 for ms in commands[1::2])
+    # a fresh interpreter holds several MB before it imports the package
+    assert all(float(mb) > 5 for mb in commands[2::2])

@@ -15,10 +15,15 @@ this order:
   the Heyting-implication table, of the largest fiber (``S8`` on
   ``PS(2,0)``).
 
-It then times, also ``N`` times each, the four catalog commands of the
+It then runs, also ``N`` times each, the four catalog commands of the
 benchmark (``validate``, ``classify``, ``theorem --all``, ``derive --what
-sigma``), each in its own process with a ``--json`` report, import
-included.  Every figure printed is a median in milliseconds, unscaled.
+sigma``), each in its own process with a ``--json`` report, and prints
+each command's time, import included, next to its peak resident set size
+(``ru_maxrss`` from ``os.wait4``, as perfbench reads it).  Every figure
+printed is a median, times in milliseconds, unscaled, and memory in MB
+(``ru_maxrss`` / 1024).  The commands inherit the environment, so
+``PYTHONDONTWRITEBYTECODE=1`` makes each compile the package from source,
+as the benchmark's commands do.
 """
 
 from __future__ import annotations
@@ -94,20 +99,26 @@ def fresh_layers(cid: str) -> dict:
     return json.loads(done.stdout)
 
 
-def command_ms(argv, report: Path) -> float:
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "doctrinelab.cli", *argv,
-                           "--json", str(report)], capture_output=True,
-                          text=True, env=environment())
-    elapsed = (time.perf_counter() - start) * 1000
-    if done.returncode not in (0, 1):  # 1: some verdict is refuted
-        raise SystemExit(f"doctrinelab {' '.join(argv)} exited "
-                         f"{done.returncode}: {done.stderr.strip()}")
-    return elapsed
+def command_run(argv, report: Path) -> tuple[float, float]:
+    """The wall time (ms) and peak RSS (MB) of one command's process."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        p = subprocess.Popen([sys.executable, "-m", "doctrinelab.cli", *argv,
+                              "--json", str(report)], stdout=subprocess.DEVNULL,
+                             stderr=err, env=environment())
+        _, status, usage = os.wait4(p.pid, 0)
+        elapsed = (time.perf_counter() - start) * 1000
+        p.returncode = os.waitstatus_to_exitcode(status)
+        if p.returncode not in (0, 1):  # 1: some verdict is refuted
+            err.seek(0)
+            raise SystemExit(f"doctrinelab {' '.join(argv)} exited "
+                             f"{p.returncode}: {err.read().decode().strip()}")
+    return elapsed, usage.ru_maxrss / 1024
 
 
-def median_ms(argv, report: Path, repeat: int) -> float:
-    return statistics.median(command_ms(argv, report) for _ in range(repeat))
+def medians(argv, report: Path, repeat: int) -> tuple[float, float]:
+    runs = [command_run(argv, report) for _ in range(repeat)]
+    return tuple(statistics.median(column) for column in zip(*runs))
 
 
 def main(argv=None) -> int:
@@ -122,7 +133,8 @@ def main(argv=None) -> int:
         return 0
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    print(f"medians of {args.repeat} fresh processes, ms")
+    print(f"medians of {args.repeat} fresh processes; times in ms, "
+          "peak RSS in MB")
     print(f"{'id':8} {'largest fiber':14}"
           + "".join(f" {name:>17}" for name in LAYERS))
     for cid in args.ids:
@@ -130,13 +142,16 @@ def main(argv=None) -> int:
         print(f"{cid:8} {runs[0]['fiber']:14}" + "".join(
             f" {statistics.median(r[name] for r in runs):17.1f}"
             for name in LAYERS))
-    print(f"{'id':8}" + "".join(f" {name:>15}" for name in COMMANDS))
+    print(f"{'id':8}" + "".join(f" {name + ' ms':>17} {name + ' MB':>17}"
+                                for name in COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
         for cid in args.ids:
-            print(f"{cid:8}" + "".join(
-                f" {median_ms((*cmd, cid), report, args.repeat):15.1f}"
-                for cmd in COMMANDS.values()))
+            cells = []
+            for cmd in COMMANDS.values():
+                ms, mb = medians((*cmd, cid), report, args.repeat)
+                cells.append(f" {ms:17.1f} {mb:17.2f}")
+            print(f"{cid:8}" + "".join(cells))
     return 0
 
 

@@ -212,7 +212,7 @@ def test_fault_injected_cell_with_tables_gives_the_scan_payload(ps20):
 def test_corrupted_arrow_table_still_validates(ps20):
     base = ps20.base
     tables = {**base.tables, "S1>S2:0": (1,)}
-    assert _rebuilt(base, base.compose_table, tables).validate()
+    assert _rebuilt(base, dict(base.compose_table), tables).validate()
 
 
 def test_shared_table_in_a_hom_set_falls_through_to_the_scan(ps20):

@@ -130,17 +130,16 @@ def cmd_classify(args) -> int:
 
 # -- derive ----------------------------------------------------------------------
 
-def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
-    from . import constructions as _cons
+def _derive_payload(d: Doctrine, what: str, constructions) -> tuple[str, Any]:
     base = d.base
     if what == "sigma":
         table = {}
         for f in base.window_arrows:
             for alpha in d.fibers[base.dom(f)].elements:
-                table[f"{f}|{alpha}"] = _cons.derived_sigma(d, f, alpha)
+                table[f"{f}|{alpha}"] = constructions.derived_sigma(d, f, alpha)
         return "derived existential quantification", table
     if what == "implication":
-        tables = _cons.derived_implication_tables(d)
+        tables = constructions.derived_implication_tables(d)
         if tables is None:
             raise DoctrineError("derived implication undefined "
                                 "(missing comprehension witness or adjoint)")
@@ -154,12 +153,12 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
         table = {}
         for a in base.window:
             for alpha in d.fibers[a].elements:
-                table[f"{a}|{alpha}"] = _cons.cocomp_from_negation(d, a, alpha)
+                table[f"{a}|{alpha}"] = constructions.cocomp_from_negation(d, a, alpha)
         return "co-comprehension from negation", table
     if what == "dual":
-        return "dual instance", ioformat.to_document(_cons.dualize(d))
+        return "dual instance", ioformat.to_document(constructions.dualize(d))
     if what == "graph":
-        return "graphs", {f: _cons.graph(d, f) for f in base.window_arrows}
+        return "graphs", {f: constructions.graph(d, f) for f in base.window_arrows}
     if what == "epsilon":
         from .logic import ac_check
         verdict, eps = ac_check(d)
@@ -174,10 +173,10 @@ def _derive_payload(d: Doctrine, what: str) -> tuple[str, Any]:
 def cmd_derive(args) -> int:
     # imported before the instance is built, as in classify and theorem, so
     # that compiling the checkers does not add to the memory a window holds
-    from . import constructions  # noqa: F401
+    from . import constructions
     d = load_instance(args.instance)
     try:
-        title, payload = _derive_payload(d, args.what)
+        title, payload = _derive_payload(d, args.what, constructions)
     except DoctrineError as exc:
         print(f"derive {args.what}: not applicable: {exc}")
         _write_json(args.json, {

@@ -152,14 +152,13 @@ class FinCategory:
     Every result that depends on the base alone is memoized in it by
     :func:`memoized`, so the doctrines over one base share it.
 
-    A ``compose`` that is a ``dict`` is handed over: the category keeps it as
-    ``compose_table`` and the caller must not change it afterwards.  Any
-    other mapping is copied.
+    The ``compose`` dict is handed over: the category keeps it as
+    ``compose_table`` and the caller must not change it afterwards.
     """
 
     def __init__(self, objects: Sequence[str], arrows: Iterable[Arrow],
                  identity: Mapping[str, str],
-                 compose: Mapping[tuple[str, str], str],
+                 compose: dict[tuple[str, str], str],
                  window: Sequence[str] | None = None,
                  products: Mapping[tuple[str, str], Product] | None = None,
                  terminal: str | None = None,
@@ -185,9 +184,9 @@ class FinCategory:
                 raise MalformedCategory(f"missing identity for {o}")
             if self.arrows[i].dom != o or self.arrows[i].cod != o:
                 raise MalformedCategory(f"identity of {o} is not an endo-arrow")
-        # a dict is kept, not copied: the table of a built window is its
-        # largest structure, and every caller builds a fresh one
-        self.compose_table = compose if type(compose) is dict else dict(compose)
+        # kept, not copied: the table of a built window is its largest
+        # structure, and every caller builds a fresh one
+        self.compose_table = compose
         comp = self.compose_table
         if not set(self.arrows).issuperset(chain(chain.from_iterable(comp), comp.values())):
             for (g, f), gf in comp.items():

@@ -18,10 +18,11 @@ this order:
 It then runs, also ``N`` times each, the four catalog commands of the
 benchmark (``validate``, ``classify``, ``theorem --all``, ``derive --what
 sigma``), each in its own process with a ``--json`` report, and prints
-each command's time, import included, next to its peak resident set size
-(``ru_maxrss`` from ``os.wait4``, as perfbench reads it).  Every figure
-printed is a median, times in milliseconds, unscaled, and memory in MB
-(``ru_maxrss`` / 1024).  The commands inherit the environment, so
+each command's time, import included, next to its peak resident set size.
+Every process is started by perfbench's own ``run_program``, so both
+figures are read as the benchmark reads them (``ru_maxrss`` from
+``os.wait4``).  Every figure printed is a median, times in milliseconds,
+unscaled, and memory in MB.  The processes inherit the environment, so
 ``PYTHONDONTWRITEBYTECODE=1`` makes each compile the package from source,
 as the benchmark's commands do.
 """
@@ -30,9 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -40,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import run_program  # noqa: E402
 IDS = ("PS(2,0)", "PS(1,1)", "SIER", "TRIV", "SL3")
 COMMANDS = {"validate": ("validate",), "classify": ("classify",),
             "theorem --all": ("theorem", "--all"),
@@ -84,40 +85,26 @@ def layers(cid: str) -> dict:
             **{k: v * 1000 for k, v in spent.items()}}
 
 
-def environment() -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "DOCTRINELAB_BUDGET"}
-    env["PYTHONPATH"] = str(SRC)
-    return env
-
-
-def fresh_layers(cid: str) -> dict:
-    done = subprocess.run([sys.executable, __file__, "--child", cid],
-                          capture_output=True, text=True, env=environment())
-    if done.returncode:
+def fresh_layers(cid: str, work: Path) -> dict:
+    done = run_program((sys.executable, __file__, "--child", cid), work)
+    if done.rc:
         last = (done.stderr.strip().splitlines() or ["no output"])[-1]
         raise SystemExit(f"building {cid} failed: {last}")
     return json.loads(done.stdout)
 
 
-def command_run(argv, report: Path) -> tuple[float, float]:
+def command_run(argv, work: Path) -> tuple[float, float]:
     """The wall time (ms) and peak RSS (MB) of one command's process."""
-    with tempfile.TemporaryFile() as err:
-        start = time.perf_counter()
-        p = subprocess.Popen([sys.executable, "-m", "doctrinelab.cli", *argv,
-                              "--json", str(report)], stdout=subprocess.DEVNULL,
-                             stderr=err, env=environment())
-        _, status, usage = os.wait4(p.pid, 0)
-        elapsed = (time.perf_counter() - start) * 1000
-        p.returncode = os.waitstatus_to_exitcode(status)
-        if p.returncode not in (0, 1):  # 1: some verdict is refuted
-            err.seek(0)
-            raise SystemExit(f"doctrinelab {' '.join(argv)} exited "
-                             f"{p.returncode}: {err.read().decode().strip()}")
-    return elapsed, usage.ru_maxrss / 1024
+    done = run_program((sys.executable, "-m", "doctrinelab.cli", *argv,
+                        "--json", "report.json"), work)
+    if done.rc not in (0, 1):  # 1: some verdict is refuted
+        raise SystemExit(f"doctrinelab {' '.join(argv)} exited "
+                         f"{done.rc}: {done.stderr.strip()}")
+    return done.wall_s * 1000, done.rss_mb
 
 
-def medians(argv, report: Path, repeat: int) -> tuple[float, float]:
-    runs = [command_run(argv, report) for _ in range(repeat)]
+def medians(argv, work: Path, repeat: int) -> tuple[float, float]:
+    runs = [command_run(argv, work) for _ in range(repeat)]
     return tuple(statistics.median(column) for column in zip(*runs))
 
 
@@ -137,19 +124,19 @@ def main(argv=None) -> int:
           "peak RSS in MB")
     print(f"{'id':8} {'largest fiber':14}"
           + "".join(f" {name:>17}" for name in LAYERS))
-    for cid in args.ids:
-        runs = [fresh_layers(cid) for _ in range(args.repeat)]
-        print(f"{cid:8} {runs[0]['fiber']:14}" + "".join(
-            f" {statistics.median(r[name] for r in runs):17.1f}"
-            for name in LAYERS))
-    print(f"{'id':8}" + "".join(f" {name + ' ms':>17} {name + ' MB':>17}"
-                                for name in COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "report.json"
+        work = Path(tmp)
+        for cid in args.ids:
+            runs = [fresh_layers(cid, work) for _ in range(args.repeat)]
+            print(f"{cid:8} {runs[0]['fiber']:14}" + "".join(
+                f" {statistics.median(r[name] for r in runs):17.1f}"
+                for name in LAYERS))
+        print(f"{'id':8}" + "".join(f" {name + ' ms':>17} {name + ' MB':>17}"
+                                    for name in COMMANDS))
         for cid in args.ids:
             cells = []
             for cmd in COMMANDS.values():
-                ms, mb = medians((*cmd, cid), report, args.repeat)
+                ms, mb = medians((*cmd, cid), work, args.repeat)
                 cells.append(f" {ms:17.1f} {mb:17.2f}")
             print(f"{cid:8}" + "".join(cells))
     return 0

@@ -107,9 +107,9 @@ def validate_doctrine(d: Doctrine) -> Verdict:
         m = d.reindex.get(n)
         if m is None:
             raise ShapeMismatch(f"no reindex map for arrow {n}")
-        if not m.source.same_order(d.fibers[a.cod]) and m.source is not d.fibers[a.cod]:
+        if m.source is not d.fibers[a.cod] and not m.source.same_order(d.fibers[a.cod]):
             raise ShapeMismatch(f"reindex({n}) source is not fiber({a.cod})")
-        if not m.target.same_order(d.fibers[a.dom]) and m.target is not d.fibers[a.dom]:
+        if m.target is not d.fibers[a.dom] and not m.target.same_order(d.fibers[a.dom]):
             raise ShapeMismatch(f"reindex({n}) target is not fiber({a.dom})")
     for o in base.objects:
         m = d.reindex[base.identity[o]]
@@ -128,9 +128,10 @@ def validate_doctrine(d: Doctrine) -> Verdict:
                 kind="not_monotone", arrow=n,
                 pair=[src.elements[i], src.elements[j]],
                 images=[tgt.elements[it[i]], tgt.elements[it[j]]])
-    luts = {n: d.reindex[n]._translation for n in base.arrows}
-    if None not in luts.values() and tables_compose(base.compose_table, {
-            n: d.reindex[n]._idx_bytes for n in base.arrows}, luts, contravariant=True):
+    maps = [d.reindex[n] for n in base.arrows]
+    luts = [m._translation for m in maps]
+    if None not in luts and tables_compose(base.compose_columns, [
+            m._idx_bytes for m in maps], luts, contravariant=True):
         return Verdict.holds(d.window_descriptor)
     for (g, f), gf in base.compose_table.items():
         mg, mf, mgf = d.reindex[g], d.reindex[f], d.reindex[gf]

@@ -16,11 +16,12 @@ construction.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from collections.abc import Mapping
 from functools import cached_property, wraps
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .poset import FinPoset
 from .verdicts import (MalformedCategory, StructureMissing, Verdict,
@@ -135,15 +136,55 @@ class Presentation:
         return f"{self.kind}({','.join(str(s) for s in self.spec)})"
 
 
-def tables_compose(compose: Mapping[tuple[str, str], str], images: Mapping[str, bytes],
-                   luts: Mapping[str, bytes], contravariant: bool = False) -> bool:
+def tables_compose(columns: tuple[Sequence[int], Sequence[int], Sequence[int]],
+                   images: Sequence[bytes], luts: Sequence[bytes],
+                   contravariant: bool = False) -> bool:
     """Is ``images[f].translate(luts[g]) == images[gf]`` (``contravariant``:
-    ``images[g].translate(luts[f])``) for every ``(g, f) -> gf`` of ``compose``?"""
+    ``images[g].translate(luts[f])``) for every row ``(g, f, gf)`` of the
+    arrow-index ``columns``?"""
     if contravariant:
         return all(images[g].translate(luts[f]) == images[gf]
-                   for (g, f), gf in compose.items())
+                   for g, f, gf in zip(*columns))
     return all(images[f].translate(luts[g]) == images[gf]
-               for (g, f), gf in compose.items())
+               for g, f, gf in zip(*columns))
+
+
+class ComposeColumns(Mapping):
+    """The composition table of a built window, read-only: three
+    ``array('H')`` ``columns`` ``(g, f, gf)`` of arrow indices, in the order
+    the builder composed the pairs.  A lookup computes ``g`` after ``f`` from
+    the arrows' byte images, ``images[f].translate(luts[g])``, and names it
+    through ``hom[dom][cod]`` (image -> index); a pair that does not compose
+    is missing, as from a ``dict``."""
+    __slots__ = ("columns", "_names", "_arrows", "_images", "_luts", "_hom")
+
+    def __init__(self, columns: tuple[array, array, array], names: Sequence[str],
+                 arrows: Mapping[str, Arrow], images: Mapping[str, bytes],
+                 luts: Mapping[str, bytes],
+                 hom: Mapping[str, Mapping[str, Mapping[bytes, int]]]):
+        self.columns, self._names, self._arrows = columns, names, arrows
+        self._images, self._luts, self._hom = images, luts, hom
+
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        g, f = key
+        ag, af = self._arrows.get(g), self._arrows.get(f)
+        if ag is None or af is None or af.cod != ag.dom:
+            raise KeyError(key)
+        return self._names[self._hom[af.dom][ag.cod][
+            self._images[f].translate(self._luts[g])]]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        name = self._names.__getitem__
+        return zip(map(name, self.columns[0]), map(name, self.columns[1]))
+
+    def values(self) -> Iterator[str]:
+        return map(self._names.__getitem__, self.columns[2])
+
+    def items(self) -> Iterator[tuple[tuple[str, str], str]]:
+        return zip(iter(self), self.values())
 
 
 class FinCategory:
@@ -152,13 +193,17 @@ class FinCategory:
     Every result that depends on the base alone is memoized in it by
     :func:`memoized`, so the doctrines over one base share it.
 
-    The ``compose`` dict is handed over: the category keeps it as
-    ``compose_table`` and the caller must not change it afterwards.
+    The ``compose`` table is handed over: the category keeps it as
+    ``compose_table`` and the caller must not change it afterwards.  It is a
+    ``dict`` or, from :class:`ConcreteBuilder`, :class:`ComposeColumns`
+    indexed by the order of ``arrows``.  ``compose_columns`` holds its
+    entries ``(g, f) -> gf`` as three columns ``(g, f, gf)`` of the indices
+    of their arrows in ``arrows``.
     """
 
     def __init__(self, objects: Sequence[str], arrows: Iterable[Arrow],
                  identity: Mapping[str, str],
-                 compose: dict[tuple[str, str], str],
+                 compose: dict[tuple[str, str], str] | ComposeColumns,
                  window: Sequence[str] | None = None,
                  products: Mapping[tuple[str, str], Product] | None = None,
                  terminal: str | None = None,
@@ -187,12 +232,19 @@ class FinCategory:
         # kept, not copied: the table of a built window is its largest
         # structure, and every caller builds a fresh one
         self.compose_table = compose
-        comp = self.compose_table
-        if not set(self.arrows).issuperset(chain(chain.from_iterable(comp), comp.values())):
-            for (g, f), gf in comp.items():
-                if g not in self.arrows or f not in self.arrows or gf not in self.arrows:
-                    raise MalformedCategory(f"composition entry ({g},{f}) references "
-                                            "unknown arrow")
+        if isinstance(compose, ComposeColumns):
+            self.compose_columns = compose.columns
+        else:
+            index = {n: i for i, n in enumerate(self.arrows)}.__getitem__
+            try:
+                self.compose_columns = (tuple(map(index, map(itemgetter(0), compose))),
+                                        tuple(map(index, map(itemgetter(1), compose))),
+                                        tuple(map(index, compose.values())))
+            except KeyError:
+                for (g, f), gf in compose.items():
+                    if g not in self.arrows or f not in self.arrows or gf not in self.arrows:
+                        raise MalformedCategory(f"composition entry ({g},{f}) "
+                                                "references unknown arrow") from None
         self.window = tuple(window) if window is not None else self.objects
         self.power_pool = tuple(power_pool) if power_pool is not None else self.window
         for kind, objs in (("window", self.window), ("power-pool", self.power_pool)):
@@ -291,18 +343,18 @@ class FinCategory:
         """
         arrows, comp = self.arrows, self.compose_table
         names = list(arrows)
-        idx = {n: i for i, n in enumerate(names)}
         into: dict[str, list[int]] = {o: [] for o in self.objects}
         outof: dict[str, list[int]] = {o: [] for o in self.objects}
-        for n, a in arrows.items():
-            into[a.cod].append(idx[n])
-            outof[a.dom].append(idx[n])
+        for i, a in enumerate(arrows.values()):
+            into[a.cod].append(i)
+            outof[a.dom].append(i)
+        dom = [a.dom for a in arrows.values()]
+        cod = [a.cod for a in arrows.values()]
         # as many entries as composable pairs, each composable, right endpoints?
         pairs = sum(len(into[o]) * len(outof[o]) for o in self.objects)
         if pairs != len(comp) or not all(
-                (af := arrows[f]).cod == (ag := arrows[g]).dom
-                and (agf := arrows[gf]).dom == af.dom and agf.cod == ag.cod
-                for (g, f), gf in comp.items()):
+                cod[f] == dom[g] and dom[gf] == dom[f] and cod[gf] == cod[g]
+                for g, f, gf in zip(*self.compose_columns)):
             for f, a_f in arrows.items():
                 for g_i in outof[a_f.cod]:
                     g = names[g_i]
@@ -327,9 +379,8 @@ class FinCategory:
             return Verdict.holds(self.window_descriptor)
         n_arr = len(names)
         table = [[-1] * n_arr for _ in range(n_arr)]
-        for f_i, f in enumerate(names):
-            for g_i in outof[arrows[f].cod]:
-                table[g_i][f_i] = idx[comp[(names[g_i], f)]]
+        for g_i, f_i, gf_i in zip(*self.compose_columns):
+            table[g_i][f_i] = gf_i
         # h(gf) = (hg)f for all f as one row comparison per composable
         # (g, h): the row of g holds its composites gf with every f into its
         # domain; h after the row of g must be the row of hg
@@ -364,18 +415,18 @@ class FinCategory:
         ``(hg)f`` both have the table of ``h o g o f``, so they are one arrow.
         """
         size = {o: len(self.tables.get(i, ())) for o, i in self.identity.items()}
-        images: dict[str, bytes] = {}
+        images: list[bytes] = []
         for n, a in self.arrows.items():
             t = self.tables.get(n)
             if t is None or len(t) != size[a.dom] or (
                     t and not 0 <= min(t) <= max(t) < min(size[a.cod], 256)):
                 return False
-            images[n] = bytes(t)
-        if len({(a.dom, a.cod, images[n])
-                for n, a in self.arrows.items()}) < len(images):
+            images.append(bytes(t))
+        if len({(a.dom, a.cod, img)
+                for a, img in zip(self.arrows.values(), images)}) < len(images):
             return False
-        lut = {n: t.ljust(256, b"\0") for n, t in images.items()}
-        return tables_compose(self.compose_table, images, lut)
+        luts = [t.ljust(256, b"\0") for t in images]
+        return tables_compose(self.compose_columns, images, luts)
 
     # -- products ----------------------------------------------------------
 
@@ -769,33 +820,43 @@ class ConcreteBuilder:
         """The window category.  Each arrow's image is ``bytes``, and ``g``
         after ``f`` is ``images[f].translate(lut[g])``, ``lut[g]`` being the
         image of ``g`` padded to a 256-byte translation table."""
-        # hom[dom][cod] maps an image to the name of its arrow
-        hom: dict[str, dict[str, dict[bytes, str]]] = {
+        # hom[dom][cod] maps an image to the index of its arrow
+        hom: dict[str, dict[str, dict[bytes, int]]] = {
             o: {c: {} for c in self.order} for o in self.order}
+        names: list[str] = []
         arrows: dict[str, Arrow] = {}
         images: dict[str, bytes] = {}
         lut: dict[str, bytes] = {}
-        by_dom: dict[str, list[tuple[str, str, bytes]]] = {o: [] for o in self.order}
-        by_cod: dict[str, list[tuple[str, str, bytes]]] = {o: [] for o in self.order}
-        table: dict[tuple[str, str], str] = {}
-        queue: list[tuple[str, int, int]] = []
+        by_dom: dict[str, list[list]] = {o: [] for o in self.order}
+        by_cod: dict[str, list[list]] = {o: [] for o in self.order}
+        columns = (array("H"), array("H"), array("H"))
+        put_g, put_f, put_gf = (c.append for c in columns)
+        queue: list[tuple[int, int, int]] = []
+        # an arrow f born in the first loop of process(g) -> g, as g o f is
+        # composed in the second loop of process(g), before process(f)
+        composed_after: dict[int, int] = {}
 
-        def intern(dom: str, cod: str, img: bytes) -> str:
+        def intern(dom: str, cod: str, img: bytes) -> int:
             known = hom[dom][cod]
-            name = known.get(img)
-            if name is None:
-                if len(arrows) == MAX_ARROWS:
+            i = known.get(img)
+            if i is None:
+                i = len(names)
+                if i == MAX_ARROWS:
                     raise self._exceeded(f"more than {MAX_ARROWS}")
-                name = known[img] = self._name(dom, cod, img)
+                name = self._name(dom, cod, img)
+                known[img] = i
+                names.append(name)
                 arrows[name] = Arrow(name, dom, cod)
                 images[name] = img
                 lut[name] = padded = img.ljust(256, b"\0")
-                by_dom[dom].append((name, cod, padded))
+                # rows are lists: tuples freed together when close returns
+                # would stay allocated in the interpreter's tuple free list
+                by_dom[dom].append([i, cod, padded])
                 # with how many arrows out of its codomain (itself included)
                 # and into its domain were born up to it
-                queue.append((name, len(by_dom[cod]), len(by_cod[dom])))
-                by_cod[cod].append((name, dom, img))
-            return name
+                queue.append((i, len(by_dom[cod]), len(by_cod[dom])))
+                by_cod[cod].append([i, dom, img])
+            return i
 
         ids = {o: (o, o, bytes(range(self.carriers[o]))) for o in self.order}
         projs = {}
@@ -808,32 +869,46 @@ class ConcreteBuilder:
         if floor > MAX_ARROWS:
             raise self._exceeded(f"at least {floor}")
 
-        identity = {o: intern(*key) for o, key in ids.items()}
+        identity = {o: names[intern(*key)] for o, key in ids.items()}
         for key in self._gens:
             intern(*key)
-        projections = {ab: (intern(*k1), intern(*k2))
+        projections = {ab: (names[intern(*k1)], names[intern(*k2)])
                        for ab, (k1, k2) in projs.items()}
 
         window_set = set(self.window)
 
-        # an arrow born after ``name`` and before ``process(name)`` has been
-        # processed since (the queue is a stack), so its pairs with ``name``
-        # are in the table; a pair composed again keeps its composite and place
-        def process(name: str, after: int, before: int) -> None:
+        # an arrow born after ``i`` and before ``process(i)`` has been
+        # processed since (the queue is a stack), so its pairs with ``i`` are
+        # in the columns; every pair is put in the columns once
+        def process(i: int, after: int, before: int) -> None:
+            name = names[i]
             a, img, then = arrows[name], images[name], lut[name]
             dom, cod = a.dom, a.cod
             fs = by_cod[dom]
             now = len(fs)
             out_of = hom[dom]
-            for g, c, g_lut in by_dom[cod][:after]:
+            gs = by_dom[cod][:after]
+            done = composed_after.pop(i, None)
+            if done is not None:
+                gs = [row for row in gs if row[0] != done]
+            for g, c, g_lut in gs:
                 gf = img.translate(g_lut)
-                table[(g, name)] = out_of[c].get(gf) or intern(dom, c, gf)
-            for f, d, f_img in fs[:before] + fs[now:]:
+                k = out_of[c].get(gf)
+                put_g(g)
+                put_f(i)
+                put_gf(intern(dom, c, gf) if k is None else k)
+            born = fs[now:]
+            for f, _, _ in born:
+                composed_after[f] = i
+            for f, d, f_img in fs[:before] + born:
                 gf = f_img.translate(then)
-                table[(name, f)] = hom[d][cod].get(gf) or intern(d, cod, gf)
+                k = hom[d][cod].get(gf)
+                put_g(i)
+                put_f(f)
+                put_gf(intern(d, cod, gf) if k is None else k)
             if dom in window_set:
                 for g, c, _ in list(by_dom[dom]):
-                    other = images[g]
+                    other = images[names[g]]
                     for c1, img1, c2, img2 in ((cod, img, c, other),
                                                (c, other, cod, img)):
                         row = self.rows.get((c1, c2))
@@ -890,7 +965,8 @@ class ConcreteBuilder:
             products[(a, b)] = Product(a, b, carrier, p1, p2)
 
         window_objs = [o for o in self.order if o in window_set]
-        return FinCategory(self.order, arrows.values(), identity, table,
+        return FinCategory(self.order, arrows.values(), identity,
+                           ComposeColumns(columns, names, arrows, images, lut, hom),
                            window=window_objs, products=products,
                            terminal=self.terminal,
                            presentation=self.presentation,

@@ -4,6 +4,10 @@ Every Refuted verdict carries the ids needed to re-derive the violation from
 primitives (table lookups, order tests, fresh adjoint computation); this
 module re-runs that derivation.  ``recheck(d, verdict)`` returns True when
 the payload still witnesses a genuine violation on the instance.
+
+On a built window, ``compose_table`` holds no composites: each one looked up
+is computed from the arrow tables that ``FinCategory.validate`` proves
+associative; on an explicit instance it is read from the parsed table.
 """
 
 from __future__ import annotations

@@ -164,6 +164,30 @@ def test_shape_mismatch_distinct(ps20):
         validate_doctrine(broken)
 
 
+@pytest.mark.parametrize("end,obj", [("source", "S2"), ("target", "S1")])
+def test_a_reindex_map_is_over_its_fibers_by_their_order(ps20, end, obj):
+    # an equal copy of the fiber, another object, is accepted; the same
+    # elements ordered as a chain, the last one least, are refused
+    m = ps20.reindex["S1>S2:0"]
+    fiber = getattr(m, end)
+    els = fiber.elements
+    copy = FinPoset(els, fiber.pairs())
+    chain = FinPoset(els, [(b, a) for i, a in enumerate(els) for b in els[i:]])
+    assert copy is not fiber and not chain.same_order(fiber)
+
+    def over(poset):
+        ends = {"source": m.source, "target": m.target, end: poset}
+        reindex = {**ps20.reindex, "S1>S2:0": MonotoneMap(
+            ends["source"], ends["target"], m.idx_table)}
+        return validate_doctrine(Doctrine(ps20.base, ps20.fibers, reindex,
+                                          name="PS-reindexed"))
+
+    assert over(copy)
+    with pytest.raises(ShapeMismatch) as err:
+        over(chain)
+    assert str(err.value) == f"reindex(S1>S2:0) {end} is not fiber({obj})"
+
+
 def test_ps_primary_and_propositional(ps20):
     assert is_primary(ps20)
     assert is_propositional(ps20)

@@ -3,7 +3,8 @@ import pytest
 from doctrinelab import catalog, theorems
 from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
-                                FinCategory, Presentation, Product)
+                                FinCategory, Presentation, Product,
+                                tables_compose)
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import MalformedCategory, WindowExceeded
 
@@ -264,6 +265,55 @@ def test_a_faulty_table_gives_the_scan_error(ps20, fault, error):
     with pytest.raises(MalformedCategory) as err:
         broken.validate()
     assert str(err.value) == error
+
+
+# -- the composition columns of a built window -------------------------------
+
+BUILT = [cid for cid in catalog.catalog_ids() if cid != "SL3"]  # SL3 is explicit
+
+
+@pytest.mark.parametrize("cid", BUILT)
+def test_a_built_window_composes_each_pair_once(cid):
+    table = catalog.instance(cid).base.compose_table
+    assert len(set(table)) == len(table)
+
+
+@pytest.mark.parametrize("cid", BUILT)
+def test_the_tables_of_a_built_window_prove_associativity(cid):
+    assert catalog.instance(cid).base._composes_as_functions()
+
+
+@pytest.mark.parametrize("cid", ["PS(2,0)", "SIER"])
+def test_each_composite_looked_up_is_the_entry_of_the_columns(cid):
+    # dict() looks every key up, so this compares the composites computed
+    # from the arrows' images with the columns, in their order
+    table = catalog.instance(cid).base.compose_table
+    assert list(dict(table).items()) == list(table.items())
+
+
+@pytest.mark.parametrize("key", [("S1>S2:0", "S1>S2:0"), ("nowhere", "S1>S2:0"),
+                                 ("S2>S2:1,0", "nowhere")])
+def test_the_columns_miss_a_pair_that_does_not_compose_or_an_unknown_name(ps20, key):
+    table = ps20.base.compose_table
+    assert table.get(("S2>S2:1,0", "S1>S2:0")) == "S1>S2:1"
+    assert table.get(key) is None and key not in table
+    with pytest.raises(KeyError):
+        table[key]
+
+
+def test_one_wrong_composite_fails_the_proof_by_tables(ps20):
+    base = ps20.base
+    g, f, gf = (list(column) for column in base.compose_columns)
+    images = [bytes(base.tables[n]) for n in base.arrows]
+    maps = [ps20.reindex[n] for n in base.arrows]
+    proofs = [(images, [t.ljust(256, b"\0") for t in images], False),
+              ([m._idx_bytes for m in maps], [m._translation for m in maps], True)]
+    assert all(tables_compose((g, f, gf), *proof) for proof in proofs)
+    index = {n: i for i, n in enumerate(base.arrows)}
+    swap, point = index["S2>S2:1,0"], index["S1>S2:0"]
+    k = next(k for k, pair in enumerate(zip(g, f)) if pair == (swap, point))
+    gf[k] = point  # the swap fixes the point
+    assert not any(tables_compose((g, f, gf), *proof) for proof in proofs)
 
 
 def test_builder_refuses_a_carrier_above_its_point_limit():

@@ -237,3 +237,6 @@ def test_the_layer_script_runs_on_one_catalog_id():
     assert all(float(ms) > 0 for ms in commands[1::2])
     # a fresh interpreter holds several MB before it imports the package
     assert all(float(mb) > 5 for mb in commands[2::2])
+    floor = lines[5].split()
+    assert floor[:2] == ["import", "floor"] and floor[3] == "MB:"
+    assert float(floor[2]) > 5 and len(lines) == 6

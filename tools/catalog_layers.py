@@ -19,6 +19,8 @@ It then runs, also ``N`` times each, the four catalog commands of the
 benchmark (``validate``, ``classify``, ``theorem --all``, ``derive --what
 sigma``), each in its own process with a ``--json`` report, and prints
 each command's time, import included, next to its peak resident set size.
+Last it prints the import floor: the peak resident set size of ``python
+-c "import doctrinelab.cli"``, which every command pays before any work.
 Every process is started by perfbench's own ``run_program``, so both
 figures are read as the benchmark reads them (``ru_maxrss`` from
 ``os.wait4``).  Every figure printed is a median, times in milliseconds,
@@ -45,6 +47,7 @@ IDS = ("PS(2,0)", "PS(1,1)", "SIER", "TRIV", "SL3")
 COMMANDS = {"validate": ("validate",), "classify": ("classify",),
             "theorem --all": ("theorem", "--all"),
             "derive sigma": ("derive", "--what", "sigma")}
+IMPORT = ("-c", "import doctrinelab.cli")
 LAYERS = ("close", "build", "base.validate", "validate_doctrine", "meet",
           "implication")
 
@@ -139,6 +142,13 @@ def main(argv=None) -> int:
                 ms, mb = medians((*cmd, cid), work, args.repeat)
                 cells.append(f" {ms:17.1f} {mb:17.2f}")
             print(f"{cid:8}" + "".join(cells))
+        floors = [run_program((sys.executable, *IMPORT), work)
+                  for _ in range(args.repeat)]
+        if any(done.rc for done in floors):
+            raise SystemExit(f"python {' '.join(IMPORT)} failed: "
+                             f"{floors[0].stderr.strip()}")
+        floor = statistics.median(done.rss_mb for done in floors)
+        print(f"import floor {floor:.2f} MB: python {IMPORT[0]} '{IMPORT[1]}'")
     return 0
 
 

@@ -9,15 +9,25 @@ Canonical form: keys sorted, id lists sorted, two-space indent; the instance
 hash is the sha256 of the canonical text, so identical instances hash
 identically across runs.  The canonical text is
 ``json.dumps(document, sort_keys=True, indent=2)`` plus a newline, and the
-document is memoised per doctrine.
+document is memoised per doctrine.  ``sha256`` is CPython's built-in one
+(``_sha256``, ``_sha2`` from 3.12 on; ``hashlib``'s only where neither exists):
+``hashlib`` loads OpenSSL, about 3.4 MB of each CLI process's peak.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from collections.abc import Mapping
 from typing import Any
+
+try:  # hashlib is heavy to load, try the lean built-in module first
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import catalog as _catalog
 from .doctrine import Doctrine, memoized
@@ -81,7 +91,7 @@ def serialize(d: Doctrine) -> str:
 
 @memoized
 def instance_hash(d: Doctrine) -> str:
-    return hashlib.sha256(serialize(d).encode()).hexdigest()[:16]
+    return sha256(serialize(d).encode()).hexdigest()[:16]
 
 
 def _tuplify(value):

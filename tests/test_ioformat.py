@@ -8,6 +8,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -425,3 +429,36 @@ def test_doctrines_sharing_their_parts_serialize_apart(tmp_path):
     # and the same doctrine writes the same text with its memo cleared
     d._cache.clear()
     assert ioformat.serialize(d) == texts[0]
+
+
+# the instance hashes of the catalog and of five enumerated doctrines, in an
+# interpreter that has neither built-in sha256 module, so that ``ioformat``
+# takes ``hashlib.sha256``
+FALLBACK_HASHES = """
+import itertools, json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+import hashlib
+from doctrinelab import catalog, ioformat, theorems
+assert ioformat.sha256 is hashlib.sha256
+doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
+doctrines += itertools.islice(theorems.enumerate_doctrines(
+    max_base=4, max_fiber=3), 0, 100, 20)
+print(json.dumps([ioformat.instance_hash(d) for d in doctrines]))
+"""
+
+
+def test_the_hashlib_fallback_hashes_alike():
+    parent = str(Path(ioformat.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", FALLBACK_HASHES],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": parent})
+    assert r.returncode == 0, r.stderr
+    doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
+    doctrines += itertools.islice(theorems.enumerate_doctrines(
+        max_base=4, max_fiber=3), 0, 100, 20)
+    assert len(doctrines) == 10
+    hashes = [ioformat.instance_hash(d) for d in doctrines]
+    assert json.loads(r.stdout) == hashes
+    assert hashes == [
+        hashlib.sha256(ioformat.serialize(d).encode()).hexdigest()[:16]
+        for d in doctrines]

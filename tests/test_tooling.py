@@ -6,16 +6,20 @@ and misses by wrapping ``Doctrine.cached``, so no other code may touch a
 memo dict.  Every private function of the package is called from the
 package, so none is kept alive by tests alone.  The layer script under
 ``tools/`` runs once on the smallest catalog id, so that it keeps
-working."""
+working.  No module of the package loads ``hashlib`` and, through it,
+OpenSSL."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from doctrinelab import catalog
 
@@ -237,6 +241,35 @@ def test_the_layer_script_runs_on_one_catalog_id():
     assert all(float(ms) > 0 for ms in commands[1::2])
     # a fresh interpreter holds several MB before it imports the package
     assert all(float(mb) > 5 for mb in commands[2::2])
-    floor = lines[5].split()
-    assert floor[:2] == ["import", "floor"] and floor[3] == "MB:"
-    assert float(floor[2]) > 5 and len(lines) == 6
+    floor = re.fullmatch(r"import floor (\d+\.\d\d) MB: python -c "
+                         r"'import doctrinelab\.cli'; interpreter "
+                         r"(\d+\.\d\d) MB: python -c 'pass'", lines[5])
+    assert floor and len(lines) == 6
+    # the package adds to the interpreter's peak, which the script's own
+    # larger peak would hide if it were the measured processes' parent
+    imported, bare = map(float, floor.groups())
+    assert imported > bare > 5
+
+
+# the modules that importing the whole package and hashing one instance load
+LOADED = """
+import sys
+import doctrinelab.cli, doctrinelab.constructions, doctrinelab.recheck
+import doctrinelab.theorems
+from doctrinelab import catalog, ioformat
+ioformat.instance_hash(catalog.instance("TRIV"))
+print(*sorted(sys.modules))
+"""
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name)
+                            for name in ("_sha2", "_sha256")),
+                    reason="no built-in sha256 module")
+def test_the_package_never_loads_openssl():
+    r = subprocess.run([sys.executable, "-c", LOADED], capture_output=True,
+                       text=True, env={**os.environ,
+                                       "PYTHONPATH": str(ROOT / "src")})
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "doctrinelab.recheck" in loaded
+    assert loaded & {"hashlib", "_hashlib", "_ssl"} == set()

@@ -19,14 +19,18 @@ It then runs, also ``N`` times each, the four catalog commands of the
 benchmark (``validate``, ``classify``, ``theorem --all``, ``derive --what
 sigma``), each in its own process with a ``--json`` report, and prints
 each command's time, import included, next to its peak resident set size.
-Last it prints the import floor: the peak resident set size of ``python
--c "import doctrinelab.cli"``, which every command pays before any work.
-Every process is started by perfbench's own ``run_program``, so both
-figures are read as the benchmark reads them (``ru_maxrss`` from
-``os.wait4``).  Every figure printed is a median, times in milliseconds,
-unscaled, and memory in MB.  The processes inherit the environment, so
-``PYTHONDONTWRITEBYTECODE=1`` makes each compile the package from source,
-as the benchmark's commands do.
+Last it prints the import floor, the peak resident set size of ``python
+-c "import doctrinelab.cli"``, which every command pays before any work,
+next to the interpreter's own, that of ``python -c pass``: their
+difference is the package's share of the floor.  Each measured process is
+started by perfbench's own ``run_program`` through a small ``python -S``
+parent, which reads its ``ru_maxrss`` from ``os.wait4`` as the benchmark
+does.  A process started by vfork inherits its parent's peak resident set
+size, so the peak of this script, which compiles perfbench's modules, would
+otherwise hide that of any smaller process.  Every figure printed is a
+median, times in milliseconds, unscaled, and memory in MB.  The processes
+inherit the environment, so ``PYTHONDONTWRITEBYTECODE=1`` makes each
+compile the package from source, as the benchmark's commands do.
 """
 
 from __future__ import annotations
@@ -47,7 +51,18 @@ IDS = ("PS(2,0)", "PS(1,1)", "SIER", "TRIV", "SL3")
 COMMANDS = {"validate": ("validate",), "classify": ("classify",),
             "theorem --all": ("theorem", "--all"),
             "derive sigma": ("derive", "--what", "sigma")}
-IMPORT = ("-c", "import doctrinelab.cli")
+IMPORT = "import doctrinelab.cli"
+# the measured process's parent: runs ``python ARGS``, then prints its wall
+# time (ms) and peak RSS (MB) as the last line, and exits with its code
+SPAWN = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print((time.perf_counter() - start) * 1000, usage.ru_maxrss / 1024)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
 LAYERS = ("close", "build", "base.validate", "validate_doctrine", "meet",
           "implication")
 
@@ -96,18 +111,19 @@ def fresh_layers(cid: str, work: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def command_run(argv, work: Path) -> tuple[float, float]:
-    """The wall time (ms) and peak RSS (MB) of one command's process."""
-    done = run_program((sys.executable, "-m", "doctrinelab.cli", *argv,
-                        "--json", "report.json"), work)
-    if done.rc not in (0, 1):  # 1: some verdict is refuted
-        raise SystemExit(f"doctrinelab {' '.join(argv)} exited "
-                         f"{done.rc}: {done.stderr.strip()}")
-    return done.wall_s * 1000, done.rss_mb
+def spawned(args, work: Path, ok=(0,)) -> tuple[float, float]:
+    """The wall time (ms) and peak RSS (MB) of one ``python ARGS`` process,
+    its only parent ``SPAWN``."""
+    done = run_program((sys.executable, "-S", "-c", SPAWN, *args), work)
+    if done.rc not in ok:
+        raise SystemExit(f"python {' '.join(args)} exited {done.rc}: "
+                         f"{done.stderr.strip()}")
+    ms, mb = done.stdout.split()[-2:]
+    return float(ms), float(mb)
 
 
-def medians(argv, work: Path, repeat: int) -> tuple[float, float]:
-    runs = [command_run(argv, work) for _ in range(repeat)]
+def medians(args, work: Path, repeat: int, ok=(0,)) -> tuple[float, float]:
+    runs = [spawned(args, work, ok) for _ in range(repeat)]
     return tuple(statistics.median(column) for column in zip(*runs))
 
 
@@ -139,16 +155,15 @@ def main(argv=None) -> int:
         for cid in args.ids:
             cells = []
             for cmd in COMMANDS.values():
-                ms, mb = medians((*cmd, cid), work, args.repeat)
+                ms, mb = medians(("-m", "doctrinelab.cli", *cmd, cid,
+                                  "--json", "report.json"), work,
+                                 args.repeat, ok=(0, 1))  # 1: some verdict is refuted
                 cells.append(f" {ms:17.1f} {mb:17.2f}")
             print(f"{cid:8}" + "".join(cells))
-        floors = [run_program((sys.executable, *IMPORT), work)
-                  for _ in range(args.repeat)]
-        if any(done.rc for done in floors):
-            raise SystemExit(f"python {' '.join(IMPORT)} failed: "
-                             f"{floors[0].stderr.strip()}")
-        floor = statistics.median(done.rss_mb for done in floors)
-        print(f"import floor {floor:.2f} MB: python {IMPORT[0]} '{IMPORT[1]}'")
+        floor, bare = (medians(("-c", code), work, args.repeat)[1]
+                       for code in (IMPORT, "pass"))
+        print(f"import floor {floor:.2f} MB: python -c '{IMPORT}'; "
+              f"interpreter {bare:.2f} MB: python -c 'pass'")
     return 0
 
 

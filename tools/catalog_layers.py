@@ -112,8 +112,8 @@ def fresh_layers(cid: str, work: Path) -> dict:
 
 
 def spawned(args, work: Path, ok=(0,)) -> tuple[float, float]:
-    """The wall time (ms) and peak RSS (MB) of one ``python ARGS`` process,
-    its only parent ``SPAWN``."""
+    """The wall time (ms) and peak RSS (MB) of one ``python ARGS`` process
+    started by ``SPAWN``."""
     done = run_program((sys.executable, "-S", "-c", SPAWN, *args), work)
     if done.rc not in ok:
         raise SystemExit(f"python {' '.join(args)} exited {done.rc}: "
@@ -155,9 +155,10 @@ def main(argv=None) -> int:
         for cid in args.ids:
             cells = []
             for cmd in COMMANDS.values():
+                # exit code 1: some verdict is refuted
                 ms, mb = medians(("-m", "doctrinelab.cli", *cmd, cid,
                                   "--json", "report.json"), work,
-                                 args.repeat, ok=(0, 1))  # 1: some verdict is refuted
+                                 args.repeat, ok=(0, 1))
                 cells.append(f" {ms:17.1f} {mb:17.2f}")
             print(f"{cid:8}" + "".join(cells))
         floor, bare = (medians(("-c", code), work, args.repeat)[1]

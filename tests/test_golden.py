@@ -30,6 +30,8 @@ enumerated sample, hashed in the order the package writes their keys.
 ``test_built_window_matches_digest`` gates the built catalog windows the
 same way: objects, arrows, composition table, identities, products, arrow
 tables and reindexing index tables, each in the order the package holds it.
+``test_built_window_content_matches_digest`` gates the same content with
+every part sorted, so it holds for any order the builder finds it in.
 """
 
 import hashlib
@@ -130,6 +132,24 @@ def _window_record(d) -> bytes:
     return json.dumps(record).encode()
 
 
+def _content_record(d) -> bytes:
+    """The record of :func:`_window_record` with each part sorted."""
+    base = d.base
+    record = {
+        "objects": sorted(base.objects),
+        "arrows": sorted([n, a.dom, a.cod] for n, a in base.arrows.items()),
+        "compose": sorted([g, f, gf]
+                          for (g, f), gf in base.compose_table.items()),
+        "identity": sorted(base.identity.items()),
+        "products": sorted([list(k), [r.left, r.right, r.obj, r.proj1, r.proj2]]
+                           for k, r in base.products.items()),
+        "tables": (None if base.tables is None
+                   else sorted([n, list(t)] for n, t in base.tables.items())),
+        "reindex": sorted([n, list(m.idx_table)] for n, m in d.reindex.items()),
+    }
+    return json.dumps(record).encode()
+
+
 U_S = {k: catalog.SIERPINSKI_SPACES[k] for k in ("U", "S")}
 
 # sha256 of each window's record, frozen before the builder composed byte
@@ -165,3 +185,31 @@ WINDOWS = {
 def test_built_window_matches_digest(window):
     digest = hashlib.sha256(_window_record(WINDOWS[window]())).hexdigest()
     assert digest == WINDOW_DIGESTS[window]
+
+
+# sha256 of each window's sorted record, frozen while the builder closed a
+# window depth-first; only a change to the window's content moves it
+CONTENT_DIGESTS = {
+    "PS(2,0)": (
+        "1168efac4530f298a746e48fa4dc99dead1b260d2b650860296a2141c6e8f509"),
+    "PS(1,1)": (
+        "bdd6fb1205947fd993d83327ed84d1b260d22fb45fa73f2d8331848ee2b39a45"),
+    "SIER": (
+        "5b7e3b8b59688792278b17e6d9185c7b720b0c161be4c6f2edc76b4c549b3f4b"),
+    "TRIV": (
+        "29bcebd0168f04f66e67d1fda563320b4a087b57388b509a182f54c3d4b427e9"),
+    "SL3": (
+        "bcea0750afa6477ae56ee1871e4c2736a03a71cb08d8872690e7ac2ec628cff7"),
+    "PS(1,0)": (
+        "a2af9f049c839fc6897b4032bed7e5402d37d088a15d59925f31324d004a8936"),
+    "S": (
+        "003e35dc907dcdde700d8661bb670d11c637c74ab0ef00a80b6f89464c8fca96"),
+    "U,S": (
+        "f319127e4cae8a232bb56dbb7cd67a6594fe6e50c4a4362247fb6f24207fd536"),
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
+def test_built_window_content_matches_digest(window):
+    digest = hashlib.sha256(_content_record(WINDOWS[window]())).hexdigest()
+    assert digest == CONTENT_DIGESTS[window]

@@ -17,7 +17,6 @@ construction.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, wraps
 from operator import itemgetter
@@ -41,7 +40,7 @@ __all__ = [
 
 # The builder materialises the whole window category, and validation visits
 # every composable pair, so no builder holds more arrows than this.  PS(2,0),
-# the largest catalog base, has 534; PS(3,0) needs at least 301,191.
+# the largest catalog base, has 534; PS(3,0) is refused at its 4,097th.
 MAX_ARROWS = 4096
 # The builder holds arrow images as bytes, so no carrier has more points.
 MAX_POINTS = 256
@@ -722,10 +721,9 @@ class ConcreteBuilder:
     so that nothing with a large domain is ever fully enumerated.
 
     No builder holds more than ``MAX_ARROWS`` arrows: :class:`WindowExceeded`
-    is raised once the distinct generators exceed it, before closing when a
-    lower bound counted from the builder's inputs does, and at the first
-    arrow beyond it.  It is also raised for a carrier of more than
-    ``MAX_POINTS`` points, as each arrow's image is held as ``bytes``.
+    is raised once the distinct generators exceed it and at the first arrow
+    beyond it.  It is also raised for a carrier of more than ``MAX_POINTS``
+    points, as each arrow's image is held as ``bytes``.
     """
 
     def __init__(self, presentation: Presentation):
@@ -774,48 +772,6 @@ class ConcreteBuilder:
         return WindowExceeded(f"{self.presentation.descriptor()} needs {count} "
                               f"arrows; the builder's limit is {MAX_ARROWS}")
 
-    def _floor(self, starts: Iterable[tuple[str, str, bytes]]) -> int:
-        """A lower bound on the arrows :meth:`close` builds from the distinct
-        starting arrows ``starts`` (identities, generators, projections), as
-        ``(dom, cod, images)``.  It counts, per pair of objects, the most of:
-
-        * the starting arrows;
-        * out of a window object into a row, the product of the counts into
-          its factors: pairing fills these hom-sets;
-        * ``f x g`` for starting arrows between scope objects, into a row
-          with a nonempty domain, where distinct pairs stay distinct;
-        * out of a nonempty row, the arrows out of either factor composed
-          with the projection onto it, which is onto, so they stay distinct;
-          an arrow composed both ways is constant, and there are only as
-          many constants as the codomain has points.
-
-        The last two are iterated to a fixpoint, as rows are factors of rows.
-        """
-        count = Counter((dom, cod) for dom, cod, _ in starts)
-        floor = Counter(count)
-        size = self.carriers
-
-        def at_least(key: tuple[str, str], n: int) -> None:
-            floor[key] = max(floor[key], n)
-
-        scope = set(self.window) | set(self.power_pool)
-        scoped = [(ab, row) for ab, row in self.rows.items() if set(ab) <= scope]
-        for (a1, a2), src in scoped:
-            if size[src]:
-                for (c1, c2), dst in scoped:
-                    at_least((src, dst), count[(a1, c1)] * count[(a2, c2)])
-        total = -1  # the counts only grow, so an unchanged sum is the fixpoint
-        while total < sum(floor.values()):
-            total = sum(floor.values())
-            for (left, right), row in self.rows.items():
-                for w in self.window:
-                    at_least((w, row), floor[(w, left)] * floor[(w, right)])
-                if size[row]:
-                    for k in self.order:
-                        fa, fb = floor[(left, k)], floor[(right, k)]
-                        at_least((row, k), max(fa, fb, fa + fb - size[k]))
-        return total
-
     def close(self) -> FinCategory:
         """The window category.  Each arrow's image is ``bytes``, and ``g``
         after ``f`` is ``images[f].translate(lut[g])``, ``lut[g]`` being the
@@ -831,10 +787,6 @@ class ConcreteBuilder:
         by_cod: dict[str, list[list]] = {o: [] for o in self.order}
         columns = (array("H"), array("H"), array("H"))
         put_g, put_f, put_gf = (c.append for c in columns)
-        queue: list[tuple[int, int, int]] = []
-        # an arrow f born in the first loop of process(g) -> g, as g o f is
-        # composed in the second loop of process(g), before process(f)
-        composed_after: dict[int, int] = {}
 
         def intern(dom: str, cod: str, img: bytes) -> int:
             known = hom[dom][cod]
@@ -852,71 +804,21 @@ class ConcreteBuilder:
                 # rows are lists: tuples freed together when close returns
                 # would stay allocated in the interpreter's tuple free list
                 by_dom[dom].append([i, cod, padded])
-                # with how many arrows out of its codomain (itself included)
-                # and into its domain were born up to it
-                queue.append((i, len(by_dom[cod]), len(by_cod[dom])))
                 by_cod[cod].append([i, dom, img])
             return i
 
-        ids = {o: (o, o, bytes(range(self.carriers[o]))) for o in self.order}
-        projs = {}
-        for (a, b), carrier in self.rows.items():
-            nb, size = self.carriers[b], self.carriers[carrier]
-            projs[(a, b)] = ((carrier, a, bytes(p // nb for p in range(size))),
-                             (carrier, b, bytes(p % nb for p in range(size))))
-        floor = self._floor({*ids.values(), *self._gens,
-                            *(key for pair in projs.values() for key in pair)})
-        if floor > MAX_ARROWS:
-            raise self._exceeded(f"at least {floor}")
-
-        identity = {o: names[intern(*key)] for o, key in ids.items()}
+        identity = {o: names[intern(o, o, bytes(range(self.carriers[o])))]
+                    for o in self.order}
         for key in self._gens:
             intern(*key)
-        projections = {ab: (names[intern(*k1)], names[intern(*k2)])
-                       for ab, (k1, k2) in projs.items()}
+        projections = {}
+        for (a, b), carrier in self.rows.items():
+            nb, size = self.carriers[b], self.carriers[carrier]
+            projections[(a, b)] = (
+                names[intern(carrier, a, bytes(p // nb for p in range(size)))],
+                names[intern(carrier, b, bytes(p % nb for p in range(size)))])
 
         window_set = set(self.window)
-
-        # an arrow born after ``i`` and before ``process(i)`` has been
-        # processed since (the queue is a stack), so its pairs with ``i`` are
-        # in the columns; every pair is put in the columns once
-        def process(i: int, after: int, before: int) -> None:
-            name = names[i]
-            a, img, then = arrows[name], images[name], lut[name]
-            dom, cod = a.dom, a.cod
-            fs = by_cod[dom]
-            now = len(fs)
-            out_of = hom[dom]
-            gs = by_dom[cod][:after]
-            done = composed_after.pop(i, None)
-            if done is not None:
-                gs = [row for row in gs if row[0] != done]
-            for g, c, g_lut in gs:
-                gf = img.translate(g_lut)
-                k = out_of[c].get(gf)
-                put_g(g)
-                put_f(i)
-                put_gf(intern(dom, c, gf) if k is None else k)
-            born = fs[now:]
-            for f, _, _ in born:
-                composed_after[f] = i
-            for f, d, f_img in fs[:before] + born:
-                gf = f_img.translate(then)
-                k = hom[d][cod].get(gf)
-                put_g(i)
-                put_f(f)
-                put_gf(intern(d, cod, gf) if k is None else k)
-            if dom in window_set:
-                for g, c, _ in list(by_dom[dom]):
-                    other = images[names[g]]
-                    for c1, img1, c2, img2 in ((cod, img, c, other),
-                                               (c, other, cod, img)):
-                        row = self.rows.get((c1, c2))
-                        if row is None:
-                            continue
-                        nb = self.carriers[c2]
-                        intern(dom, row, bytes(x * nb + y
-                                               for x, y in zip(img1, img2)))
 
         # Structural injections with non-window domains: f x g, swaps, and the
         # pairing <id, p2> : XA -> (XA)xA used by the equality-predicate functor.
@@ -956,8 +858,46 @@ class ConcreteBuilder:
                     intern(triple, square, img2)
 
         inject_structural()
-        while queue:
-            process(*queue.pop())
+        # arrows are reached in the order they are born, and the rows of
+        # by_dom and by_cod are in that order, so each composable pair and
+        # each pair out of a window object is taken once, when the later of
+        # its two arrows is reached
+        i = 0
+        while i < len(names):
+            name = names[i]
+            a, img, then = arrows[name], images[name], lut[name]
+            dom, cod = a.dom, a.cod
+            out_of = hom[dom]
+            for g, c, g_lut in by_dom[cod]:
+                if g > i:
+                    break
+                gf = img.translate(g_lut)
+                k = out_of[c].get(gf)
+                put_g(g)
+                put_f(i)
+                put_gf(intern(dom, c, gf) if k is None else k)
+            for f, d, f_img in by_cod[dom]:
+                if f >= i:
+                    break
+                gf = f_img.translate(then)
+                k = hom[d][cod].get(gf)
+                put_g(i)
+                put_f(f)
+                put_gf(intern(d, cod, gf) if k is None else k)
+            if dom in window_set:
+                for g, c, _ in by_dom[dom]:
+                    if g > i:
+                        break
+                    other = images[names[g]]
+                    for c1, img1, c2, img2 in ((cod, img, c, other),
+                                               (c, other, cod, img)):
+                        row = self.rows.get((c1, c2))
+                        if row is None:
+                            continue
+                        nb = self.carriers[c2]
+                        intern(dom, row, bytes(x * nb + y
+                                               for x, y in zip(img1, img2)))
+            i += 1
 
         products: dict[tuple[str, str], Product] = {}
         for (a, b), carrier in self.rows.items():

@@ -139,10 +139,10 @@ def test_ps_window_guard(monkeypatch):
         catalog.powerset_finset(2, 0)
 
 
-# the builder's floor refuses PS(3,0); PS(1000,0) needs a carrier above the
+# PS(3,0) stops at its 4,097th arrow; PS(1000,0) needs a carrier above the
 # limit in its window alone, and PS(1,6) would form the powerset of a
 # 65,536-point set
-OVERSIZED = {"PS(3,0)": "at least 301191 arrows",
+OVERSIZED = {"PS(3,0)": "more than 4096 arrows",
              "PS(9,0)": "a carrier of 288 points",
              "PS(1000,0)": "a carrier of 257 points",
              "PS(1,6)": "a carrier of 65536 points"}
@@ -160,7 +160,7 @@ def test_oversized_powerset_window_refused_before_building(cid):
                                  if (m, d) not in ((1, 0), (2, 0), (1, 1))])
 def test_powerset_windows_beyond_the_limit_are_refused_quickly(m, d):
     # PS(2,2) and PS(3,1) stop at their 4,097th generator, PS(1,2) and
-    # PS(2,1) at the builder's floor
+    # PS(2,1) at their 4,097th arrow
     start = time.perf_counter()
     with pytest.raises(WindowExceeded):
         catalog.powerset_finset(m, d)
@@ -187,6 +187,12 @@ except WindowExceeded:
      "T": (("a", "b", "c"), ((), ("a",), ("b",), ("a", "b"), ("a", "b", "c")))},
     # the 3-chain alone: maps out of it give only 1,110 arrows
     {"C": (("a", "b", "c"), ((), ("a",), ("a", "b"), ("a", "b", "c")))},
+    # Sierpinski space and the discrete 2-point space, without and with the
+    # empty space: each reaches its 4,097th arrow from at most 16 generators
+    {"S": catalog.SIERPINSKI_SPACES["S"],
+     "D": (("a", "b"), ((), ("a",), ("b",), ("a", "b")))},
+    {"E": catalog.SIERPINSKI_SPACES["E"], "S": catalog.SIERPINSKI_SPACES["S"],
+     "D": (("a", "b"), ((), ("a",), ("b",), ("a", "b")))},
 ])
 def test_oversized_openset_window_refused_before_building(spaces):
     parent = str(Path(catalog.__file__).resolve().parent.parent)

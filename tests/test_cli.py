@@ -169,7 +169,7 @@ def test_unwritable_report_exits_2_before_loading_the_instance(
 
 
 @pytest.mark.parametrize("cid,message", [
-    ("PS(3,0)", "finset(3,0) needs at least "),
+    ("PS(3,0)", "finset(3,0) needs more than 4096 arrows"),
     ("PS(x,0)", "unknown catalog id 'PS(x,0)'\n")])
 def test_bad_catalog_document_id_exits_2_at_its_position(tmp_path, capsys,
                                                          cid, message):

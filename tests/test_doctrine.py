@@ -48,9 +48,9 @@ def test_fault_injected_composite_refuted(ps20):
     broken = _fault_injected(ps20, b)
     v = validate_doctrine(broken)
     assert v.counterexample == {
-        "kind": "functor_composition", "f": "S2>S4:3,0", "g": "S4>S2:0,0,1,1",
-        "composite": "S2>S2:1,0", "element": "e1", "via_composite": "e1",
-        "via_parts": "e2"}
+        "kind": "functor_composition", "f": "S1>S2:0", "g": "S2>S2:1,0",
+        "composite": "S1>S2:1", "element": "e1", "via_composite": "e0",
+        "via_parts": "e1"}
     assert recheck(broken, v)
 
 
@@ -67,8 +67,8 @@ def test_fault_injected_s8_cell_breaks_composition(ps20):
         ps20, lambda d: _one_cell(d, "S2>S8:0,7", "e254", "e3"))
     v = validate_doctrine(broken)
     assert v.counterexample == {
-        "kind": "functor_composition", "f": "S2>S4:0,1",
-        "g": "S4>S8:0,7,0,7", "composite": "S2>S8:0,7", "element": "e254",
+        "kind": "functor_composition", "f": "S2>S4:0,3",
+        "g": "S4>S8:0,3,4,7", "composite": "S2>S8:0,7", "element": "e254",
         "via_composite": "e3", "via_parts": "e2"}
     assert recheck(broken, v)
 

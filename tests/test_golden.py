@@ -152,25 +152,26 @@ def _content_record(d) -> bytes:
 
 U_S = {k: catalog.SIERPINSKI_SPACES[k] for k in ("U", "S")}
 
-# sha256 of each window's record, frozen before the builder composed byte
-# images; any change to an arrow, its order or a table moves it
+# sha256 of each window's record, frozen when the builder began to close a
+# window in the order its arrows are born; any change to an arrow, its order
+# or a table moves it
 WINDOW_DIGESTS = {
     "PS(2,0)": (
-        "b26073e873d775d058e01aae203f192e88b2c68b052c3f39fc13611119a43342"),
+        "0876becaf24f461535d2505e6f0ce28b8bf8927c795eff08b694b67bb9e429ee"),
     "PS(1,1)": (
-        "c82a8978969e7d8ad8cabf8b6ca7f45d3d32e7d178f56b722591d47c66444121"),
+        "c531754508b2597979b29fc427825868372678b5ec489a2ec55c8e174b85c80a"),
     "SIER": (
-        "0f2b0ce523ecd7d46df0fc5cc3dd843009acc93383ac82ac5082de707734b731"),
+        "7ba226a3d528f346c5edd19475e962ece52bdeb9e50987a1d8ad485e2ba04b67"),
     "TRIV": (
-        "73e600d0f0fd4cc2873dac383091b854158f8874d5481779dd1e9e38b8549337"),
+        "36b7e4fbb570cc953a411390c6a6cddf7987d73e77733cf7411075c46445d77a"),
     "SL3": (
         "90f864d20f725d0494c5903c60009421bbbc35690ec7621658ef559667f5e0bd"),
     "PS(1,0)": (
-        "0c2fb6bf999b78876fbfd2539f04947c608b488e82dd22be7b96a4addc4c5f75"),
+        "722020cc51e7f845ebb69d7a388c66bc56101b5dafdaea8f9bbcc68e96f9676c"),
     "S": (
-        "dc19ead16b3da6623982f71263732578042d2a3b74818b3b666bfae4958ed5ad"),
+        "3c18ebfcc212c46ead007f618a2a04d0026cd722a1a09c1029c2a4e4a0cf4d83"),
     "U,S": (
-        "2217352c1d11fbdab30bd03e87cc02153c68195f89bad705c03a18a5e543aa7a"),
+        "562fbf552844c479df35e00b9812bac82f5f11929f2a8d6a119a77e48abe5286"),
 }
 
 WINDOWS = {

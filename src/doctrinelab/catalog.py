@@ -341,7 +341,8 @@ def subsets_over_semilattice(elements: Sequence[str],
                     source={"kind": "catalog", "id": name, "dual": False})
 
 
-_PS_RE = re.compile(r"PS\(([1-9]\d*),(\d+)\)$")
+# only the canonical spelling of each id, so that no id builds a second copy
+_PS_RE = re.compile(r"PS\(([1-9][0-9]*),(0|[1-9][0-9]*)\)")
 _CACHE: dict[str, Doctrine] = {}
 
 
@@ -363,7 +364,7 @@ def instance(cid: str) -> Doctrine:
     got = _CACHE.get(cid)
     if got is not None:
         return got
-    m = _PS_RE.match(cid)
+    m = _PS_RE.fullmatch(cid)
     if m:
         d = powerset_finset(int(m.group(1)), int(m.group(2)))
     elif cid == "SIER":

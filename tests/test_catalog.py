@@ -30,6 +30,14 @@ def test_instances_cached():
     assert catalog.instance("TRIV") is catalog.instance("TRIV")
 
 
+@pytest.mark.parametrize("cid", ["PS(1,00)", "PS(1,0)\n", "PS(01,0)",
+                                 "PS(1,\u0660)"])
+def test_only_the_canonical_powerset_id_is_known(cid):
+    # each would otherwise build and cache a second copy of PS(1,0)
+    with pytest.raises(KeyError, match="unknown catalog id"):
+        catalog.instance(cid)
+
+
 PS20_EXPECTED = {
     "primary": "holds", "propositional": "holds", "elementary": "holds",
     "existential": "holds", "pi": "holds", "comprehension": "holds",

@@ -224,7 +224,8 @@ def parse_document(doc: Mapping) -> Doctrine:
     if not isinstance(doc, Mapping):
         raise ParseError("document must be a JSON object", "$")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # True == 1 and 1.0 == 1, but neither is the version
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", "$.schema_version")
     _check_shape(doc, _CATALOG_DOCUMENT if "catalog" in doc else _EXPLICIT_DOCUMENT,
                  "$")

@@ -103,6 +103,10 @@ REJECTIONS = [
                  id="undeclared-window-object"),
     pytest.param(put("schema_version", 2), "$.schema_version",
                  id="schema-version"),
+    pytest.param(put("schema_version", True), "$.schema_version",
+                 id="schema-version-true"),
+    pytest.param(put("schema_version", 1.0), "$.schema_version",
+                 id="schema-version-float"),
     pytest.param(drop("base"), "$", id="missing-base"),
     pytest.param(drop("fibers"), "$", id="missing-fibers"),
     pytest.param(drop("reindex"), "$", id="missing-reindex"),
@@ -162,6 +166,8 @@ def test_malformed_document_exits_2_at_its_position(tmp_path, capsys, edit,
     ([1, 2], "$"),
     ({"schema_version": 1, "catalog": {"id": "NOPE"}}, "$.catalog.id"),
     ({"schema_version": 1, "catalog": {}}, "$.catalog"),
+    ({"schema_version": True, "catalog": {"id": "PS(1,1)"}}, "$.schema_version"),
+    ({"schema_version": 1.0, "catalog": {"id": "PS(1,1)"}}, "$.schema_version"),
 ])
 def test_malformed_document_without_base_exits_2(tmp_path, capsys, doc,
                                                  position):

@@ -811,10 +811,11 @@ class ConcreteBuilder:
                     for o in self.order}
         for key in self._gens:
             intern(*key)
-        projections = {}
+        products: dict[tuple[str, str], Product] = {}
         for (a, b), carrier in self.rows.items():
             nb, size = self.carriers[b], self.carriers[carrier]
-            projections[(a, b)] = (
+            products[(a, b)] = Product(
+                a, b, carrier,
                 names[intern(carrier, a, bytes(p // nb for p in range(size)))],
                 names[intern(carrier, b, bytes(p % nb for p in range(size)))])
 
@@ -858,13 +859,11 @@ class ConcreteBuilder:
                     intern(triple, square, img2)
 
         inject_structural()
-        # arrows are reached in the order they are born, and the rows of
-        # by_dom and by_cod are in that order, so each composable pair and
-        # each pair out of a window object is taken once, when the later of
-        # its two arrows is reached
-        i = 0
-        while i < len(names):
-            name = names[i]
+        # arrows are reached in the order they are born (the loop reaches
+        # those born inside it too), and the rows of by_dom and by_cod are in
+        # that order, so each composable pair and each pair out of a window
+        # object is taken once, when the later of its two arrows is reached
+        for i, name in enumerate(names):
             a, img, then = arrows[name], images[name], lut[name]
             dom, cod = a.dom, a.cod
             out_of = hom[dom]
@@ -897,12 +896,6 @@ class ConcreteBuilder:
                         nb = self.carriers[c2]
                         intern(dom, row, bytes(x * nb + y
                                                for x, y in zip(img1, img2)))
-            i += 1
-
-        products: dict[tuple[str, str], Product] = {}
-        for (a, b), carrier in self.rows.items():
-            p1, p2 = projections[(a, b)]
-            products[(a, b)] = Product(a, b, carrier, p1, p2)
 
         window_objs = [o for o in self.order if o in window_set]
         return FinCategory(self.order, arrows.values(), identity,

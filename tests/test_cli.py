@@ -169,7 +169,8 @@ def test_unwritable_report_exits_2_before_loading_the_instance(
 
 
 @pytest.mark.parametrize("cid,message", [
-    ("PS(3,0)", "finset(3,0) needs more than 4096 arrows"),
+    pytest.param("PS(3,0)", "finset(3,0) needs more than 4096 arrows",
+                 id="PS(3,0)-too-many-arrows"),
     ("PS(x,0)", "unknown catalog id 'PS(x,0)'\n"),
     ("PS(1,00)", "unknown catalog id 'PS(1,00)'\n"),
     ("PS(1,0)\n", "unknown catalog id 'PS(1,0)\\n'\n")])

@@ -19,6 +19,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from functools import cached_property, wraps
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -149,20 +150,52 @@ def tables_compose(columns: tuple[Sequence[int], Sequence[int], Sequence[int]],
 
 
 class ComposeColumns(Mapping):
-    """The composition table of a built window, read-only: three
-    ``array('H')`` ``columns`` ``(g, f, gf)`` of arrow indices, in the order
-    the builder composed the pairs.  A lookup computes ``g`` after ``f`` from
-    the arrows' byte images, ``images[f].translate(luts[g])``, and names it
-    through ``hom[dom][cod]`` (image -> index); a pair that does not compose
-    is missing, as from a ``dict``."""
-    __slots__ = ("columns", "_names", "_arrows", "_images", "_luts", "_hom")
+    """The composition table of a built window, read-only, an entry for each
+    of its ``count`` composable pairs.  A lookup computes ``g`` after ``f``,
+    ``images[f].translate(luts[g])``, and names it through ``hom[dom][cod]``
+    (image -> index); a pair that does not compose is missing, as from a
+    ``dict``.  Walks read the ``array('H')`` ``columns`` ``(g, f, gf)`` of
+    arrow indices, ``f`` in arrow order and ``g`` in arrow order within it,
+    tabulated on first read: most checks only look composites up."""
+    __slots__ = ("_columns", "_count", "_names", "_arrows", "_images", "_luts", "_hom")
 
-    def __init__(self, columns: tuple[array, array, array], names: Sequence[str],
+    def __init__(self, count: int, names: Sequence[str],
                  arrows: Mapping[str, Arrow], images: Mapping[str, bytes],
                  luts: Mapping[str, bytes],
                  hom: Mapping[str, Mapping[str, Mapping[bytes, int]]]):
-        self.columns, self._names, self._arrows = columns, names, arrows
-        self._images, self._luts, self._hom = images, luts, hom
+        self._columns, self._count, self._names = None, count, names
+        self._arrows, self._images, self._luts, self._hom = arrows, images, luts, hom
+
+    @property
+    def columns(self) -> tuple[array, array, array]:
+        if self._columns is None:
+            self._columns = self._tabulate()
+        return self._columns
+
+    def _tabulate(self) -> tuple[array, array, array]:
+        names, arrows, images, hom = self._names, self._arrows, self._images, self._hom
+        # per object: the arrows out of it, their padded images, codomains
+        out_of = {}
+        for o, hom_o in hom.items():
+            gs = sorted(chain.from_iterable(map(dict.values, hom_o.values())))
+            out_of[o] = (array("H", gs), [self._luts[names[g]] for g in gs],
+                         [arrows[names[g]].cod for g in gs])
+        # f's rows start at at[f]; columns sized at once are not over-allocated
+        at = array("L", accumulate((len(out_of[arrows[n].cod][0]) for n in names),
+                                   initial=0))
+        columns = tuple(array("H", [0]) * self._count for _ in range(3))
+        g_col, f_col, gf_col = columns
+        for out_of_d in hom.values():
+            for c, fs in out_of_d.items():
+                gs, luts, cods = out_of[c]
+                homs = list(map(out_of_d.__getitem__, cods)) if fs else None
+                for f in fs.values():
+                    row = slice(at[f], at[f + 1])
+                    g_col[row] = gs
+                    f_col[row] = array("H", [f]) * len(gs)
+                    gf_col[row] = array("H", map(dict.__getitem__, homs,
+                                                 map(images[names[f]].translate, luts)))
+        return columns
 
     def __getitem__(self, key: tuple[str, str]) -> str:
         g, f = key
@@ -173,7 +206,7 @@ class ComposeColumns(Mapping):
             self._images[f].translate(self._luts[g])]]
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return self._count
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         name = self._names.__getitem__
@@ -197,7 +230,8 @@ class FinCategory:
     ``dict`` or, from :class:`ConcreteBuilder`, :class:`ComposeColumns`
     indexed by the order of ``arrows``.  ``compose_columns`` holds its
     entries ``(g, f) -> gf`` as three columns ``(g, f, gf)`` of the indices
-    of their arrows in ``arrows``.
+    of their arrows in ``arrows``: mapped at once from a ``dict``, which
+    checks its names, and tabulated on first read for a built window.
     """
 
     def __init__(self, objects: Sequence[str], arrows: Iterable[Arrow],
@@ -231,14 +265,12 @@ class FinCategory:
         # kept, not copied: the table of a built window is its largest
         # structure, and every caller builds a fresh one
         self.compose_table = compose
-        if isinstance(compose, ComposeColumns):
-            self.compose_columns = compose.columns
-        else:
+        if not isinstance(compose, ComposeColumns):
             index = {n: i for i, n in enumerate(self.arrows)}.__getitem__
             try:
-                self.compose_columns = (tuple(map(index, map(itemgetter(0), compose))),
-                                        tuple(map(index, map(itemgetter(1), compose))),
-                                        tuple(map(index, compose.values())))
+                self._columns = (tuple(map(index, map(itemgetter(0), compose))),
+                                 tuple(map(index, map(itemgetter(1), compose))),
+                                 tuple(map(index, compose.values())))
             except KeyError:
                 for (g, f), gf in compose.items():
                     if g not in self.arrows or f not in self.arrows or gf not in self.arrows:
@@ -256,6 +288,11 @@ class FinCategory:
         self.sizes = dict(sizes) if sizes else None
         self.tables = dict(tables) if tables is not None else None
         self._cache: dict = {}
+
+    @property
+    def compose_columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        comp = self.compose_table
+        return comp.columns if isinstance(comp, ComposeColumns) else self._columns
 
     # -- basic structure ---------------------------------------------------
 
@@ -718,7 +755,8 @@ class ConcreteBuilder:
     composition and under pairing of window-domain cospans into the declared
     product rows; the chosen structural arrows (projections, swaps, ``f x g``,
     and the diagonal pairing into each iterated row) are injected explicitly
-    so that nothing with a large domain is ever fully enumerated.
+    so that nothing with a large domain is ever fully enumerated.  The
+    composition table is tabulated on first read (:class:`ComposeColumns`).
 
     No builder holds more than ``MAX_ARROWS`` arrows: :class:`WindowExceeded`
     is raised once the distinct generators exceed it and at the first arrow
@@ -755,6 +793,12 @@ class ConcreteBuilder:
         return name
 
     def add_arrow(self, dom: str, cod: str, images: Sequence[int]) -> None:
+        """A generator, ``images[p]`` the image of point ``p``."""
+        n, m = self.carriers.get(dom), self.carriers.get(cod)
+        if n is None or m is None or len(images) != n or (
+                images and not 0 <= min(images) <= max(images) < m):
+            raise ValueError(f"arrow {self._name(dom, cod, images)} is not a "
+                             "function between declared carriers")
         self._gens[(dom, cod, bytes(images))] = None
         if len(self._gens) > MAX_ARROWS:
             raise self._exceeded(f"more than {MAX_ARROWS}")
@@ -765,7 +809,7 @@ class ConcreteBuilder:
             raise ValueError(f"carrier {carrier} has wrong size for {left}x{right}")
         self.rows[(left, right)] = carrier
 
-    def _name(self, dom: str, cod: str, images: bytes) -> str:
+    def _name(self, dom: str, cod: str, images: Sequence[int]) -> str:
         return f"{dom}>{cod}:{','.join(map(str, images))}"
 
     def _exceeded(self, count: str) -> WindowExceeded:
@@ -775,7 +819,15 @@ class ConcreteBuilder:
     def close(self) -> FinCategory:
         """The window category.  Each arrow's image is ``bytes``, and ``g``
         after ``f`` is ``images[f].translate(lut[g])``, ``lut[g]`` being the
-        image of ``g`` padded to a 256-byte translation table."""
+        image of ``g`` padded to a 256-byte translation table.
+
+        The generators are every arrow born before the closure but the
+        identities (the added arrows, projections and structural
+        injections) and every pairing born in it.  Each arrow is a composite
+        of generators, so the arrows are closed under composition once they
+        are closed under "generator after arrow": ``h`` after ``f`` with
+        ``h = g_k ... g_1`` is ``g_k`` after ... ``g_1`` after ``f``.
+        """
         # hom[dom][cod] maps an image to the index of its arrow
         hom: dict[str, dict[str, dict[bytes, int]]] = {
             o: {c: {} for c in self.order} for o in self.order}
@@ -783,12 +835,14 @@ class ConcreteBuilder:
         arrows: dict[str, Arrow] = {}
         images: dict[str, bytes] = {}
         lut: dict[str, bytes] = {}
+        # rows are lists: tuples freed together when close returns would
+        # stay allocated in the interpreter's tuple free list
         by_dom: dict[str, list[list]] = {o: [] for o in self.order}
         by_cod: dict[str, list[list]] = {o: [] for o in self.order}
-        columns = (array("H"), array("H"), array("H"))
-        put_g, put_f, put_gf = (c.append for c in columns)
+        gens_by_dom: dict[str, list[list]] = {o: [] for o in self.order}
+        gens: set[int] = set()
 
-        def intern(dom: str, cod: str, img: bytes) -> int:
+        def intern(dom: str, cod: str, img: bytes, gen: bool = True) -> int:
             known = hom[dom][cod]
             i = known.get(img)
             if i is None:
@@ -801,13 +855,14 @@ class ConcreteBuilder:
                 arrows[name] = Arrow(name, dom, cod)
                 images[name] = img
                 lut[name] = padded = img.ljust(256, b"\0")
-                # rows are lists: tuples freed together when close returns
-                # would stay allocated in the interpreter's tuple free list
-                by_dom[dom].append([i, cod, padded])
+                by_dom[dom].append([i, cod, img])
                 by_cod[cod].append([i, dom, img])
+                if gen:
+                    gens.add(i)
+                    gens_by_dom[dom].append([i, cod, padded])
             return i
 
-        identity = {o: names[intern(o, o, bytes(range(self.carriers[o])))]
+        identity = {o: names[intern(o, o, bytes(range(self.carriers[o])), False)]
                     for o in self.order}
         for key in self._gens:
             intern(*key)
@@ -819,88 +874,59 @@ class ConcreteBuilder:
                 names[intern(carrier, a, bytes(p // nb for p in range(size)))],
                 names[intern(carrier, b, bytes(p % nb for p in range(size)))])
 
+        def pair(dom: str, c1: str, img1: bytes, c2: str, img2: bytes) -> None:
+            row = self.rows.get((c1, c2))
+            if row is not None:
+                nb = self.carriers[c2]
+                intern(dom, row, bytes(x * nb + y for x, y in zip(img1, img2)))
+
+        # Structural injections with non-window domains, each a pairing of
+        # arrows out of a product: f x g, swaps, and the <id, p2> : XA ->
+        # (XA)xA and p2 x id : (XA)xA -> AxA of the equality-predicate functor.
         window_set = set(self.window)
-
-        # Structural injections with non-window domains: f x g, swaps, and the
-        # pairing <id, p2> : XA -> (XA)xA used by the equality-predicate functor.
-        def inject_structural() -> None:
-            scope = window_set | set(self.power_pool)
-            gen_arrows = [n for n in list(arrows)
-                          if arrows[n].dom in scope and arrows[n].cod in scope]
-            for f in gen_arrows:
-                for g in gen_arrows:
-                    src = self.rows.get((arrows[f].dom, arrows[g].dom))
-                    dst = self.rows.get((arrows[f].cod, arrows[g].cod))
-                    if src is None or dst is None:
-                        continue
-                    nb_src = self.carriers[arrows[g].dom]
-                    nb_dst = self.carriers[arrows[g].cod]
-                    img = bytes(images[f][p // nb_src] * nb_dst + images[g][p % nb_src]
-                                for p in range(self.carriers[src]))
-                    intern(src, dst, img)
-            for (a, b), carrier in list(self.rows.items()):
-                if (b, a) in self.rows:
-                    na, nb = self.carriers[a], self.carriers[b]
-                    img = bytes((p % nb) * na + p // nb
-                                for p in range(self.carriers[carrier]))
-                    intern(carrier, self.rows[(b, a)], img)
-            for (x, a), carrier in list(self.rows.items()):
-                triple = self.rows.get((carrier, a))
-                if triple is None:
-                    continue
-                na = self.carriers[a]
-                img = bytes(p * na + p % na for p in range(self.carriers[carrier]))
-                intern(carrier, triple, img)
-                square = self.rows.get((a, a))
-                if square is not None:
-                    # p2 x id_A : (XxA)xA -> AxA, i.e. the <pi2, pi3> pairing.
-                    img2 = bytes(((t // na) % na) * na + t % na
-                                 for t in range(self.carriers[triple]))
-                    intern(triple, square, img2)
-
-        inject_structural()
+        scope = window_set | set(self.power_pool)
+        scoped = [a for a in arrows.values() if a.dom in scope and a.cod in scope]
+        for f in scoped:
+            for g in scoped:
+                row = products.get((f.dom, g.dom))
+                if row is not None:
+                    pair(row.obj, f.cod, images[row.proj1].translate(lut[f.name]),
+                         g.cod, images[row.proj2].translate(lut[g.name]))
+        for row in products.values():
+            pair(row.obj, row.right, images[row.proj2], row.left, images[row.proj1])
+        for row in products.values():
+            triple = products.get((row.obj, row.right))
+            if triple is not None:
+                pair(row.obj, row.obj, images[identity[row.obj]],
+                     row.right, images[row.proj2])
+                pair(triple.obj, row.right,
+                     images[triple.proj1].translate(lut[row.proj2]),
+                     row.right, images[triple.proj2])
         # arrows are reached in the order they are born (the loop reaches
-        # those born inside it too), and the rows of by_dom and by_cod are in
-        # that order, so each composable pair and each pair out of a window
-        # object is taken once, when the later of its two arrows is reached
+        # those born inside it too), and every row is in that order, so each
+        # pair of a generator and an arrow, and each pair out of a window
+        # object, is taken once, when the later of its two arrows is reached
         for i, name in enumerate(names):
-            a, img, then = arrows[name], images[name], lut[name]
-            dom, cod = a.dom, a.cod
-            out_of = hom[dom]
-            for g, c, g_lut in by_dom[cod]:
+            a, img = arrows[name], images[name]
+            for g, c, g_lut in gens_by_dom[a.cod]:
                 if g > i:
                     break
-                gf = img.translate(g_lut)
-                k = out_of[c].get(gf)
-                put_g(g)
-                put_f(i)
-                put_gf(intern(dom, c, gf) if k is None else k)
-            for f, d, f_img in by_cod[dom]:
+                intern(a.dom, c, img.translate(g_lut), False)
+            for f, d, f_img in by_cod[a.dom] if i in gens else ():
                 if f >= i:
                     break
-                gf = f_img.translate(then)
-                k = hom[d][cod].get(gf)
-                put_g(i)
-                put_f(f)
-                put_gf(intern(d, cod, gf) if k is None else k)
-            if dom in window_set:
-                for g, c, _ in by_dom[dom]:
-                    if g > i:
-                        break
-                    other = images[names[g]]
-                    for c1, img1, c2, img2 in ((cod, img, c, other),
-                                               (c, other, cod, img)):
-                        row = self.rows.get((c1, c2))
-                        if row is None:
-                            continue
-                        nb = self.carriers[c2]
-                        intern(dom, row, bytes(x * nb + y
-                                               for x, y in zip(img1, img2)))
+                intern(d, a.cod, f_img.translate(lut[name]), False)
+            for g, c, other in by_dom[a.dom] if a.dom in window_set else ():
+                if g > i:
+                    break
+                pair(a.dom, a.cod, img, c, other)
+                pair(a.dom, c, other, a.cod, img)
 
-        window_objs = [o for o in self.order if o in window_set]
+        count = sum(len(by_cod[o]) * len(by_dom[o]) for o in self.order)
         return FinCategory(self.order, arrows.values(), identity,
-                           ComposeColumns(columns, names, arrows, images, lut, hom),
-                           window=window_objs, products=products,
+                           ComposeColumns(count, names, arrows, images, lut, hom),
+                           window=[o for o in self.order if o in window_set],
+                           products=products,
                            terminal=self.terminal,
                            presentation=self.presentation,
                            sizes=dict(self.carriers),

@@ -103,3 +103,106 @@ def reference_lattice_ops(p) -> dict:
               "heyting_implication": impl}
     tables["is_heyting"] = None not in tables.values()
     return tables
+
+
+def reference_close(b):
+    """The category of the builder ``b`` with a dict composition table: the
+    body ``ConcreteBuilder.close`` had before it closed over generators,
+    composing every composable pair when the later of its two arrows is
+    reached.  It reads ``fincat.MAX_ARROWS`` when it runs."""
+    from doctrinelab import fincat
+    from doctrinelab.fincat import Arrow, FinCategory, Product
+
+    hom = {o: {c: {} for c in b.order} for o in b.order}
+    names, arrows, images, lut = [], {}, {}, {}
+    by_dom = {o: [] for o in b.order}
+    by_cod = {o: [] for o in b.order}
+    compose = {}
+
+    def intern(dom, cod, img):
+        known = hom[dom][cod]
+        i = known.get(img)
+        if i is None:
+            i = len(names)
+            if i == fincat.MAX_ARROWS:
+                raise b._exceeded(f"more than {fincat.MAX_ARROWS}")
+            name = b._name(dom, cod, img)
+            known[img] = i
+            names.append(name)
+            arrows[name] = Arrow(name, dom, cod)
+            images[name] = img
+            lut[name] = padded = img.ljust(256, b"\0")
+            by_dom[dom].append((i, cod, padded))
+            by_cod[cod].append((i, dom, img))
+        return i
+
+    identity = {o: names[intern(o, o, bytes(range(b.carriers[o])))]
+                for o in b.order}
+    for key in b._gens:
+        intern(*key)
+    products = {}
+    for (x, y), carrier in b.rows.items():
+        ny, size = b.carriers[y], b.carriers[carrier]
+        products[(x, y)] = Product(
+            x, y, carrier,
+            names[intern(carrier, x, bytes(p // ny for p in range(size)))],
+            names[intern(carrier, y, bytes(p % ny for p in range(size)))])
+    window_set = set(b.window)
+    scope = window_set | set(b.power_pool)
+    scoped = [n for n in list(arrows)
+              if arrows[n].dom in scope and arrows[n].cod in scope]
+    for f in scoped:
+        for g in scoped:
+            src = b.rows.get((arrows[f].dom, arrows[g].dom))
+            dst = b.rows.get((arrows[f].cod, arrows[g].cod))
+            if src is None or dst is None:
+                continue
+            nb_src = b.carriers[arrows[g].dom]
+            nb_dst = b.carriers[arrows[g].cod]
+            intern(src, dst, bytes(
+                images[f][p // nb_src] * nb_dst + images[g][p % nb_src]
+                for p in range(b.carriers[src])))
+    for (x, y), carrier in list(b.rows.items()):
+        if (y, x) in b.rows:
+            nx, ny = b.carriers[x], b.carriers[y]
+            intern(carrier, b.rows[(y, x)],
+                   bytes((p % ny) * nx + p // ny for p in range(b.carriers[carrier])))
+    for (x, a), carrier in list(b.rows.items()):
+        triple = b.rows.get((carrier, a))
+        if triple is None:
+            continue
+        na = b.carriers[a]
+        intern(carrier, triple,
+               bytes(p * na + p % na for p in range(b.carriers[carrier])))
+        square = b.rows.get((a, a))
+        if square is not None:
+            intern(triple, square, bytes(((t // na) % na) * na + t % na
+                                         for t in range(b.carriers[triple])))
+    for i, name in enumerate(names):
+        a, img, then = arrows[name], images[name], lut[name]
+        for g, c, g_lut in by_dom[a.cod]:
+            if g > i:
+                break
+            compose[(names[g], name)] = names[intern(a.dom, c, img.translate(g_lut))]
+        for f, d, f_img in by_cod[a.dom]:
+            if f >= i:
+                break
+            compose[(name, names[f])] = names[intern(d, a.cod, f_img.translate(then))]
+        if a.dom in window_set:
+            for g, c, _ in by_dom[a.dom]:
+                if g > i:
+                    break
+                other = images[names[g]]
+                for c1, img1, c2, img2 in ((a.cod, img, c, other),
+                                           (c, other, a.cod, img)):
+                    row = b.rows.get((c1, c2))
+                    if row is not None:
+                        nb = b.carriers[c2]
+                        intern(a.dom, row, bytes(x * nb + y
+                                                 for x, y in zip(img1, img2)))
+    return FinCategory(b.order, arrows.values(), identity, compose,
+                       window=[o for o in b.order if o in window_set],
+                       products=products, terminal=b.terminal,
+                       presentation=b.presentation, sizes=dict(b.carriers),
+                       power_pool=list(b.power_pool) or None,
+                       tables={n: tuple(img) for n, img in images.items()})

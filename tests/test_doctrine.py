@@ -62,14 +62,15 @@ def _one_cell(d, name, element, image):
 
 def test_fault_injected_s8_cell_breaks_composition(ps20):
     # preimage along 0,7: 2 -> 8 of {1..7} is {1}; {0, 1} keeps the map
-    # monotone but no longer the composite of the preimages along 2 -> 4 -> 8
+    # monotone but its preimage along 0: 1 -> 2 is {0}, no longer that of
+    # {1..7} along the composite 0: 1 -> 8, the first pair the scan meets
     broken = _fault_injected(
         ps20, lambda d: _one_cell(d, "S2>S8:0,7", "e254", "e3"))
     v = validate_doctrine(broken)
     assert v.counterexample == {
-        "kind": "functor_composition", "f": "S2>S4:0,3",
-        "g": "S4>S8:0,3,4,7", "composite": "S2>S8:0,7", "element": "e254",
-        "via_composite": "e3", "via_parts": "e2"}
+        "kind": "functor_composition", "f": "S1>S2:0", "g": "S2>S8:0,7",
+        "composite": "S1>S8:0", "element": "e254", "via_composite": "e0",
+        "via_parts": "e1"}
     assert recheck(broken, v)
 
 

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from doctrinelab import catalog, theorems
+from doctrinelab import catalog, fincat, theorems
 from doctrinelab.doctrine import Doctrine
 from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
                                 FinCategory, Presentation, Product,
@@ -8,7 +9,7 @@ from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import MalformedCategory, WindowExceeded
 
-from oracles import parse_arrow
+from oracles import parse_arrow, reference_close
 from test_doctrine import _fault_injected, _fresh
 
 
@@ -72,6 +73,22 @@ def test_product_with_terminal_is_iso(ps20, ps11, sier, triv, sl3):
             row = base.products[(a, t)]
             # proj1 is an isomorphism
             assert base.is_iso(row.proj1), (d.name, a)
+
+
+@pytest.mark.parametrize("f, member, contained", [
+    ("S2>S2:1,0", "S2>S2:0,1", True),          # the identity after the swap
+    ("S4>S2:1,1,0,0", "S4>S2:0,0,1,1", True),  # p1 after flipping the first
+    ("S2>S2:0,0", "S2>S2:0,1", False),         # only after a constant
+    ("S4>S2:0,0,0,0", "S4>S2:0,0,1,1", False)])
+def test_class_membership_is_up_to_an_iso_into_a_member(ps20, f, member,
+                                                         contained):
+    base = ps20.base
+    prj = base.projection_class()
+    assert f not in prj.members and member in prj.members
+    via = [j for j in base.hom(base.dom(f), base.dom(member))
+           if base.compose(member, j) == f]
+    assert via and any(map(base.is_iso, via)) == contained
+    assert base.class_contains(prj, f) == contained
 
 
 def test_pair_uniqueness(ps20):
@@ -321,6 +338,74 @@ def test_builder_refuses_a_carrier_above_its_point_limit():
     base = b.close()
     assert base.tables[base.identity["X"]] == tuple(range(MAX_POINTS))
     assert base.validate()
+
+
+@pytest.mark.parametrize("dom, cod, images", [
+    ("A", "B", [0, 5]),      # a point sent outside the codomain
+    ("A", "B", [0, -1]),
+    ("A", "B", [0]),         # too few images
+    ("A", "B", [0, 1, 1]),   # too many
+    ("A", "C", [0, 1]),      # an undeclared codomain
+    ("C", "A", [])])         # an undeclared domain
+def test_builder_refuses_an_arrow_that_is_not_a_function(dom, cod, images):
+    b = ConcreteBuilder(Presentation("points", ()))
+    b.add_object("A", 2, window=True)
+    b.add_object("B", 2, window=True)
+    name = f"{dom}>{cod}:{','.join(map(str, images))}"
+    with pytest.raises(ValueError, match=f"^arrow {name} is not a function"):
+        b.add_arrow(dom, cod, images)
+    assert len(b.close().arrows) == 2  # the identities
+
+
+def _record(base):
+    """Everything a window holds but its order."""
+    return (base.objects, base.window, base.power_pool, base.terminal_obj,
+            {n: (a.dom, a.cod) for n, a in base.arrows.items()}, base.identity,
+            {k: (r.left, r.right, r.obj, r.proj1, r.proj2)
+             for k, r in base.products.items()},
+            base.tables, len(base.compose_table), dict(base.compose_table.items()))
+
+
+@st.composite
+def builders(draw):
+    """A builder over 1-3 objects of at most 3 points, with random
+    generators, some objects in the window or the pool, some product rows,
+    and some rows on a product carrier, as for the equality predicate."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    b = ConcreteBuilder(Presentation("random", ()))
+    names = [b.add_object(f"X{i}", n, window=draw(st.booleans()),
+                          pool=draw(st.booleans())) for i, n in enumerate(sizes)]
+    for x, y in draw(st.lists(st.sampled_from([(x, y) for x in names for y in names]),
+                              max_size=4, unique=True)):
+        carrier = b.add_object(f"({x}x{y})", b.carriers[x] * b.carriers[y])
+        b.declare_product(x, y, carrier)
+        if draw(st.booleans()):
+            triple = b.add_object(f"({carrier}x{y})", b.carriers[carrier] * b.carriers[y])
+            b.declare_product(carrier, y, triple)
+    for _ in range(draw(st.integers(1, 5))):
+        dom, cod = draw(st.sampled_from(b.order)), draw(st.sampled_from(b.order))
+        n, m = b.carriers[dom], b.carriers[cod]
+        if m or not n:  # else no function exists
+            b.add_arrow(dom, cod, draw(st.lists(st.integers(0, max(m - 1, 0)),
+                                                min_size=n, max_size=n)))
+    return b
+
+
+def _closed(close):
+    try:
+        return _record(close())
+    except WindowExceeded:
+        return None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(b=builders(), limit=st.integers(4, 160))
+def test_the_closure_over_generators_is_the_reference_closure(b, limit):
+    # the same window, or a refusal on both sides, under a small limit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fincat, "MAX_ARROWS", limit)
+        got, want = _closed(b.close), _closed(lambda: reference_close(b))
+    assert got == want
 
 
 # -- the base memo ----------------------------------------------------------------

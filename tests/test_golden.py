@@ -153,25 +153,25 @@ def _content_record(d) -> bytes:
 U_S = {k: catalog.SIERPINSKI_SPACES[k] for k in ("U", "S")}
 
 # sha256 of each window's record, frozen when the builder began to close a
-# window in the order its arrows are born; any change to an arrow, its order
-# or a table moves it
+# window over its generators and to tabulate its composites, f by f, on
+# first read; any change to an arrow, its order or a table moves it
 WINDOW_DIGESTS = {
     "PS(2,0)": (
-        "0876becaf24f461535d2505e6f0ce28b8bf8927c795eff08b694b67bb9e429ee"),
+        "cc7aaf07cb001eb6771c7a36ed7883087b069c1c066c83d79eb25cb7e8a78319"),
     "PS(1,1)": (
-        "c531754508b2597979b29fc427825868372678b5ec489a2ec55c8e174b85c80a"),
+        "e9775a997c5d4ef663f8b9b53feb81315aab91e38321e5c8e0eab7706999eb9f"),
     "SIER": (
-        "7ba226a3d528f346c5edd19475e962ece52bdeb9e50987a1d8ad485e2ba04b67"),
+        "da5891561ea52a5fa9771d59ff4fbcab061463f9ce05dcb34b722ca3a683dd43"),
     "TRIV": (
-        "36b7e4fbb570cc953a411390c6a6cddf7987d73e77733cf7411075c46445d77a"),
+        "1bfe1481956d8abcdfa577f50deb89da097f21fc891c578c33da0a5f0ba903cf"),
     "SL3": (
         "90f864d20f725d0494c5903c60009421bbbc35690ec7621658ef559667f5e0bd"),
     "PS(1,0)": (
-        "722020cc51e7f845ebb69d7a388c66bc56101b5dafdaea8f9bbcc68e96f9676c"),
+        "b586146ab935c2257964f6186f251ebdde5b81f7a49ca84855c883c64d612205"),
     "S": (
-        "3c18ebfcc212c46ead007f618a2a04d0026cd722a1a09c1029c2a4e4a0cf4d83"),
+        "afdf0b72d787585d035e9bc40ea61485b8b3ccc9a082c79782e8e18620ace8be"),
     "U,S": (
-        "562fbf552844c479df35e00b9812bac82f5f11929f2a8d6a119a77e48abe5286"),
+        "0e1d4396604ef8085b47bb248a3d78673f9af1b1fbda076d955330f19b86fea1"),
 }
 
 WINDOWS = {

@@ -19,7 +19,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from functools import cached_property, wraps
-from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -167,34 +166,32 @@ class ComposeColumns(Mapping):
         self._arrows, self._images, self._luts, self._hom = arrows, images, luts, hom
 
     @property
-    def columns(self) -> tuple[array, array, array]:
+    def columns(self) -> tuple:
         if self._columns is None:
             self._columns = self._tabulate()
         return self._columns
 
-    def _tabulate(self) -> tuple[array, array, array]:
-        names, arrows, images, hom = self._names, self._arrows, self._images, self._hom
+    def _tabulate(self) -> tuple:
+        arrows, hom = self._arrows.values(), self._hom
         # per object: the arrows out of it, their padded images, codomains
-        out_of = {}
-        for o, hom_o in hom.items():
-            gs = sorted(chain.from_iterable(map(dict.values, hom_o.values())))
-            out_of[o] = (array("H", gs), [self._luts[names[g]] for g in gs],
-                         [arrows[names[g]].cod for g in gs])
-        # f's rows start at at[f]; columns sized at once are not over-allocated
-        at = array("L", accumulate((len(out_of[arrows[n].cod][0]) for n in names),
-                                   initial=0))
+        out_of = {o: (array("H"), [], []) for o in hom}
+        for i, a in enumerate(arrows):
+            gs, luts, cods = out_of[a.dom]
+            gs.append(i)
+            luts.append(self._luts[a.name])
+            cods.append(a.cod)
+        # sized at once: a column grown row by row is over-allocated
         columns = tuple(array("H", [0]) * self._count for _ in range(3))
         g_col, f_col, gf_col = columns
-        for out_of_d in hom.values():
-            for c, fs in out_of_d.items():
-                gs, luts, cods = out_of[c]
-                homs = list(map(out_of_d.__getitem__, cods)) if fs else None
-                for f in fs.values():
-                    row = slice(at[f], at[f + 1])
-                    g_col[row] = gs
-                    f_col[row] = array("H", [f]) * len(gs)
-                    gf_col[row] = array("H", map(dict.__getitem__, homs,
-                                                 map(images[names[f]].translate, luts)))
+        end = 0
+        for f, a in enumerate(arrows):
+            gs, luts, cods = out_of[a.cod]
+            row = slice(end, end + len(gs))
+            end = row.stop
+            g_col[row] = gs
+            f_col[row] = array("H", [f]) * len(gs)
+            gf_col[row] = array("H", map(dict.__getitem__, map(hom[a.dom].__getitem__, cods),
+                                         map(self._images[a.name].translate, luts)))
         return columns
 
     def __getitem__(self, key: tuple[str, str]) -> str:
@@ -290,7 +287,7 @@ class FinCategory:
         self._cache: dict = {}
 
     @property
-    def compose_columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    def compose_columns(self) -> tuple:
         comp = self.compose_table
         return comp.columns if isinstance(comp, ComposeColumns) else self._columns
 
@@ -794,9 +791,9 @@ class ConcreteBuilder:
 
     def add_arrow(self, dom: str, cod: str, images: Sequence[int]) -> None:
         """A generator, ``images[p]`` the image of point ``p``."""
-        n, m = self.carriers.get(dom), self.carriers.get(cod)
-        if n is None or m is None or len(images) != n or (
-                images and not 0 <= min(images) <= max(images) < m):
+        m = self.carriers.get(cod)
+        if m is None or len(images) != self.carriers.get(dom) or any(
+                not 0 <= p < m for p in images):
             raise ValueError(f"arrow {self._name(dom, cod, images)} is not a "
                              "function between declared carriers")
         self._gens[(dom, cod, bytes(images))] = None

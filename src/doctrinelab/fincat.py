@@ -190,7 +190,8 @@ class ComposeColumns(Mapping):
             end = row.stop
             g_col[row] = gs
             f_col[row] = array("H", [f]) * len(gs)
-            gf_col[row] = array("H", map(dict.__getitem__, map(hom[a.dom].__getitem__, cods),
+            gf_col[row] = array("H", map(dict.__getitem__,
+                                         map(hom[a.dom].__getitem__, cods),
                                          map(self._images[a.name].translate, luts)))
         return columns
 

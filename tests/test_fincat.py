@@ -380,7 +380,8 @@ def builders(draw):
         carrier = b.add_object(f"({x}x{y})", b.carriers[x] * b.carriers[y])
         b.declare_product(x, y, carrier)
         if draw(st.booleans()):
-            triple = b.add_object(f"({carrier}x{y})", b.carriers[carrier] * b.carriers[y])
+            triple = b.add_object(f"({carrier}x{y})",
+                                  b.carriers[carrier] * b.carriers[y])
             b.declare_product(carrier, y, triple)
     for _ in range(draw(st.integers(1, 5))):
         dom, cod = draw(st.sampled_from(b.order)), draw(st.sampled_from(b.order))

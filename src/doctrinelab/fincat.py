@@ -20,7 +20,7 @@ from array import array
 from collections.abc import Mapping
 from functools import cached_property, wraps
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .poset import FinPoset
 from .verdicts import (MalformedCategory, StructureMissing, Verdict,
@@ -136,14 +136,10 @@ class Presentation:
 
 
 def tables_compose(columns: tuple[Sequence[int], Sequence[int], Sequence[int]],
-                   images: Sequence[bytes], luts: Sequence[bytes],
-                   contravariant: bool = False) -> bool:
-    """Is ``images[f].translate(luts[g]) == images[gf]`` (``contravariant``:
-    ``images[g].translate(luts[f])``) for every row ``(g, f, gf)`` of the
-    arrow-index ``columns``?"""
-    if contravariant:
-        return all(images[g].translate(luts[f]) == images[gf]
-                   for g, f, gf in zip(*columns))
+                   images: Sequence[bytes], luts: Sequence[bytes]) -> bool:
+    """Is ``images[f].translate(luts[g]) == images[gf]`` for every row
+    ``(g, f, gf)`` of the arrow-index ``columns``?  Reindexing maps compose
+    the other way round, so their columns are passed as ``(f, g, gf)``."""
     return all(images[f].translate(luts[g]) == images[gf]
                for g, f, gf in zip(*columns))
 
@@ -155,14 +151,16 @@ class ComposeColumns(Mapping):
     (image -> index); a pair that does not compose is missing, as from a
     ``dict``.  Walks read the ``array('H')`` ``columns`` ``(g, f, gf)`` of
     arrow indices, ``f`` in arrow order and ``g`` in arrow order within it,
-    tabulated on first read: most checks only look composites up."""
-    __slots__ = ("_columns", "_count", "_names", "_arrows", "_images", "_luts", "_hom")
+    tabulated on first read: most checks only look composites up.  ``gens``
+    are the indices of the generators the window was closed over."""
+    __slots__ = ("_columns", "_count", "_names", "_arrows", "_images", "_luts",
+                 "_hom", "gens")
 
-    def __init__(self, count: int, names: Sequence[str],
+    def __init__(self, count: int, gens: Collection[int], names: Sequence[str],
                  arrows: Mapping[str, Arrow], images: Mapping[str, bytes],
                  luts: Mapping[str, bytes],
                  hom: Mapping[str, Mapping[str, Mapping[bytes, int]]]):
-        self._columns, self._count, self._names = None, count, names
+        self._columns, self._count, self.gens, self._names = None, count, gens, names
         self._arrows, self._images, self._luts, self._hom = arrows, images, luts, hom
 
     @property
@@ -172,16 +170,23 @@ class ComposeColumns(Mapping):
         return self._columns
 
     def _tabulate(self) -> tuple:
+        return self.columns_of(range(len(self._names)))
+
+    def columns_of(self, outer: Collection[int]) -> tuple:
+        """The columns of the composable pairs ``(g, f)`` with ``g`` in
+        ``outer``, in the order of ``columns``."""
         arrows, hom = self._arrows.values(), self._hom
         # per object: the arrows out of it, their padded images, codomains
         out_of = {o: (array("H"), [], []) for o in hom}
         for i, a in enumerate(arrows):
-            gs, luts, cods = out_of[a.dom]
-            gs.append(i)
-            luts.append(self._luts[a.name])
-            cods.append(a.cod)
+            if i in outer:
+                gs, luts, cods = out_of[a.dom]
+                gs.append(i)
+                luts.append(self._luts[a.name])
+                cods.append(a.cod)
+        count = sum(len(out_of[a.cod][0]) for a in arrows)
         # sized at once: a column grown row by row is over-allocated
-        columns = tuple(array("H", [0]) * self._count for _ in range(3))
+        columns = tuple(array("H", [0]) * count for _ in range(3))
         g_col, f_col, gf_col = columns
         end = 0
         for f, a in enumerate(arrows):
@@ -230,6 +235,8 @@ class FinCategory:
     entries ``(g, f) -> gf`` as three columns ``(g, f, gf)`` of the indices
     of their arrows in ``arrows``: mapped at once from a ``dict``, which
     checks its names, and tabulated on first read for a built window.
+    ``generators`` holds the indices of a built window's generators, or of
+    every arrow, and as columns the entries whose ``g`` is one.
     """
 
     def __init__(self, objects: Sequence[str], arrows: Iterable[Arrow],
@@ -291,6 +298,13 @@ class FinCategory:
     def compose_columns(self) -> tuple:
         comp = self.compose_table
         return comp.columns if isinstance(comp, ComposeColumns) else self._columns
+
+    @cached_property
+    def generators(self) -> tuple[Collection[int], tuple]:
+        comp = self.compose_table
+        if isinstance(comp, ComposeColumns):
+            return comp.gens, comp.columns_of(comp.gens)
+        return range(len(self.arrows)), self._columns
 
     # -- basic structure ---------------------------------------------------
 
@@ -922,7 +936,7 @@ class ConcreteBuilder:
 
         count = sum(len(by_cod[o]) * len(by_dom[o]) for o in self.order)
         return FinCategory(self.order, arrows.values(), identity,
-                           ComposeColumns(count, names, arrows, images, lut, hom),
+                           ComposeColumns(count, gens, names, arrows, images, lut, hom),
                            window=[o for o in self.order if o in window_set],
                            products=products,
                            terminal=self.terminal,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from doctrinelab import catalog, fincat, ioformat, logic, theorems
+from doctrinelab import catalog, doctrine, fincat, ioformat, logic, theorems
 from doctrinelab.constructions import derived_sigma, dualize
 from doctrinelab.doctrine import validate_doctrine
 from doctrinelab.verdicts import InvalidTopology, StructureMissing, WindowExceeded
@@ -347,9 +347,35 @@ def test_only_validation_tabulates_the_composition_columns(monkeypatch, cid):
                 derived_sigma(d, f, alpha)
     except StructureMissing:
         assert cid == "SIER"
+    theorems.classify(d)
     assert not tabulated
-    assert base.validate() and validate_doctrine(d)
+    # validate_doctrine proves functoriality over the generators
+    assert validate_doctrine(d) and not tabulated
+    assert base.validate()
     assert tabulated == [base.compose_table]
+
+
+# generators and (generator, arrow) pairs of each built catalog base;
+# TRIV has the base of PS(1,1)
+GENERATORS = {"PS(2,0)": (126, 5669), "PS(1,1)": (49, 1559),
+              "SIER": (201, 7996), "TRIV": (49, 1559)}
+
+
+@pytest.mark.parametrize("cid", GENERATORS)
+def test_validation_proves_functoriality_over_the_generators(monkeypatch, cid):
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    read = []
+    tabulate = fincat.ComposeColumns._tabulate
+    monkeypatch.setattr(fincat.ComposeColumns, "_tabulate",
+                        lambda table: read.append("columns") or tabulate(table))
+    composes_to = doctrine._composes_to
+    monkeypatch.setattr(doctrine, "_composes_to",
+                        lambda *maps: read.append("scan") or composes_to(*maps))
+    d = catalog.instance(cid)
+    gens, columns = d.base.generators
+    assert (len(gens), len(columns[0])) == GENERATORS[cid]
+    assert validate_doctrine(d)
+    assert not read
 
 
 @pytest.mark.parametrize("cid", ["PS(2,0)", "SIER"])

@@ -157,6 +157,16 @@ def test_fiber_above_256_elements_checks_monotonicity_as_tuples():
     assert "_idx_bytes" not in vars(broken.reindex["e"])
 
 
+def test_a_functorial_reindex_that_is_not_monotone_fails_the_proof():
+    # e* stays idempotent with the top sent to the bottom, so only the
+    # monotonicity of the generators keeps the proof from holding
+    broken = chain_doctrine(5, "c0")
+    v = validate_doctrine(broken)
+    assert v.counterexample == {"kind": "not_monotone", "arrow": "e",
+                                "pair": ["c1", "c4"], "images": ["c1", "c0"]}
+    assert recheck(broken, v)
+
+
 def test_shape_mismatch_distinct(ps20):
     reindex = dict(ps20.reindex)
     del reindex["S1>S2:0"]

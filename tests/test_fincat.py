@@ -1,11 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from doctrinelab import catalog, fincat, theorems
-from doctrinelab.doctrine import Doctrine
+from doctrinelab.doctrine import Doctrine, validate_doctrine
 from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
                                 FinCategory, Presentation, Product,
                                 tables_compose)
+from doctrinelab.poset import MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import MalformedCategory, WindowExceeded
 
@@ -320,14 +323,15 @@ def test_one_wrong_composite_fails_the_proof_by_tables(ps20):
     g, f, gf = (list(column) for column in base.compose_columns)
     images = [bytes(base.tables[n]) for n in base.arrows]
     maps = [ps20.reindex[n] for n in base.arrows]
-    proofs = [(images, [t.ljust(256, b"\0") for t in images], False),
-              ([m._idx_bytes for m in maps], [m._translation for m in maps], True)]
-    assert all(tables_compose((g, f, gf), *proof) for proof in proofs)
+    # reindexing composes the other way round: its columns are (f, g, gf)
+    proofs = [((g, f, gf), images, [t.ljust(256, b"\0") for t in images]),
+              ((f, g, gf), [m._idx_bytes for m in maps], [m._translation for m in maps])]
+    assert all(tables_compose(*proof) for proof in proofs)
     index = {n: i for i, n in enumerate(base.arrows)}
     swap, point = index["S2>S2:1,0"], index["S1>S2:0"]
     k = next(k for k, pair in enumerate(zip(g, f)) if pair == (swap, point))
     gf[k] = point  # the swap fixes the point
-    assert not any(tables_compose((g, f, gf), *proof) for proof in proofs)
+    assert not any(tables_compose(*proof) for proof in proofs)
 
 
 def test_builder_refuses_a_carrier_above_its_point_limit():
@@ -407,6 +411,66 @@ def test_the_closure_over_generators_is_the_reference_closure(b, limit):
         mp.setattr(fincat, "MAX_ARROWS", limit)
         got, want = _closed(b.close), _closed(lambda: reference_close(b))
     assert got == want
+
+
+def _faulted_cell_verdicts(d, arrows, rng, copy):
+    """Change one cell, chosen by ``rng``, of the reindex map along each of
+    ``arrows`` in turn; require the same ``validate_doctrine`` report over
+    the base of ``d`` and over ``copy``, a ``dict`` copy of it, and every
+    refutation to recheck.  The arrows refuted, in order."""
+    refuted = []
+    for n in arrows:
+        m = d.reindex[n]
+        table, size = list(m.idx_table), len(m.target)
+        if size > 1:  # else no other image exists
+            i = rng.randrange(len(table))
+            table[i] = (table[i] + rng.randrange(1, size)) % size
+        reindex = {**d.reindex, n: MonotoneMap(m.source, m.target, table)}
+        got, want = (validate_doctrine(Doctrine(base, d.fibers, reindex))
+                     for base in (d.base, copy))
+        assert got.to_json() == want.to_json(), n
+        if not got:
+            assert recheck(Doctrine(d.base, d.fibers, reindex), got), n
+            refuted.append(n)
+    return refuted
+
+
+@pytest.mark.parametrize("cid, sample", [("PS(1,1)", None), ("TRIV", None),
+                                         ("PS(2,0)", 60), ("SIER", 60)])
+def test_a_faulted_reindex_cell_gets_the_verdict_of_a_dict_copy(cid, sample):
+    # the proof over the generators of a built base gives the verdict of
+    # the scan over every pair of an explicit one, also where the fault
+    # is on an arrow that is no generator
+    d = catalog.instance(cid)
+    rng = random.Random(0)
+    arrows = list(d.base.arrows)
+    refuted = _faulted_cell_verdicts(
+        d, rng.sample(arrows, sample) if sample else arrows, rng, _copy(d.base))
+    gens = d.base.generators[0]
+    if cid == "TRIV":  # singleton fibers: no cell can change
+        assert not refuted
+    else:
+        assert any(arrows.index(n) not in gens for n in refuted)
+        assert any(arrows.index(n) in gens for n in refuted)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(b=builders(), seed=st.integers(0, 2**32 - 1))
+def test_a_faulted_powerset_doctrine_gets_the_verdict_of_a_dict_copy(b, seed):
+    # fibers of up to 512 elements: above 256 the scan runs on both sides
+    assume(max(b.carriers.values()) <= 9)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fincat, "MAX_ARROWS", 200)
+            base = b.close()
+    except WindowExceeded:
+        assume(False)
+    fibers = {o: catalog._powerset_fiber(base.sizes[o]) for o in base.objects}
+    d = Doctrine(base, fibers, catalog._preimage_maps(
+        base, fibers, {o: range(1 << base.sizes[o]) for o in base.objects}))
+    assert validate_doctrine(d)
+    rng = random.Random(seed)
+    _faulted_cell_verdicts(d, [rng.choice(list(base.arrows))], rng, _copy(base))
 
 
 # -- the base memo ----------------------------------------------------------------

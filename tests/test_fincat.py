@@ -325,7 +325,8 @@ def test_one_wrong_composite_fails_the_proof_by_tables(ps20):
     maps = [ps20.reindex[n] for n in base.arrows]
     # reindexing composes the other way round: its columns are (f, g, gf)
     proofs = [((g, f, gf), images, [t.ljust(256, b"\0") for t in images]),
-              ((f, g, gf), [m._idx_bytes for m in maps], [m._translation for m in maps])]
+              ((f, g, gf), [m._idx_bytes for m in maps],
+               [m._translation for m in maps])]
     assert all(tables_compose(*proof) for proof in proofs)
     index = {n: i for i, n in enumerate(base.arrows)}
     swap, point = index["S2>S2:1,0"], index["S1>S2:0"]

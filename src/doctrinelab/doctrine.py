@@ -13,6 +13,7 @@ results are never silently over-claimed.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .fincat import (_MISSING, ArrowClass, FinCategory, Square,
@@ -35,19 +36,25 @@ __all__ = [
     "bc_squares",
 ]
 
+_EXPLICIT = MappingProxyType({"kind": "explicit"})
+_NO_WITNESSES = MappingProxyType({})
+
+
 class Doctrine:
-    """A finite doctrine: base category, fibers, reindexing."""
+    """A finite doctrine: base category, fibers, reindexing.  It keeps the
+    ``fibers``, ``reindex``, ``source`` and ``declared`` mappings handed to
+    it, as :class:`FinCategory` keeps ``compose``: the caller must not change
+    them afterwards.  An omitted ``source`` or ``declared`` is one shared
+    read-only mapping, ``{"kind": "explicit"}`` or ``{}``."""
 
     def __init__(self, base: FinCategory, fibers: Mapping[str, FinPoset],
                  reindex: Mapping[str, MonotoneMap], name: str = "doctrine",
                  source: Mapping | None = None,
                  declared: Mapping | None = None):
-        self.base = base
-        self.fibers = dict(fibers)
-        self.reindex = dict(reindex)
+        self.base, self.fibers, self.reindex = base, fibers, reindex
         self.name = name
-        self.source = dict(source) if source else {"kind": "explicit"}
-        self.declared = dict(declared) if declared else {}
+        self.source = source or _EXPLICIT
+        self.declared = declared or _NO_WITNESSES
         self._cache: dict = {}
 
     def star(self, f: str, element: str) -> str:

@@ -36,6 +36,8 @@ from .poset import FinPoset, MonotoneMap
 from .verdicts import MalformedCategory, ParseError, WindowExceeded
 
 SCHEMA_VERSION = 1
+# an explicit fiber is no larger than the largest fiber the builder builds
+MAX_FIBER = 256
 
 __all__ = ["SCHEMA_VERSION", "serialize", "to_document", "parse",
            "parse_document", "parse_file", "instance_hash", "canonical_json"]
@@ -302,6 +304,9 @@ def parse_document(doc: Mapping) -> Doctrine:
     for o in objects:
         _known(o, doc["fibers"], f"missing fiber for object {o!r}", "$.fibers")
         pos, elements = f"$.fibers.{o}", doc["fibers"][o]["elements"]
+        if len(elements) > MAX_FIBER:
+            raise ParseError(f"fiber of {len(elements)} elements, more than"
+                             f" {MAX_FIBER}", pos)
         leq = doc["fibers"][o]["leq"]
         for a, b in leq:
             for e in (a, b):
@@ -325,7 +330,7 @@ def parse_document(doc: Mapping) -> Doctrine:
     _resolve_declared(base, fibers, declared)
     return Doctrine(base, fibers, reindex,
                     name=doc.get("meta", {}).get("name", "instance"),
-                    source={"kind": "explicit"}, declared=declared)
+                    declared=declared)
 
 
 def parse(text: str) -> Doctrine:

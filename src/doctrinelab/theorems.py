@@ -801,8 +801,7 @@ def enumerate_doctrines(max_base: int = 3, max_fiber: int = 3,
                 if got is None:
                     continue
                 d = Doctrine(base, fibers, {name: got[ij] for name, ij in arrows},
-                             name=f"enum-{n}-{counters['candidates']}",
-                             source={"kind": "explicit"})
+                             name=f"enum-{n}-{counters['candidates']}")
                 if filter_expr is not None and not filter_expr.evaluate(d):
                     continue
                 counters["emitted"] += 1

@@ -9,6 +9,8 @@ import pytest
 
 import doctrinelab
 from doctrinelab import catalog, cli, ioformat, theorems
+from doctrinelab.doctrine import Doctrine
+from doctrinelab.poset import FinPoset, MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import REFUTED, Verdict
 
@@ -417,6 +419,34 @@ def test_declared_witness_kinds(tmp_path, capsys, kind):
     if field is not None:
         payload[field] = value
     assert not recheck(valid, Verdict(REFUTED, counterexample=payload))
+
+
+def _antichain_instance(tmp_path, size):
+    """A one-object instance file whose fiber is a ``size``-element
+    antichain."""
+    base, _ = catalog.semilattice_category(["X"], [("X", "X")])
+    elements = [f"e{i}" for i in range(size)]
+    fiber = FinPoset(elements, [(e, e) for e in elements])
+    d = Doctrine(base, {"X": fiber}, {"X>X": MonotoneMap.identity(fiber)},
+                 name=f"antichain-{size}")
+    path = tmp_path / f"antichain-{size}.json"
+    path.write_text(ioformat.serialize(d), encoding="utf-8")
+    return path
+
+
+def test_an_explicit_fiber_at_the_limit_validates(tmp_path, capsys):
+    # 256 elements, the largest fiber of any window the builder builds
+    assert ioformat.MAX_FIBER == 256
+    path = _antichain_instance(tmp_path, ioformat.MAX_FIBER)
+    assert cli.main(["validate", str(path)]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_an_explicit_fiber_past_the_limit_exits_2(tmp_path, capsys, command):
+    path = _antichain_instance(tmp_path, ioformat.MAX_FIBER + 1)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.fibers.X: fiber of 257 elements, more than 256\n")
 
 
 def test_validate_refutes_a_broken_product_row(tmp_path, capsys):

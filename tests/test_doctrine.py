@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from doctrinelab import catalog, ioformat, theorems
@@ -6,7 +9,7 @@ from doctrinelab.doctrine import (Doctrine, frobenius, has_bottoms, has_tops,
                                   is_existential, is_pi_doctrine, is_primary,
                                   is_propositional, is_sigma_doctrine,
                                   validate_doctrine)
-from doctrinelab.fincat import Arrow, FinCategory
+from doctrinelab.fincat import Arrow, ArrowClass, FinCategory
 from doctrinelab.poset import FinPoset, MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import ShapeMismatch
@@ -277,6 +280,52 @@ def test_frobenius_and_existential(ps20, triv):
     assert is_existential(triv)
 
 
+def _reflexive(elements, strict):
+    return FinPoset(elements, [*strict, *((e, e) for e in elements)])
+
+
+def test_frobenius_needs_meets_at_a_pool_codomain():
+    # the thin base Q <= A, Q <= P with window A and pool P, and no row
+    # (P, P): the scope is A and the carrier Q of (A, P), so the doctrine is
+    # primary, but the projection Q>P ends at P, whose fiber has no meet of
+    # t1 and t2; its Sigma sends both elements of fiber(Q) to b
+    thin, _ = catalog.semilattice_category(
+        ["Q", "A", "P"], [(o, o) for o in "QAP"] + [("Q", "A"), ("Q", "P")])
+    base = FinCategory(thin.objects, thin.arrows.values(), thin.identity,
+                       thin.compose_table, window=["A"], power_pool=["P"],
+                       products={k: r for k, r in thin.products.items()
+                                 if k != ("P", "P")})
+    two = _reflexive(["0", "1"], [("0", "1")])
+    five = _reflexive(["b", "x", "y", "t1", "t2"],
+                      [("b", e) for e in ("x", "y", "t1", "t2")]
+                      + [(e, t) for e in "xy" for t in ("t1", "t2")])
+    d = Doctrine(base, {"Q": two, "A": two, "P": five},
+                 {"Q>Q": MonotoneMap.identity(two),
+                  "A>A": MonotoneMap.identity(two),
+                  "P>P": MonotoneMap.identity(five),
+                  "Q>A": MonotoneMap.identity(two),
+                  "Q>P": MonotoneMap.from_names(
+                      five, two, {e: "1" for e in five.elements})})
+    assert base.scope_objects == ("Q", "A")
+    assert "Q>P" in base.projection_class().members
+    assert validate_doctrine(d) and is_primary(d)
+    assert d.sigma("Q>P").table == {"0": "b", "1": "b"}
+    v = frobenius(d)
+    assert v.is_na and v.reason == "no meets around Q>P"
+
+
+@pytest.mark.parametrize("check", [is_sigma_doctrine, is_pi_doctrine])
+def test_a_class_without_squares_must_be_pullback_stable(sl3, check):
+    # without squares the check quantifies over the class's window
+    # pullbacks, so it first asks that the class hold them; with squares it
+    # takes them as given
+    cls = ArrowClass("test", ("L1>L2",))
+    assert sl3.base.is_pullback_stable(cls).is_refuted
+    v = check(sl3, cls)
+    assert v.is_na and v.reason.startswith("class test not pullback-stable")
+    assert check(sl3, cls, squares=())
+
+
 def test_fault_injected_sigma_refutes_frobenius_or_bc(ps20):
     # break one projection's reindexing so its adjoint is no longer the image
     def b(d):
@@ -428,3 +477,50 @@ def test_defaulted_arguments_share_one_memo_entry(triv):
     checks = [key[0].__name__ for key in d._cache if callable(key[0])]
     assert sorted(checks) == ["_frobenius", "_quantifier_doctrine",
                               "bc_squares", "is_primary"]
+
+
+def test_a_doctrine_keeps_the_tables_handed_to_it(triv):
+    fibers, reindex = dict(triv.fibers), dict(triv.reindex)
+    d = Doctrine(triv.base, fibers, reindex)
+    assert d.fibers is fibers and d.reindex is reindex
+
+
+def test_the_default_source_and_declared_are_shared_and_read_only(triv):
+    d, e = (Doctrine(triv.base, triv.fibers, triv.reindex) for _ in "de")
+    assert d.source is e.source and d.declared is e.declared
+    with pytest.raises(TypeError):
+        d.source["kind"] = "catalog"
+    with pytest.raises(TypeError):
+        d.declared["negation"] = {}
+    assert e.source == {"kind": "explicit"} and e.declared == {}
+
+
+def test_dualizing_leaves_the_source_unchanged():
+    for d in _one_of_each_source():
+        before = dict(d.source)
+        dual = dualize(d)
+        dualize(d)
+        assert dualize(dual).source == {**before, "dual": False}
+        assert d.source == before
+        assert dual.source == {**before, "dual": True}
+
+
+# bytes each of criterion 8's enumerated doctrines holds; 570 measured when
+# the doctrine keeps its tables, 991 when it copied them
+HELD_PER_ENUMERATED_DOCTRINE = 640
+
+
+def test_an_enumerated_doctrine_copies_nothing_it_is_handed():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = list(theorems.enumerate_doctrines(
+            max_base=4, max_fiber=3, budget=500_000, max_emit=10_000))
+        gc.collect()
+        held = (tracemalloc.get_traced_memory()[0] - before) / len(found)
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 10_000
+    assert held <= HELD_PER_ENUMERATED_DOCTRINE, (
+        f"{held:.0f} B held per enumerated doctrine")

@@ -261,11 +261,12 @@ def test_the_window_sweep_runs_on_a_small_slice():
          "--points", "1", "--sets", "1"],
         capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[0] == "built 3, refused 1" and len(lines) == 4
+    assert lines[0] == "built 3, refused 1" and len(lines) == 5
     assert re.fullmatch(r"content digest [0-9a-f]{64}", lines[1])
     assert re.fullmatch(r"slowest build \d+\.\d ms: (\{1:0,1\}|PS\(1,[01]\))",
                         lines[2])
     assert re.fullmatch(r"slowest refusal \d+\.\d ms: PS\(1,2\)", lines[3])
+    assert lines[4] == "largest fiber 16: PS(1,1)"
 
 
 # the modules that importing the whole package and hashing one instance load

@@ -15,9 +15,11 @@ It prints how many windows were built and how many the builder refused
 (:class:`WindowExceeded`), one sha256 over every window's outcome and, for
 those built, its content: objects, arrows, composites, identities,
 products, arrow tables and reindexing tables, each sorted, so that it does
-not depend on the order in which the builder finds them.  Last it prints the
+not depend on the order in which the builder finds them.  Then it prints the
 slowest build and the slowest refusal, in milliseconds of one in-process
-call each; the counts and the digest are the same on every run.
+call each, and last the largest fiber of any window built, with the first
+window that reaches it: the limit the parser sets on an explicit fiber
+(``ioformat.MAX_FIBER``).  All but the two times are the same on every run.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     slowest = {True: ("", 0.0), False: ("", 0.0)}
     counts = {True: 0, False: 0}
+    largest = (0, "none")
     for label, build in windows(args.points, args.sets):
         start = time.perf_counter()
         try:
@@ -113,6 +116,10 @@ def main(argv=None) -> int:
         counts[built] += 1
         if spent > slowest[built][1]:
             slowest[built] = (label, spent)
+        if built:
+            size = max(map(len, d.fibers.values()))
+            if size > largest[0]:
+                largest = (size, label)
         record = [label, content(d) if built else None]
         digest.update(json.dumps(record).encode() + b"\n")
     print(f"built {counts[True]}, refused {counts[False]}")
@@ -120,6 +127,7 @@ def main(argv=None) -> int:
     for built, what in ((True, "build"), (False, "refusal")):
         label, spent = slowest[built]
         print(f"slowest {what} {spent:.1f} ms: {label or 'none'}")
+    print(f"largest fiber {largest[0]}: {largest[1]}")
     return 0
 
 

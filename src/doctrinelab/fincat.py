@@ -38,9 +38,9 @@ __all__ = [
     "MAX_POINTS",
 ]
 
-# The builder materialises the whole window category, and validation visits
-# every composable pair, so no builder holds more arrows than this.  PS(2,0),
-# the largest catalog base, has 534; PS(3,0) is refused at its 4,097th.
+# The builder materialises the whole window category, so no builder holds
+# more arrows than this.  PS(2,0), the largest catalog base, has 534; PS(3,0)
+# is refused at its 4,097th.
 MAX_ARROWS = 4096
 # The builder holds arrow images as bytes, so no carrier has more points.
 MAX_POINTS = 256
@@ -149,32 +149,22 @@ class ComposeColumns(Mapping):
     of its ``count`` composable pairs.  A lookup computes ``g`` after ``f``,
     ``images[f].translate(luts[g])``, and names it through ``hom[dom][cod]``
     (image -> index); a pair that does not compose is missing, as from a
-    ``dict``.  Walks read the ``array('H')`` ``columns`` ``(g, f, gf)`` of
-    arrow indices, ``f`` in arrow order and ``g`` in arrow order within it,
-    tabulated on first read: most checks only look composites up.  ``gens``
+    ``dict``.  A walk of every entry tabulates ``columns_of`` every arrow
+    afresh and keeps nothing: most checks only look composites up.  ``gens``
     are the indices of the generators the window was closed over."""
-    __slots__ = ("_columns", "_count", "_names", "_arrows", "_images", "_luts",
-                 "_hom", "gens")
+    __slots__ = ("_count", "_names", "_arrows", "_images", "_luts", "_hom", "gens")
 
     def __init__(self, count: int, gens: Collection[int], names: Sequence[str],
                  arrows: Mapping[str, Arrow], images: Mapping[str, bytes],
                  luts: Mapping[str, bytes],
                  hom: Mapping[str, Mapping[str, Mapping[bytes, int]]]):
-        self._columns, self._count, self.gens, self._names = None, count, gens, names
+        self._count, self.gens, self._names = count, gens, names
         self._arrows, self._images, self._luts, self._hom = arrows, images, luts, hom
 
-    @property
-    def columns(self) -> tuple:
-        if self._columns is None:
-            self._columns = self._tabulate()
-        return self._columns
-
-    def _tabulate(self) -> tuple:
-        return self.columns_of(range(len(self._names)))
-
     def columns_of(self, outer: Collection[int]) -> tuple:
-        """The columns of the composable pairs ``(g, f)`` with ``g`` in
-        ``outer``, in the order of ``columns``."""
+        """The ``array('H')`` columns ``(g, f, gf)`` of arrow indices of the
+        composable pairs with ``g`` in ``outer``, ``f`` in arrow order and
+        ``g`` in arrow order within it."""
         arrows, hom = self._arrows.values(), self._hom
         # per object: the arrows out of it, their padded images, codomains
         out_of = {o: (array("H"), [], []) for o in hom}
@@ -212,14 +202,16 @@ class ComposeColumns(Mapping):
         return self._count
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        name = self._names.__getitem__
-        return zip(map(name, self.columns[0]), map(name, self.columns[1]))
+        return map(itemgetter(0), self.items())
 
     def values(self) -> Iterator[str]:
-        return map(self._names.__getitem__, self.columns[2])
+        return map(itemgetter(1), self.items())
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:
-        return zip(iter(self), self.values())
+        name = self._names.__getitem__
+        g, f, gf = (map(name, column)
+                    for column in self.columns_of(range(len(self._names))))
+        return zip(zip(g, f), gf)
 
 
 class FinCategory:
@@ -231,10 +223,9 @@ class FinCategory:
     The ``compose`` table is handed over: the category keeps it as
     ``compose_table`` and the caller must not change it afterwards.  It is a
     ``dict`` or, from :class:`ConcreteBuilder`, :class:`ComposeColumns`
-    indexed by the order of ``arrows``.  ``compose_columns`` holds its
-    entries ``(g, f) -> gf`` as three columns ``(g, f, gf)`` of the indices
-    of their arrows in ``arrows``: mapped at once from a ``dict``, which
-    checks its names, and tabulated on first read for a built window.
+    indexed by the order of ``arrows``.  A ``dict``'s entries ``(g, f) ->
+    gf`` are mapped at once, which checks their names, to three columns
+    ``(g, f, gf)`` of the indices of their arrows in ``arrows``.
     ``generators`` holds the indices of a built window's generators, or of
     every arrow, and as columns the entries whose ``g`` is one.
     """
@@ -293,11 +284,6 @@ class FinCategory:
         self.sizes = dict(sizes) if sizes else None
         self.tables = dict(tables) if tables is not None else None
         self._cache: dict = {}
-
-    @property
-    def compose_columns(self) -> tuple:
-        comp = self.compose_table
-        return comp.columns if isinstance(comp, ComposeColumns) else self._columns
 
     @cached_property
     def generators(self) -> tuple[Collection[int], tuple]:
@@ -383,12 +369,22 @@ class FinCategory:
     def validate(self) -> Verdict:
         """Identity and associativity laws over the materialized tables.
 
-        Missing, wrong-ended or non-composable entries raise
-        :class:`MalformedCategory`; genuine law violations come back as
-        Refuted with the offending triple.  Where the
-        arrow ``tables`` prove associativity, no triple is visited; where
-        they do not, or there are none, every composable triple is.
+        A built window holds them by construction: each entry ``(g, f)`` is
+        by definition the arrow of ``hom[dom f][cod g]`` whose image is
+        ``images[f].translate(lut[g])``, so its endpoints are right; an
+        identity's image is the identity function; ``h(gf)`` and ``(hg)f``
+        have one image, so they are one arrow.  Only closure could fail, and
+        reading the generator columns looks up every "generator after arrow"
+        composite, which closes the window (:meth:`ConcreteBuilder.close`).
+
+        On an explicit base every composable triple is scanned.  Missing,
+        wrong-ended or non-composable entries raise
+        :class:`MalformedCategory`; law violations come back as Refuted with
+        the offending triple.
         """
+        if isinstance(self.compose_table, ComposeColumns):
+            self.generators  # looks every "generator after arrow" up
+            return Verdict.holds(self.window_descriptor)
         arrows, comp = self.arrows, self.compose_table
         names = list(arrows)
         into: dict[str, list[int]] = {o: [] for o in self.objects}
@@ -402,7 +398,7 @@ class FinCategory:
         pairs = sum(len(into[o]) * len(outof[o]) for o in self.objects)
         if pairs != len(comp) or not all(
                 cod[f] == dom[g] and dom[gf] == dom[f] and cod[gf] == cod[g]
-                for g, f, gf in zip(*self.compose_columns)):
+                for g, f, gf in zip(*self._columns)):
             for f, a_f in arrows.items():
                 for g_i in outof[a_f.cod]:
                     g = names[g_i]
@@ -423,11 +419,9 @@ class FinCategory:
                 if c != a:
                     return Verdict.refuted(kind="identity_law", object=o,
                                            arrow=a, composite=c)
-        if self.tables is not None and self._composes_as_functions():
-            return Verdict.holds(self.window_descriptor)
         n_arr = len(names)
         table = [[-1] * n_arr for _ in range(n_arr)]
-        for g_i, f_i, gf_i in zip(*self.compose_columns):
+        for g_i, f_i, gf_i in zip(*self._columns):
             table[g_i][f_i] = gf_i
         # h(gf) = (hg)f for all f as one row comparison per composable
         # (g, h): the row of g holds its composites gf with every f into its
@@ -454,27 +448,6 @@ class FinCategory:
                             left=names[table[h_i][gf_i]],
                             right=names[table[table[h_i][g_i]][f_i]])
         return Verdict.holds(self.window_descriptor)
-
-    def _composes_as_functions(self) -> bool:
-        """Do the arrow ``tables`` prove associativity?  They do when each is
-        a function between the carriers of its endpoints (sized by the
-        identities' tables), each composite's table is its factors' composed,
-        and no two arrows of one hom-set share a table: then ``h(gf)`` and
-        ``(hg)f`` both have the table of ``h o g o f``, so they are one arrow.
-        """
-        size = {o: len(self.tables.get(i, ())) for o, i in self.identity.items()}
-        images: list[bytes] = []
-        for n, a in self.arrows.items():
-            t = self.tables.get(n)
-            if t is None or len(t) != size[a.dom] or (
-                    t and not 0 <= min(t) <= max(t) < min(size[a.cod], 256)):
-                return False
-            images.append(bytes(t))
-        if len({(a.dom, a.cod, img)
-                for a, img in zip(self.arrows.values(), images)}) < len(images):
-            return False
-        luts = [t.ljust(256, b"\0") for t in images]
-        return tables_compose(self.compose_columns, images, luts)
 
     # -- products ----------------------------------------------------------
 
@@ -722,10 +695,15 @@ class FinCategory:
 
     @memoized
     def is_pullback_stable(self, cls: ArrowClass) -> Verdict:
-        """Is the class closed under the window pullbacks that exist?"""
-        squares = (self.canonical_projection_squares() if cls.name == "Prj"
-                   else self._window_pullbacks(cls))
-        for s in squares:
+        """Is the class closed under the window pullbacks that exist?
+
+        The projection class is, by construction: the pullback of the
+        projection of a row ``(l, r)`` onto ``l`` along ``h: y -> l`` is
+        ``proj1`` of the row ``(y, r)``, which is a member, and the other
+        side is the same."""
+        if cls == self.projection_class():
+            return Verdict.holds(self.window_descriptor)
+        for s in self._window_pullbacks(cls):
             if not self.class_contains(cls, s.to_g):
                 return Verdict.refuted(kind="class_not_stable", member=s.f,
                                        along=s.g, pulled_back=s.to_g,
@@ -768,7 +746,8 @@ class ConcreteBuilder:
     product rows; the chosen structural arrows (projections, swaps, ``f x g``,
     and the diagonal pairing into each iterated row) are injected explicitly
     so that nothing with a large domain is ever fully enumerated.  The
-    composition table is tabulated on first read (:class:`ComposeColumns`).
+    composition table computes each composite looked up from the images
+    (:class:`ComposeColumns`) and holds the category laws by construction.
 
     No builder holds more than ``MAX_ARROWS`` arrows: :class:`WindowExceeded`
     is raised once the distinct generators exceed it and at the first arrow

@@ -233,11 +233,11 @@ def test_the_layer_script_runs_on_one_catalog_id():
     lines = out.stdout.splitlines()
     assert lines[0] == ("medians of 1 fresh processes; times in ms, "
                         "peak RSS in MB")
-    assert lines[1].split() == ["id", "largest", "fiber", "close", "columns",
-                                "build", "base.validate", "validate_doctrine",
-                                "meet", "implication"]
+    assert lines[1].split() == ["id", "largest", "fiber", "close", "build",
+                                "base.validate", "validate_doctrine", "meet",
+                                "implication"]
     layers = lines[2].split()
-    assert layers[:3] == ["TRIV", "S0", "(1)"] and len(layers) == 10
+    assert layers[:3] == ["TRIV", "S0", "(1)"] and len(layers) == 9
     assert lines[3].split()[1:5] == ["validate", "ms", "validate", "MB"]
     commands = lines[4].split()
     assert commands[0] == "TRIV" and len(commands) == 9

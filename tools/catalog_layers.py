@@ -8,12 +8,9 @@ processes (5 by default), each of which builds the instance and times, in
 this order:
 
 * ``close``: every ``ConcreteBuilder.close`` the build makes;
-* ``columns``: the first read of the base's composition columns after the
-  build, which tabulates a built window's (``close`` built them until the
-  builder began to close over generators, so ``close`` plus ``columns``
-  compares with the ``close`` of earlier commits);
 * ``build``: the whole ``catalog.instance`` call, ``close`` included;
-* ``base.validate``: the category laws, on columns already tabulated;
+* ``base.validate``: the category laws, which a built window proves by
+  construction, reading only its generator columns;
 * ``validate_doctrine``: functoriality and monotonicity of reindexing;
 * ``meet`` and ``implication``: the first read of the meet table, then of
   the Heyting-implication table, of the largest fiber (``S8`` on
@@ -67,8 +64,8 @@ _, status, usage = os.wait4(pid, 0)
 print((time.perf_counter() - start) * 1000, usage.ru_maxrss / 1024)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
-LAYERS = ("close", "columns", "build", "base.validate", "validate_doctrine",
-          "meet", "implication")
+LAYERS = ("close", "build", "base.validate", "validate_doctrine", "meet",
+          "implication")
 
 
 def layers(cid: str) -> dict:
@@ -97,7 +94,6 @@ def layers(cid: str) -> dict:
         return got
 
     d = timed("build", lambda: catalog.instance(cid))
-    timed("columns", lambda: d.base.compose_columns)
     timed("base.validate", d.base.validate)
     timed("validate_doctrine", lambda: validate_doctrine(d))
     largest = max(d.base.objects, key=lambda o: len(d.fibers[o]))

@@ -16,7 +16,6 @@ from .verdicts import StructureMissing, Verdict, combine
 
 __all__ = [
     "derived_sigma",
-    "derived_implication",
     "derived_implication_tables",
     "cocomp_from_negation",
     "graph",
@@ -50,22 +49,10 @@ def derived_sigma(d: Doctrine, f: str, alpha: str) -> str:
     return adj.target.elements[adj.idx_table[fiber.ops.meet[graph_part][alpha_part]]]
 
 
-def derived_implication(d: Doctrine, obj: str, phi: str, psi: str) -> str:
-    """phi -> psi as the Pi along the comprehension of phi of the restriction
-    of psi."""
-    w = comprehension_table(d).get((obj, phi))
-    if w is None:
-        raise StructureMissing(f"no comprehension witness for {phi} over {obj}")
-    adj = d.pi(w)
-    if adj is None:
-        raise StructureMissing(f"no right adjoint along {w}")
-    return adj.table[d.star(w, psi)]
-
-
 def derived_implication_tables(d: Doctrine) -> dict[str, list[list[int]]] | None:
-    """The comprehension-derived implication rows on every window fiber
-    (``out[obj][i][j]`` is the index of ``i -> j``), or None when some
-    witness or adjoint is missing."""
+    """``out[obj][i][j]``, the index of ``i -> j`` on each window fiber: the
+    Pi along the comprehension of ``i`` of the restriction of ``j``; None
+    when some witness or adjoint is missing."""
     table = comprehension_table(d)
     out: dict[str, list[list[int]]] = {}
     for obj in d.base.window:

@@ -237,7 +237,8 @@ def bc_squares(d: Doctrine, cls: ArrowClass) -> tuple[Square, ...]:
     base alone, so the base computes them once for every doctrine over it."""
     base = d.base
     return base.cached(("bc_squares", cls), lambda: _unique_squares(
-        (*(base.canonical_projection_squares() if cls.name == "Prj" else ()),
+        (*(base.canonical_projection_squares()
+           if cls == base.projection_class() else ()),
          *base._window_pullbacks(cls))))
 
 

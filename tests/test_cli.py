@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -421,17 +422,22 @@ def test_declared_witness_kinds(tmp_path, capsys, kind):
     assert not recheck(valid, Verdict(REFUTED, counterexample=payload))
 
 
+def _one_object_instance(tmp_path, name, fiber):
+    """A one-object instance file whose fiber is ``fiber``."""
+    base, _ = catalog.semilattice_category(["X"], [("X", "X")])
+    d = Doctrine(base, {"X": fiber}, {"X>X": MonotoneMap.identity(fiber)},
+                 name=name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(ioformat.serialize(d), encoding="utf-8")
+    return path
+
+
 def _antichain_instance(tmp_path, size):
     """A one-object instance file whose fiber is a ``size``-element
     antichain."""
-    base, _ = catalog.semilattice_category(["X"], [("X", "X")])
     elements = [f"e{i}" for i in range(size)]
-    fiber = FinPoset(elements, [(e, e) for e in elements])
-    d = Doctrine(base, {"X": fiber}, {"X>X": MonotoneMap.identity(fiber)},
-                 name=f"antichain-{size}")
-    path = tmp_path / f"antichain-{size}.json"
-    path.write_text(ioformat.serialize(d), encoding="utf-8")
-    return path
+    return _one_object_instance(tmp_path, f"antichain-{size}",
+                                FinPoset(elements, [(e, e) for e in elements]))
 
 
 def test_an_explicit_fiber_at_the_limit_validates(tmp_path, capsys):
@@ -439,6 +445,25 @@ def test_an_explicit_fiber_at_the_limit_validates(tmp_path, capsys):
     assert ioformat.MAX_FIBER == 256
     path = _antichain_instance(tmp_path, ioformat.MAX_FIBER)
     assert cli.main(["validate", str(path)]) == 0, capsys.readouterr().err
+
+
+# sha256 of the classify report of the 256-element Boolean instance below,
+# frozen while the implication axioms were still scanned on its fiber
+BOOLEAN_256_DIGEST = (
+    "77f07e5fe5f961473c2aacdb0d0f8a5fc56f200c37c5f74470c4d8fc764f4c80")
+
+
+def test_a_boolean_fiber_at_the_limit_classifies(tmp_path, capsys):
+    # the powerset of 8 points; its own Heyting implication needs no cubic
+    # scan of the pointwise axioms, so this takes well under a second
+    path = _one_object_instance(tmp_path, "boolean-256",
+                                catalog._mask_fiber(range(ioformat.MAX_FIBER)))
+    out = tmp_path / "report.json"
+    assert cli.main(["classify", str(path), "--json", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  + implicational      holds" in lines
+    assert "  - comprehension      refuted  [no_comprehension_witness]" in lines
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BOOLEAN_256_DIGEST
 
 
 @pytest.mark.parametrize("command", ["validate", "classify"])

@@ -340,6 +340,28 @@ def test_fault_injected_sigma_refutes_frobenius_or_bc(ps20):
     assert any(v.is_refuted for v in results)
 
 
+@pytest.mark.parametrize("left, top_edge, projection", [
+    (True, "S4>S4:0,1,0,1", "S4>S2:0,0,1,1"),
+    (False, "S4>S4:0,0,2,2", "S4>S2:0,1,0,1")])
+def test_a_canonical_projection_square_decides_beck_chevalley(
+        ps20, left, top_edge, projection):
+    # the square of one projection of S2 x S2 along the constant S2>S2:0,0,
+    # whose top edge is S2>S2:0,0 x id (or id x S2>S2:0,0); no pullback the
+    # search finds holds it, so only the canonical squares see the fault
+    base, h, one = ps20.base, "S2>S2:0,0", ps20.base.identity["S2"]
+    assert base.times(*((h, one) if left else (one, h))) == top_edge
+    broken = _fault_injected(ps20, lambda d: _one_cell(d, top_edge, "e0", "e1"))
+    v = is_sigma_doctrine(broken)
+    assert v.counterexample["kind"] == "beck_chevalley"
+    assert v.counterexample["square"] == {
+        "apex": "S4", "to_f": top_edge, "to_g": projection, "f": projection,
+        "g": h}
+    assert recheck(broken, v)
+    cls = base.projection_class()
+    assert is_sigma_doctrine(broken, cls,
+                             squares=tuple(base._window_pullbacks(cls)))
+
+
 def test_full_bc_implies_restricted_on_catalog(ps20, ps11, sier, triv, sl3):
     for d in (ps20, ps11, sier, triv, sl3):
         if is_sigma_doctrine(d):

@@ -8,7 +8,7 @@ from doctrinelab.doctrine import Doctrine, validate_doctrine
 from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
                                 FinCategory, Presentation, Product,
                                 tables_compose)
-from doctrinelab.poset import MonotoneMap
+from doctrinelab.poset import FinPoset, MonotoneMap
 from doctrinelab.recheck import recheck
 from doctrinelab.verdicts import MalformedCategory, WindowExceeded
 
@@ -37,6 +37,36 @@ def test_missing_composite_is_distinct_error():
                     {("id", "id"): "id", ("f", "id"): "f", ("id", "f"): "f"})
     with pytest.raises(MalformedCategory, match="incomplete table"):
         c.validate()
+
+
+@pytest.mark.parametrize("arrows, identity, error", [
+    ([Arrow("id", "A", "A"), Arrow("f", "A", "B")], {"A": "id"},
+     "arrow f references undeclared object"),   # the codomain alone
+    ([Arrow("id", "A", "A")], {"A": "nowhere"}, "missing identity for A")])
+def test_an_undeclared_name_is_malformed(arrows, identity, error):
+    with pytest.raises(MalformedCategory, match=f"^{error}$"):
+        FinCategory(["A"], arrows, identity, {("id", "id"): "id"})
+
+
+@pytest.mark.parametrize("entry", [("nowhere", "id"), ("id", "nowhere")])
+def test_a_composition_entry_with_one_unknown_name_is_malformed(entry):
+    g, f = entry
+    with pytest.raises(MalformedCategory, match=(
+            rf"^composition entry \({g},{f}\) references unknown arrow$")):
+        FinCategory(["A"], [Arrow("id", "A", "A")], {"A": "id"},
+                    {("id", "id"): "id", entry: "id"})
+
+
+def test_compose_tells_a_pair_that_does_not_compose_from_a_missing_one():
+    arrows = [Arrow("a", "A", "A"), Arrow("b", "B", "B"), Arrow("f", "A", "B")]
+    c = FinCategory(["A", "B"], arrows, {"A": "a", "B": "b"},
+                    {("a", "a"): "a", ("b", "b"): "b", ("b", "f"): "f"})
+    assert c.compose("b", "f") == "f"
+    with pytest.raises(ValueError, match="^f and f are not composable$"):
+        c.compose("f", "f")
+    with pytest.raises(MalformedCategory,
+                       match=r"^incomplete table: \(f\) o \(a\) missing$"):
+        c.compose("f", "a")
 
 
 def test_identity_law_violation_refuted():
@@ -147,6 +177,29 @@ def test_empty_set_stable_initial(ps20):
     v = ps20.base.is_stable_initial("S1")
     assert v.is_refuted
     assert recheck(ps20, v)
+
+
+def test_a_retract_of_the_initial_object_makes_it_unstable():
+    # I is a retract of A, p u = id_I, but e = u p is an idempotent other
+    # than id_A; the chosen product A x I is A, not isomorphic to I
+    arrows = [Arrow("i", "I", "I"), Arrow("u", "I", "A"), Arrow("p", "A", "I"),
+              Arrow("a", "A", "A"), Arrow("e", "A", "A")]
+    compose = {("i", "i"): "i", ("u", "i"): "u",
+               ("a", "u"): "u", ("e", "u"): "u", ("p", "u"): "i",
+               ("i", "p"): "p", ("u", "p"): "e",
+               ("a", "a"): "a", ("e", "a"): "e", ("p", "a"): "p",
+               ("a", "e"): "e", ("e", "e"): "e", ("p", "e"): "p"}
+    base = FinCategory(["I", "A"], arrows, {"I": "i", "A": "a"}, compose,
+                       products={("I", "I"): Product("I", "I", "I", "i", "i"),
+                                 ("A", "I"): Product("A", "I", "A", "a", "p")})
+    assert base.validate()
+    v = base.is_stable_initial("I")
+    assert v.counterexample == {"kind": "unstable_initial", "object": "I",
+                                "factor": "A", "product": "A"}
+    one = FinPoset(["t"], [("t", "t")])
+    d = Doctrine(base, {"I": one, "A": one},
+                 {n: MonotoneMap.identity(one) for n in base.arrows})
+    assert recheck(d, v)
 
 
 def test_subobjects_of_two_element_set(ps20):
@@ -338,7 +391,8 @@ def test_builder_refuses_a_carrier_above_its_point_limit():
     ("A", "B", [0]),         # too few images
     ("A", "B", [0, 1, 1]),   # too many
     ("A", "C", [0, 1]),      # an undeclared codomain
-    ("C", "A", [])])         # an undeclared domain
+    ("C", "A", []),          # an undeclared domain
+    ("A", "B", [0, 2])])     # the codomain's size
 def test_builder_refuses_an_arrow_that_is_not_a_function(dom, cod, images):
     b = ConcreteBuilder(Presentation("points", ()))
     b.add_object("A", 2, window=True)

@@ -1,5 +1,7 @@
 from doctrinelab import catalog, logic, theorems
 from doctrinelab.constructions import dualize
+from doctrinelab.doctrine import Doctrine
+from doctrinelab.poset import MonotoneMap
 from doctrinelab.recheck import recheck
 
 from oracles import mask_of, named, pair_code
@@ -172,6 +174,32 @@ def test_ps_boolean_implication_passes(ps20):
 def test_triv_implication_passes(triv):
     tables = logic.heyting_implication_tables(triv)
     assert logic.implication_axioms(triv, tables)
+
+
+def test_a_copy_of_the_heyting_tables_gets_the_same_verdict(ps20, ps11, sier,
+                                                          triv, sl3):
+    # the pointwise axioms are proved for the fibers' own tables and scanned
+    # on a copy; both must agree
+    for d in (ps20, ps11, sier, triv, sl3, dualize(sier)):
+        tables = logic.heyting_implication_tables(d)
+        if tables is None:
+            continue
+        copy = {o: [list(row) for row in rows] for o, rows in tables.items()}
+        assert (logic.implication_axioms(d, copy).to_json()
+                == logic.implication_axioms(d, tables).to_json())
+
+
+def test_only_the_fibers_own_table_skips_the_pointwise_scan():
+    # plant a table breaking axioms a and d as the fiber's cached Heyting
+    # implication: handed over itself it is taken on proof, a copy is scanned
+    base, _ = catalog.semilattice_category(["X"], [("X", "X")])
+    fiber = catalog._mask_fiber(range(4))
+    d = Doctrine(base, {"X": fiber}, {"X>X": MonotoneMap.identity(fiber)})
+    first = [[a] * len(fiber) for a in range(len(fiber))]
+    vars(fiber.ops)["heyting_implication"] = first
+    assert logic.implication_axioms(d, logic.heyting_implication_tables(d))
+    v = logic.implication_axioms(d, {"X": [list(row) for row in first]})
+    assert v.counterexample["kind"] == "implication_axiom_d"
 
 
 def test_projection_implication_refuted(ps20):

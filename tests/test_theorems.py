@@ -3,6 +3,8 @@ import pytest
 from doctrinelab import logic, theorems
 from doctrinelab.recheck import recheck
 
+from test_doctrine import _fault_injected, _one_cell
+
 
 def test_registry_is_complete():
     assert theorems.theorem_ids() == [
@@ -57,6 +59,20 @@ def test_caratterino_and_prop1_on_heacos(ps11, triv):
     for d in (ps11, triv):
         assert theorems.check_theorem("caratterino", d).conclusion
         assert theorems.check_theorem("prop1_equiv", d).conclusion
+
+
+def test_prop1_needs_both_checkers_applicable(ps11):
+    # the projection S2>S1:0,0 reindexed to keep no bottom: the direct
+    # checker refutes, the characterization finds no Pi along it
+    broken = _fault_injected(
+        ps11, lambda d: _one_cell(d, "S2>S1:0,0", "e0", "e1"))
+    assert logic.is_tripos(broken).is_refuted
+    assert logic.is_tripos_via_characterization(broken).is_na
+    conclusion = theorems.check_theorem("prop1_equiv", broken).conclusion
+    assert conclusion.to_json() == {
+        "status": "not_applicable",
+        "reason": "not both checkers applicable: direct=refuted,"
+                  " characterization=not_applicable"}
 
 
 def test_implicational_flag(ps20, sier):

@@ -202,6 +202,13 @@ def cocomprehension(d: Doctrine, a: str, alpha: str) -> str | None:
     return cocomprehension_table(d).get((a, alpha))
 
 
+def _witness(d: Doctrine, a: str, alpha: str, dual: bool) -> str | None:
+    """The first matching arrow with the universal property, or None."""
+    matching = _matching(d, a, alpha, dual)
+    return next((m for m in matching
+                 if _is_universal(d, m, alpha, dual, matching)), None)
+
+
 @memoized
 def _witness_table(d: Doctrine, dual: bool) -> dict[tuple[str, str], str]:
     out = {}
@@ -209,9 +216,7 @@ def _witness_table(d: Doctrine, dual: bool) -> dict[tuple[str, str], str]:
         if _bound(d, a, dual) is None:
             continue
         for alpha in d.fibers[a].elements:
-            matching = _matching(d, a, alpha, dual)
-            arrow = next((m for m in matching
-                          if _is_universal(d, m, alpha, dual, matching)), None)
+            arrow = _witness(d, a, alpha, dual)
             if arrow is not None:
                 out[(a, alpha)] = arrow
     return out
@@ -231,15 +236,17 @@ def cocomprehension_table(d: Doctrine) -> dict[tuple[str, str], str]:
 
 @memoized
 def _has_witnesses(d: Doctrine, dual: bool) -> Verdict:
+    """Does every ``(a, alpha)`` have a witness?  The search walks the
+    table's order and stops at the first entry without one, so the table
+    itself is built only where something reads it."""
     name = "co-comprehension" if dual else "comprehension"
     bounds = has_bottoms(d) if dual else has_tops(d)
     if not bounds:
         return Verdict.not_applicable(
             f"{name} needs {'bottoms' if dual else 'tops'}: {bounds.reason}")
-    table = _witness_table(d, dual)
     for a in d.base.window:
         for alpha in d.fibers[a].elements:
-            if (a, alpha) not in table:
+            if _witness(d, a, alpha, dual) is None:
                 return _search_failure(d, f"no_{_kind(dual)}_witness",
                                        object=a, alpha=alpha)
     return Verdict.holds(d.window_descriptor)
@@ -517,14 +524,30 @@ def implication_axioms(d: Doctrine,
 
 def _power_covers(d: Doctrine, a: str, p: str, mem: str) -> bool:
     """Does every ``phi`` over ``a x y``, for every window ``y``, have a
-    classifying arrow ``chi: y -> p`` with ``(id_a x chi)* mem = phi``?"""
+    classifying arrow ``chi: y -> p`` with ``(id_a x chi)* mem = phi``?
+
+    Each image ``(id_a x chi)* mem`` lies in the fiber over ``a x y``, so
+    they cover it exactly when there are as many distinct ones as it has
+    elements."""
+    base = d.base
+    id_a = base.identity[a]
+    for y in base.window:
+        row_y = base.products.get((a, y))
+        if row_y is None or len(d.fibers[row_y.obj]) > len(
+                {d.star(base.times(id_a, c), mem) for c in base.hom(y, p)}):
+            return False
+    return True
+
+
+def _may_cover(d: Doctrine, a: str, p: str) -> bool:
+    """The counting bound: for every window ``y`` the row ``a x y`` exists
+    and ``y -> p`` has at least as many arrows as the fiber over ``a x y``
+    has elements.  Each ``chi`` classifies one ``phi``, so where this fails
+    :func:`_power_covers` is false for every membership ``mem``."""
     base = d.base
     for y in base.window:
         row_y = base.products.get((a, y))
-        if row_y is None or not all(
-                any(d.star(base.times(base.identity[a], c), mem) == phi
-                    for c in base.hom(y, p))
-                for phi in d.fibers[row_y.obj].elements):
+        if row_y is None or len(base.hom(y, p)) < len(d.fibers[row_y.obj]):
             return False
     return True
 
@@ -533,13 +556,18 @@ def _power_covers(d: Doctrine, a: str, p: str, mem: str) -> bool:
 def weak_power_object(d: Doctrine, a: str) -> dict[str, str] | None:
     """``{"power": p, "membership": mem}``, the first weak power object of
     ``a`` in the window and power pool, or None; the memo's own record: do
-    not mutate it."""
+    not mutate it.
+
+    A candidate ``p`` that fails :func:`_may_cover` is skipped without
+    trying a membership.  That is exact: ``_power_covers(d, a, p, mem)``
+    is then false for every ``mem``, so the first ``(p, mem)`` found is the
+    one the unpruned search finds."""
     base = d.base
     pool = list(dict.fromkeys(list(base.window) + list(base.power_pool)))
     pool.sort(key=base.obj_index)
     for p in pool:
         row = base.products.get((a, p))
-        if row is None:
+        if row is None or not _may_cover(d, a, p):
             continue
         for mem in d.fibers[row.obj].elements:
             if _power_covers(d, a, p, mem):

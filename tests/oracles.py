@@ -206,3 +206,60 @@ def reference_close(b):
                        presentation=b.presentation, sizes=dict(b.carriers),
                        power_pool=list(b.power_pool) or None,
                        tables={n: tuple(img) for n, img in images.items()})
+
+
+def reference_power_covers(d, a, p, mem) -> bool:
+    """The membership scan without the counting argument: every ``phi``
+    over ``a x y`` is looked for among the images ``(id_a x c)* mem``."""
+    base = d.base
+    for y in base.window:
+        row_y = base.products.get((a, y))
+        if row_y is None or not all(
+                any(d.star(base.times(base.identity[a], c), mem) == phi
+                    for c in base.hom(y, p))
+                for phi in d.fibers[row_y.obj].elements):
+            return False
+    return True
+
+
+def reference_weak_power_object(d, a):
+    """The first ``(p, mem)`` of the pool that covers, every candidate
+    tried, with no memo."""
+    base = d.base
+    pool = list(dict.fromkeys(list(base.window) + list(base.power_pool)))
+    pool.sort(key=base.obj_index)
+    for p in pool:
+        row = base.products.get((a, p))
+        if row is None:
+            continue
+        for mem in d.fibers[row.obj].elements:
+            if reference_power_covers(d, a, p, mem):
+                return {"power": p, "membership": mem}
+    return None
+
+
+def reference_has_witnesses(d, dual: bool):
+    """Witness existence read off the whole table: every entry is searched
+    first, then the first ``(a, alpha)`` without one is refuted."""
+    from doctrinelab import logic
+    from doctrinelab.doctrine import has_bottoms, has_tops
+
+    name = "co-comprehension" if dual else "comprehension"
+    bounds = has_bottoms(d) if dual else has_tops(d)
+    if not bounds:
+        return logic.Verdict.not_applicable(
+            f"{name} needs {'bottoms' if dual else 'tops'}: {bounds.reason}")
+    table = {}
+    for a in d.base.window:
+        for alpha in d.fibers[a].elements:
+            matching = logic._matching(d, a, alpha, dual)
+            arrow = next((m for m in matching if logic._is_universal(
+                d, m, alpha, dual, matching)), None)
+            if arrow is not None:
+                table[(a, alpha)] = arrow
+    for a in d.base.window:
+        for alpha in d.fibers[a].elements:
+            if (a, alpha) not in table:
+                return logic._search_failure(d, f"no_{logic._kind(dual)}_witness",
+                                             object=a, alpha=alpha)
+    return logic.Verdict.holds(d.window_descriptor)

@@ -147,6 +147,23 @@ def test_dangling_declared_name_exits_2(tmp_path, capsys, block, position):
     assert err.startswith(f"error: {position}:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("block,message", [
+    ({"cocomprehension": {"S1": {"e0": "S1>S2:0"}}},
+     "'S1>S2:0' is not an arrow ? -> S1"),
+    ({"epsilon": [{"gamma": "S2", "a": "S2", "psi": "e1", "arrow": "S1>S2:0"}]},
+     "'S1>S2:0' is not an arrow S2 -> S2"),
+])
+def test_a_declared_arrow_of_the_wrong_type_names_the_type(tmp_path, capsys,
+                                                           block, message):
+    # a witness arrow is declared with its codomain alone, an epsilon arrow
+    # with its domain too
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"schema_version": 1,
+                                "catalog": {"id": "PS(1,1)"}, "declared": block}))
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["validate", "PS(1,1)"],
                                   ["catalog", "--emit", "SL3"]])
 def test_unwritable_report_exits_2(tmp_path, capsys, argv):
@@ -357,6 +374,29 @@ def test_derive_na_on_missing_structure(tmp_path):
     assert r.returncode == 0
     assert "not applicable" in r.stdout
     assert "not_applicable" in out.read_text()
+
+
+@pytest.mark.parametrize("size,printed", [(3_999, True), (4_000, False)])
+def test_derive_prints_a_payload_below_4000_characters(monkeypatch, capsys,
+                                                       size, printed):
+    # '{\n  "k": "' and '"\n}' frame the padding with 13 characters
+    payload = {"k": "x" * (size - 13)}
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    assert len(text) == size
+    monkeypatch.setattr(cli, "_derive_payload",
+                        lambda d, what, constructions: ("padding", payload))
+    assert cli.main(["derive", "TRIV", "--what", "sigma"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("derive sigma on TRIV: padding\n"
+                   + (text if printed else "  (1 entries; use --json)") + "\n")
+
+
+def test_text_report_gives_a_not_applicable_reason(capsys):
+    assert cli.main(["classify", "PS(2,0)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  o higher_order       not_applicable  "
+            "(window: no_weak_power_object)") in lines
+    assert sum(line.startswith("  o ") for line in lines) == 4
 
 
 def test_declared_witness_cross_validation(tmp_path):

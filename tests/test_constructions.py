@@ -159,6 +159,20 @@ def test_eaco_compat_frozen_example(ps20):
     assert cons.eaco_compat(ps20, "S1>S2:1", "e3")
 
 
+def test_eaco_compat_names_the_hypothesis_that_fails(sier, sl3):
+    # each not-applicable reason of eaco_compat, in the order it checks
+    v = cons.eaco_compat(sier, "U>S:0", "e0")
+    assert v.is_na and v.reason == "not elementary: refuted"
+    v = cons.eaco_compat(sl3, sl3.base.window_arrows[0], "e0")
+    assert v.is_na and v.reason == "no full co-comprehension"
+    # the dual of SL3 is elementary with full co-comprehension and refutes AC
+    dual = cons.dualize(sl3)
+    assert logic.is_elementary(dual) and logic.is_full_cocomprehension(dual)
+    assert logic.ac_check(dual)[0].is_refuted
+    v = cons.eaco_compat(dual, dual.base.window_arrows[0], "e0")
+    assert v.is_na and v.reason == "AC does not hold: refuted"
+
+
 def test_eaco_compat_epsilon_independent(ps20):
     """Both sides equal the projection-quantified graph value for any valid
     witness, so the verdict is independent of the chosen epsilon table."""

@@ -304,7 +304,8 @@ def test_counting_refuses_every_power_candidate_of_ps20_s2(ps20, monkeypatch):
     assert logic.weak_power_object(_fresh(ps20), "S2") is None
     assert calls == []
     # the higher-order search scans memberships only where the count allows:
-    # S0 -> S0 and S1 -> S1 are refused, S0 -> S1 and S1 -> S2 scanned
+    # for S0 the candidate S0 is refused and S1 covers with e0; for S1 the
+    # candidates S0 and S1 are refused and S2 covers with e1
     v = logic.is_higher_order(_fresh(ps20))
     assert v.is_na and v.reason == "window: no_weak_power_object"
     assert calls == [("S0", "S1", "e0"), ("S1", "S2", "e0"), ("S1", "S2", "e1")]
@@ -314,8 +315,8 @@ def test_a_candidate_that_may_cover_falls_through_to_the_scan(ps11, monkeypatch)
     calls = _count_calls(monkeypatch, "_power_covers")
     w = logic.weak_power_object(_fresh(ps11), "S1")
     assert w == {"power": "S2", "membership": "e1"}
-    # S1 -> S0 and S1 -> S1 are refused by counting; e0 over S1 x S2 is tried
-    # and fails, e1 covers
+    # the candidates S0 and S1 are refused by counting; over S1 x S2, e0 is
+    # tried and fails, e1 covers
     assert calls == [("S1", "S2", "e0"), ("S1", "S2", "e1")]
 
 

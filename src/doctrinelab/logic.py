@@ -202,13 +202,6 @@ def cocomprehension(d: Doctrine, a: str, alpha: str) -> str | None:
     return cocomprehension_table(d).get((a, alpha))
 
 
-def _witness(d: Doctrine, a: str, alpha: str, dual: bool) -> str | None:
-    """The first matching arrow with the universal property, or None."""
-    matching = _matching(d, a, alpha, dual)
-    return next((m for m in matching
-                 if _is_universal(d, m, alpha, dual, matching)), None)
-
-
 @memoized
 def _witness_table(d: Doctrine, dual: bool) -> dict[tuple[str, str], str]:
     out = {}
@@ -216,7 +209,9 @@ def _witness_table(d: Doctrine, dual: bool) -> dict[tuple[str, str], str]:
         if _bound(d, a, dual) is None:
             continue
         for alpha in d.fibers[a].elements:
-            arrow = _witness(d, a, alpha, dual)
+            matching = _matching(d, a, alpha, dual)
+            arrow = next((m for m in matching
+                          if _is_universal(d, m, alpha, dual, matching)), None)
             if arrow is not None:
                 out[(a, alpha)] = arrow
     return out
@@ -236,17 +231,15 @@ def cocomprehension_table(d: Doctrine) -> dict[tuple[str, str], str]:
 
 @memoized
 def _has_witnesses(d: Doctrine, dual: bool) -> Verdict:
-    """Does every ``(a, alpha)`` have a witness?  The search walks the
-    table's order and stops at the first entry without one, so the table
-    itself is built only where something reads it."""
     name = "co-comprehension" if dual else "comprehension"
     bounds = has_bottoms(d) if dual else has_tops(d)
     if not bounds:
         return Verdict.not_applicable(
             f"{name} needs {'bottoms' if dual else 'tops'}: {bounds.reason}")
+    table = _witness_table(d, dual)
     for a in d.base.window:
         for alpha in d.fibers[a].elements:
-            if _witness(d, a, alpha, dual) is None:
+            if (a, alpha) not in table:
                 return _search_failure(d, f"no_{_kind(dual)}_witness",
                                        object=a, alpha=alpha)
     return Verdict.holds(d.window_descriptor)
@@ -522,32 +515,26 @@ def implication_axioms(d: Doctrine,
 
 # -- weak power objects -------------------------------------------------------
 
-def _power_covers(d: Doctrine, a: str, p: str, mem: str) -> bool:
+def _power_covers(d: Doctrine, a: str, p: str, mem: str | None = None) -> bool:
     """Does every ``phi`` over ``a x y``, for every window ``y``, have a
     classifying arrow ``chi: y -> p`` with ``(id_a x chi)* mem = phi``?
 
     Each image ``(id_a x chi)* mem`` lies in the fiber over ``a x y``, so
     they cover it exactly when there are as many distinct ones as it has
-    elements."""
+    elements.  With ``mem`` None only the counting bound is tested: ``y ->
+    p`` has at least as many arrows as the fiber has elements.  Each ``chi``
+    classifies one ``phi``, so where the bound fails the answer is false
+    for every ``mem``."""
     base = d.base
     id_a = base.identity[a]
     for y in base.window:
         row_y = base.products.get((a, y))
-        if row_y is None or len(d.fibers[row_y.obj]) > len(
-                {d.star(base.times(id_a, c), mem) for c in base.hom(y, p)}):
+        if row_y is None:
             return False
-    return True
-
-
-def _may_cover(d: Doctrine, a: str, p: str) -> bool:
-    """The counting bound: for every window ``y`` the row ``a x y`` exists
-    and ``y -> p`` has at least as many arrows as the fiber over ``a x y``
-    has elements.  Each ``chi`` classifies one ``phi``, so where this fails
-    :func:`_power_covers` is false for every membership ``mem``."""
-    base = d.base
-    for y in base.window:
-        row_y = base.products.get((a, y))
-        if row_y is None or len(base.hom(y, p)) < len(d.fibers[row_y.obj]):
+        hom = base.hom(y, p)
+        images = len(hom) if mem is None else len(
+            {d.star(base.times(id_a, c), mem) for c in hom})
+        if images < len(d.fibers[row_y.obj]):
             return False
     return True
 
@@ -558,16 +545,16 @@ def weak_power_object(d: Doctrine, a: str) -> dict[str, str] | None:
     ``a`` in the window and power pool, or None; the memo's own record: do
     not mutate it.
 
-    A candidate ``p`` that fails :func:`_may_cover` is skipped without
-    trying a membership.  That is exact: ``_power_covers(d, a, p, mem)``
-    is then false for every ``mem``, so the first ``(p, mem)`` found is the
-    one the unpruned search finds."""
+    A candidate ``p`` that fails the counting bound ``_power_covers(d, a,
+    p)`` is skipped without trying a membership.  That is exact: it covers
+    for no ``mem``, so the first ``(p, mem)`` found is the one the unpruned
+    search finds."""
     base = d.base
     pool = list(dict.fromkeys(list(base.window) + list(base.power_pool)))
     pool.sort(key=base.obj_index)
     for p in pool:
         row = base.products.get((a, p))
-        if row is None or not _may_cover(d, a, p):
+        if row is None or not _power_covers(d, a, p):
             continue
         for mem in d.fibers[row.obj].elements:
             if _power_covers(d, a, p, mem):

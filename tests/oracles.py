@@ -236,30 +236,3 @@ def reference_weak_power_object(d, a):
             if reference_power_covers(d, a, p, mem):
                 return {"power": p, "membership": mem}
     return None
-
-
-def reference_has_witnesses(d, dual: bool):
-    """Witness existence read off the whole table: every entry is searched
-    first, then the first ``(a, alpha)`` without one is refuted."""
-    from doctrinelab import logic
-    from doctrinelab.doctrine import has_bottoms, has_tops
-
-    name = "co-comprehension" if dual else "comprehension"
-    bounds = has_bottoms(d) if dual else has_tops(d)
-    if not bounds:
-        return logic.Verdict.not_applicable(
-            f"{name} needs {'bottoms' if dual else 'tops'}: {bounds.reason}")
-    table = {}
-    for a in d.base.window:
-        for alpha in d.fibers[a].elements:
-            matching = logic._matching(d, a, alpha, dual)
-            arrow = next((m for m in matching if logic._is_universal(
-                d, m, alpha, dual, matching)), None)
-            if arrow is not None:
-                table[(a, alpha)] = arrow
-    for a in d.base.window:
-        for alpha in d.fibers[a].elements:
-            if (a, alpha) not in table:
-                return logic._search_failure(d, f"no_{logic._kind(dual)}_witness",
-                                             object=a, alpha=alpha)
-    return logic.Verdict.holds(d.window_descriptor)

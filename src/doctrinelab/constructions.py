@@ -116,18 +116,20 @@ def dualize(d: Doctrine) -> Doctrine:
 # -- eaco / heaco --------------------------------------------------------------
 
 def _choice_value(d: Doctrine, eps: dict[tuple[str, str, str], str],
-                  w: str) -> str | None:
+                  w: str) -> str:
     """<epsilon, id>* of the graph of a co-comprehension arrow ``w``, with
-    ``eps`` the ``{(gamma, a, psi): arrow}`` table of ``ac_check``; when the
-    domain is stable initial the bottom-assignment left adjoint evaluates the
-    projection-quantified graph instead."""
+    ``eps`` the ``{(gamma, a, psi): arrow}`` table of a holding
+    ``ac_check``; when the domain is stable initial the bottom-assignment
+    left adjoint evaluates the projection-quantified graph instead.  There
+    is always a value: ``w`` is a witness-table entry, so ``u`` and ``b``
+    are window objects and ``b``'s fiber has a bottom, and ``eps`` has an
+    entry for every window ``b``, every window ``u`` that is not stable
+    initial and every ``psi`` over ``b x u``."""
     base = d.base
     u, b = base.dom(w), base.cod(w)
     g = graph(d, w)
     if base.is_stable_initial(u):
         return d.bottom(b)
-    # a holding ac_check has an entry for every window b and every u that is
-    # not stable initial
     e = eps[(b, u, d.star(base.swap(b, u), g))]
     return d.star(base.pair(e, base.identity[b]), g)
 
@@ -153,8 +155,6 @@ def eaco_compat(d: Doctrine, f: str, alpha: str) -> Verdict:
         return Verdict.not_applicable("missing co-comprehension witness")
     lhs_val = _choice_value(d, eps, w_a)
     rhs_val = _choice_value(d, eps, w_x)
-    if lhs_val is None or rhs_val is None:
-        return Verdict.not_applicable("no epsilon witness for a graph")
     lhs = d.star(f, lhs_val)
     if lhs != rhs_val:
         return Verdict.refuted(kind="eaco_compat", arrow=f, alpha=alpha,

@@ -230,16 +230,19 @@ def is_propositional(d: Doctrine) -> Verdict:
 
 
 @memoized
-def bc_squares(d: Doctrine, cls: ArrowClass) -> tuple[Square, ...]:
-    """The window pullback squares over which Beck-Chevalley is quantified:
-    for the projection class the product-table squares, plus the window
-    pullbacks of window-arrow members found by search.  They depend on the
-    base alone, so the base computes them once for every doctrine over it."""
+def bc_squares(d: Doctrine) -> tuple[Square, ...]:
+    """The window pullback squares of the projection class, over which
+    Beck-Chevalley is quantified by default: the product-table squares, plus
+    the window pullbacks of window-arrow projections found by search.  The
+    class is stable under them by construction: the pullback of the
+    projection of a row ``(l, r)`` onto ``l`` along ``h: y -> l`` is
+    ``proj1`` of the row ``(y, r)``, which is a member, and the other side
+    is the same.  They depend on the base alone, so the base computes them
+    once for every doctrine over it."""
     base = d.base
-    return base.cached(("bc_squares", cls), lambda: _unique_squares(
-        (*(base.canonical_projection_squares()
-           if cls == base.projection_class() else ()),
-         *base._window_pullbacks(cls))))
+    return base.cached("bc_squares", lambda: _unique_squares(
+        (*base.canonical_projection_squares(),
+         *base._window_pullbacks(base.projection_class()))))
 
 
 @memoized
@@ -248,17 +251,14 @@ def _quantifier_doctrine(d: Doctrine, side: str, cls: ArrowClass,
                          squares: tuple[Square, ...] | None) -> Verdict:
     """Adjoints on ``side`` (``"sigma"`` or ``"pi"``) along every member of
     the class, with (restricted) Beck-Chevalley over the squares: if None,
-    the class's window pullbacks, after checking it is pullback-stable."""
+    the projection class's :func:`bc_squares`; any other class raises."""
+    if squares is None and cls != d.base.projection_class():
+        raise TypeError(f"class {cls.name} is given without its squares")
     adjoint = d.sigma if side == "sigma" else d.pi
-    if squares is None:
-        stable = d.base.is_pullback_stable(cls)
-        if stable.is_refuted:
-            return Verdict.not_applicable(
-                f"class {cls.name} not pullback-stable: {stable.counterexample}")
     for f in cls.members:
         if adjoint(f) is None:
             return Verdict.not_applicable(f"{side} adjoint missing at {f}")
-    for s in squares if squares is not None else bc_squares(d, cls):
+    for s in squares if squares is not None else bc_squares(d):
         adj_f, adj_g = adjoint(s.f), adjoint(s.to_g)
         if adj_f is None:
             return Verdict.not_applicable(f"{side} adjoint missing at {s.f}")

@@ -22,9 +22,7 @@ from functools import cached_property, wraps
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .poset import FinPoset
-from .verdicts import (MalformedCategory, StructureMissing, Verdict,
-                       WindowExceeded)
+from .verdicts import MalformedCategory, Verdict, WindowExceeded
 
 __all__ = [
     "Arrow",
@@ -203,9 +201,6 @@ class ComposeColumns(Mapping):
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return map(itemgetter(0), self.items())
-
-    def values(self) -> Iterator[str]:
-        return map(itemgetter(1), self.items())
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:
         name = self._names.__getitem__
@@ -503,11 +498,6 @@ class FinCategory:
             raise MalformedCategory(f"not a product: mediator for ({f},{g}) not unique")
         return ms[0]
 
-    def terminal(self) -> str:
-        if self.terminal_obj is None:
-            raise StructureMissing("no terminal object declared")
-        return self.terminal_obj
-
     def diagonal(self, a: str) -> str:
         return self.pair(self.identity[a], self.identity[a])
 
@@ -644,20 +634,6 @@ class FinCategory:
                     members.append(p)
         return ArrowClass("Prj", tuple(self.sort_arrows(members)))
 
-    def class_contains(self, cls: ArrowClass, f: str) -> bool:
-        """Membership up to isomorphism over the codomain."""
-        if f in cls.members:
-            return True
-        af = self.arrows[f]
-        for m in cls.members:
-            am = self.arrows[m]
-            if am.cod != af.cod:
-                continue
-            for j in self.hom(af.dom, am.dom):
-                if self.is_iso(j) and self.compose(m, j) == f:
-                    return True
-        return False
-
     @memoized
     def canonical_projection_squares(self) -> tuple[Square, ...]:
         """Each chosen projection pulled back along every window arrow into
@@ -692,45 +668,6 @@ class FinCategory:
                     s = self.pullback(f, h)
                     if s is not None:
                         yield s
-
-    @memoized
-    def is_pullback_stable(self, cls: ArrowClass) -> Verdict:
-        """Is the class closed under the window pullbacks that exist?
-
-        The projection class is, by construction: the pullback of the
-        projection of a row ``(l, r)`` onto ``l`` along ``h: y -> l`` is
-        ``proj1`` of the row ``(y, r)``, which is a member, and the other
-        side is the same."""
-        if cls == self.projection_class():
-            return Verdict.holds(self.window_descriptor)
-        for s in self._window_pullbacks(cls):
-            if not self.class_contains(cls, s.to_g):
-                return Verdict.refuted(kind="class_not_stable", member=s.f,
-                                       along=s.g, pulled_back=s.to_g,
-                                       arrow_class=cls.name,
-                                       members=list(cls.members))
-        return Verdict.holds(self.window_descriptor)
-
-    # -- subobjects ------------------------------------------------------------
-
-    def subobject_poset(self, a: str) -> FinPoset:
-        """Window monics into ``a`` modulo mutual factorization, ordered by
-        factorization; class representative is the least arrow id."""
-        monics = [m for m in self.window_arrows_into(a) if self.is_monic(m)]
-        factors: dict[str, set[str]] = {}
-        for m in monics:
-            factors[m] = set()
-            for m2 in monics:
-                if any(self.compose(m2, k) == m
-                       for k in self.hom(self.dom(m), self.dom(m2))):
-                    factors[m].add(m2)
-        reps: dict[str, str] = {}
-        for m in monics:
-            cls = [m2 for m2 in monics if m2 in factors[m] and m in factors[m2]]
-            reps[m] = self.sort_arrows(cls)[0]
-        elements = sorted(set(reps.values()), key=self.arrow_order.__getitem__)
-        leq = [(r1, r2) for r1 in elements for r2 in elements if r2 in factors[r1]]
-        return FinPoset(elements, leq)
 
     def __repr__(self) -> str:
         return (f"FinCategory({len(self.objects)} objects, {len(self.arrows)} arrows, "

@@ -255,6 +255,14 @@ def has_cocomprehension(d: Doctrine) -> Verdict:
 
 @memoized
 def _fullness(d: Doctrine, dual: bool) -> Verdict:
+    """A factorisation ``{alpha} -> {beta}`` of the chosen witnesses forces
+    ``alpha <= beta`` (``beta <= alpha`` if dual).  The converse order law
+    needs no check: if ``w_alpha*`` sends ``beta`` to the bound, ``w_alpha``
+    lies in the cone through which ``w_beta`` is universal, so it factors
+    through ``w_beta``; and if ``alpha <= beta`` (``beta <= alpha``),
+    monotone ``w_alpha*`` sends ``beta`` to the bound, as it does
+    ``alpha``.  So on monotone reindexing the law fails only where the
+    factorisation refutes fullness for the same pair."""
     exists = has_cocomprehension(d) if dual else has_comprehension(d)
     if not exists:
         return exists
@@ -276,10 +284,6 @@ def _fullness(d: Doctrine, dual: bool) -> Verdict:
                     return Verdict.refuted(kind=f"{kind}_not_full",
                                            object=a, alpha=alpha, beta=beta,
                                            arrows=[wa, wb])
-                got = d.star(wa, beta) == _bound(d, base.dom(wa), dual)
-                if expected != got:
-                    return Verdict.refuted(kind=f"{kind}_order_law",
-                                           object=a, alpha=alpha, beta=beta)
     return Verdict.holds(d.window_descriptor)
 
 

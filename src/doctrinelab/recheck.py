@@ -124,14 +124,6 @@ def _h_unstable_initial(d, base, p):
     return row.obj != p["object"] and base.find_iso(row.obj, p["object"]) is None
 
 
-def _h_class_not_stable(d, base, p):
-    from .fincat import ArrowClass
-    cls = ArrowClass(p["arrow_class"], tuple(p["members"]))
-    s = base.pullback(p["member"], p["along"])
-    return (s is not None and s.to_g == p["pulled_back"]
-            and not base.class_contains(cls, s.to_g))
-
-
 def _h_square_not_commuting(d, base, p):
     s = p["square"]
     return (base.compose_table.get((s["f"], s["to_f"]))
@@ -201,21 +193,6 @@ def _h_comprehension_not_full(d, base, p):
     if p["kind"] == "comprehension_not_full":
         return factors and not fiber.leq(p["alpha"], p["beta"])
     return factors and not fiber.leq(p["beta"], p["alpha"])
-
-
-def _h_order_law(dual):
-    def h(d, base, p):
-        from .logic import cocomprehension_table, comprehension_table
-        table = cocomprehension_table(d) if dual else comprehension_table(d)
-        fiber = d.fibers[p["object"]]
-        wa = table[(p["object"], p["alpha"])]
-        bound = (d.fibers[base.dom(wa)].ops.bottom if dual
-                 else d.fibers[base.dom(wa)].ops.top)
-        got = d.star(wa, p["beta"]) == bound
-        expected = fiber.leq(p["beta"], p["alpha"]) if dual \
-            else fiber.leq(p["alpha"], p["beta"])
-        return got != expected
-    return h
 
 
 def _h_negation_not_natural(d, base, p):
@@ -499,7 +476,6 @@ _HANDLERS = {
     "not_monic": _h_not_monic,
     "not_initial": _h_not_initial,
     "unstable_initial": _h_unstable_initial,
-    "class_not_stable": _h_class_not_stable,
     "square_not_commuting": _h_square_not_commuting,
     "square_not_limiting": _h_square_not_limiting,
     "implication_axiom_a": _h_implication_axiom("a"),
@@ -512,8 +488,6 @@ _HANDLERS = {
     "not_substitutive": _h_not_substitutive,
     "comprehension_not_full": _h_comprehension_not_full,
     "cocomprehension_not_full": _h_comprehension_not_full,
-    "comprehension_order_law": _h_order_law(False),
-    "cocomprehension_order_law": _h_order_law(True),
     "negation_not_natural": _h_negation_not_natural,
     "not_classical": _h_not_classical,
     "implication_not_stable": _h_implication_law(_stability_sides),

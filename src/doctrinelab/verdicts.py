@@ -99,16 +99,13 @@ class Verdict:
 
 
 def _jsonable(value: Any) -> Any:
+    """A payload with its tuples as lists; payloads hold only strings,
+    numbers, booleans, None, lists, tuples and mappings."""
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [_jsonable(v) for v in value]
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return items
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def combine(window: str, *verdicts: Verdict) -> Verdict:

@@ -236,3 +236,41 @@ def reference_weak_power_object(d, a):
             if reference_power_covers(d, a, p, mem):
                 return {"power": p, "membership": mem}
     return None
+
+
+def reference_fullness(d, dual):
+    """Full (co-)comprehension with the converse order law checked beside
+    the definition: for each pair ``(alpha, beta)``, a factorisation of the
+    witnesses against the order refutes fullness, and then ``w_alpha*``
+    sending ``beta`` to the bound exactly when ``alpha <= beta`` (``beta <=
+    alpha``, if dual) is checked as a law of its own."""
+    from doctrinelab import logic
+    from doctrinelab.verdicts import Verdict
+
+    exists = logic.has_cocomprehension(d) if dual else logic.has_comprehension(d)
+    if not exists:
+        return exists
+    table = (logic.cocomprehension_table(d) if dual
+             else logic.comprehension_table(d))
+    kind = "cocomprehension" if dual else "comprehension"
+    base = d.base
+    for a in base.window:
+        fiber = d.fibers[a]
+        for alpha in fiber.elements:
+            wa = table[(a, alpha)]
+            dom = base.dom(wa)
+            bound = d.bottom(dom) if dual else d.top(dom)
+            for beta in fiber.elements:
+                wb = table[(a, beta)]
+                factors = any(base.compose(wb, k) == wa
+                              for k in base.hom(dom, base.dom(wb)))
+                expected = (fiber.leq(beta, alpha) if dual
+                            else fiber.leq(alpha, beta))
+                if factors and not expected:
+                    return Verdict.refuted(kind=f"{kind}_not_full", object=a,
+                                           alpha=alpha, beta=beta,
+                                           arrows=[wa, wb])
+                if expected != (d.star(wa, beta) == bound):
+                    return Verdict.refuted(kind=f"{kind}_order_law", object=a,
+                                           alpha=alpha, beta=beta)
+    return Verdict.holds(d.window_descriptor)

@@ -159,7 +159,7 @@ def test_eaco_compat_frozen_example(ps20):
     assert cons.eaco_compat(ps20, "S1>S2:1", "e3")
 
 
-def test_eaco_compat_names_the_hypothesis_that_fails(sier, sl3):
+def test_eaco_compat_names_the_hypothesis_that_fails(sier, sl3, ps20):
     # each not-applicable reason of eaco_compat, in the order it checks
     v = cons.eaco_compat(sier, "U>S:0", "e0")
     assert v.is_na and v.reason == "not elementary: refuted"
@@ -171,6 +171,12 @@ def test_eaco_compat_names_the_hypothesis_that_fails(sier, sl3):
     assert logic.ac_check(dual)[0].is_refuted
     v = cons.eaco_compat(dual, dual.base.window_arrows[0], "e0")
     assert v.is_na and v.reason == "AC does not hold: refuted"
+    # PS(2,0) is an eaco, but the witness table holds no predicate over S4,
+    # the product carrier beyond the window, so an arrow out of it has none
+    assert logic.ac_check(ps20)[0]
+    assert "S4" not in {a for a, _ in logic.cocomprehension_table(ps20)}
+    v = cons.eaco_compat(ps20, "S4>S2:0,0,1,1", "e1")
+    assert v.is_na and v.reason == "missing co-comprehension witness"
 
 
 def test_eaco_compat_epsilon_independent(ps20):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from doctrinelab import catalog, fincat, theorems
 from doctrinelab.doctrine import Doctrine, validate_doctrine
-from doctrinelab.fincat import (MAX_POINTS, Arrow, ArrowClass, ConcreteBuilder,
+from doctrinelab.fincat import (MAX_POINTS, Arrow, ConcreteBuilder,
                                 FinCategory, Presentation, Product,
                                 tables_compose)
 from doctrinelab.poset import FinPoset, MonotoneMap
@@ -101,27 +101,11 @@ def test_ps_product_sizes(ps20):
 def test_product_with_terminal_is_iso(ps20, ps11, sier, triv, sl3):
     for d in (ps20, ps11, sier, triv, sl3):
         base = d.base
-        t = base.terminal()
+        t = base.terminal_obj
         for a in base.window:
             row = base.products[(a, t)]
             # proj1 is an isomorphism
             assert base.is_iso(row.proj1), (d.name, a)
-
-
-@pytest.mark.parametrize("f, member, contained", [
-    ("S2>S2:1,0", "S2>S2:0,1", True),          # the identity after the swap
-    ("S4>S2:1,1,0,0", "S4>S2:0,0,1,1", True),  # p1 after flipping the first
-    ("S2>S2:0,0", "S2>S2:0,1", False),         # only after a constant
-    ("S4>S2:0,0,0,0", "S4>S2:0,0,1,1", False)])
-def test_class_membership_is_up_to_an_iso_into_a_member(ps20, f, member,
-                                                         contained):
-    base = ps20.base
-    prj = base.projection_class()
-    assert f not in prj.members and member in prj.members
-    via = [j for j in base.hom(base.dom(f), base.dom(member))
-           if base.compose(member, j) == f]
-    assert via and any(map(base.is_iso, via)) == contained
-    assert base.class_contains(prj, f) == contained
 
 
 def test_pair_uniqueness(ps20):
@@ -200,48 +184,6 @@ def test_a_retract_of_the_initial_object_makes_it_unstable():
     d = Doctrine(base, {"I": one, "A": one},
                  {n: MonotoneMap.identity(one) for n in base.arrows})
     assert recheck(d, v)
-
-
-def test_subobjects_of_two_element_set(ps20):
-    sub = ps20.base.subobject_poset("S2")
-    assert len(sub) == 4
-    ops = sub.ops
-    assert ops.top is not None and ops.bottom is not None
-    atoms = [e for e in sub.elements
-             if e not in (ops.top, ops.bottom)]
-    assert len(atoms) == 2
-    a, b = atoms
-    assert not sub.leq(a, b) and not sub.leq(b, a)
-
-
-def test_projection_class_stable_on_catalog(ps20, ps11, sier, triv, sl3):
-    for d in (ps20, ps11, sier, triv, sl3):
-        prj = d.base.projection_class()
-        assert d.base.is_pullback_stable(prj), d.name
-
-
-@pytest.mark.parametrize("cid", catalog.catalog_ids())
-def test_the_projection_class_is_stable_without_a_square(monkeypatch, cid):
-    # stable by construction: no square is built or searched for
-    monkeypatch.setattr(catalog, "_CACHE", {})
-    base = catalog.instance(cid).base
-    calls = []
-    for name in ("canonical_projection_squares", "pullback"):
-        monkeypatch.setattr(FinCategory, name,
-                            lambda *args, name=name: calls.append(name) or ())
-    assert base.is_pullback_stable(base.projection_class())
-    assert not calls
-
-
-def test_thin_class_stability_iff_meet_closed(sl3):
-    base = sl3.base
-    not_closed = ArrowClass("test", ("L1>L2",))
-    v = base.is_pullback_stable(not_closed)
-    assert v.is_refuted
-    assert recheck(sl3, v)
-    closed = ArrowClass("test2", ("L1>L2", "L0>L1", "L0>L2",
-                                  "L0>L0", "L1>L1", "L2>L2"))
-    assert base.is_pullback_stable(closed)
 
 
 def test_window_descriptor_mentions_presentation(ps20):
@@ -554,10 +496,7 @@ def test_memoized_base_results_match_a_fresh_base(name):
               if (base.dom(f), base.dom(g)) in base.products
               and (base.cod(f), base.cod(g)) in base.products]
     calls += [("window_arrows_into", o) for o in base.objects]
-    prj = base.projection_class()
-    others = ArrowClass("all", wa)
-    calls += [("projection_class",), ("is_pullback_stable", prj),
-              ("is_pullback_stable", others)]
+    calls += [("projection_class",)]
     assert any(c[0] == "pair" for c in calls)
     assert any(c[0] == "times" for c in calls)
     for name_, *args in calls:

@@ -20,6 +20,7 @@ from doctrinelab import catalog, cli, ioformat, theorems
 from doctrinelab.constructions import dualize
 from doctrinelab.doctrine import Doctrine
 from test_cli import DECLARED_CASES, write_instance
+from test_known_defects import opens_with_a_power_pool
 
 
 def put(*path_and_value):
@@ -331,6 +332,32 @@ ESCAPED_TEXT_DIGEST = (
     "abbb601968b6394db407809b550de0035989eba0f3717f74842a3bc7245e9d40")
 SHARED_PARTS_TEXT_DIGEST = (
     "667f4217003cafb87da2b05db0a35745f9d3bba44896ca96e3275939fa4319e6")
+
+
+def _classified(d):
+    return {flag: v.to_json() for flag, v in theorems.classify(d).items()}
+
+
+@pytest.mark.parametrize("cid", catalog.catalog_ids())
+def test_a_dual_catalog_document_parses_back_to_the_same_bytes(cid):
+    # what derive --what dual writes: the catalog block with "dual": true
+    dual = dualize(catalog.instance(cid))
+    text = ioformat.serialize(dual)
+    assert ioformat.to_document(dual)["catalog"] == {"id": cid, "dual": True}
+    parsed = ioformat.parse(text)
+    assert ioformat.serialize(parsed) == text
+    assert _classified(parsed) == _classified(dual)
+
+
+def test_a_power_pool_apart_from_the_window_parses_back_to_the_same_bytes():
+    d = opens_with_a_power_pool()
+    text = ioformat.serialize(d)
+    assert ioformat.to_document(d)["base"]["power_pool"] == ["S"]
+    parsed = ioformat.parse(text)
+    assert tuple(parsed.base.power_pool) == tuple(d.base.power_pool)
+    assert ioformat.serialize(parsed) == text
+    assert ([r.conclusion.status for r in theorems.check_all(parsed)]
+            == [r.conclusion.status for r in theorems.check_all(d)])
 
 
 def test_serialize_is_json_dumps_on_the_enumerated_sample():

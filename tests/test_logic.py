@@ -1,12 +1,15 @@
 import random
 
+import pytest
+
 from doctrinelab import catalog, logic, theorems
 from doctrinelab.constructions import dualize
-from doctrinelab.doctrine import Doctrine
+from doctrinelab.doctrine import Doctrine, validate_doctrine
 from doctrinelab.poset import MonotoneMap
 from doctrinelab.recheck import recheck
 
-from oracles import mask_of, named, pair_code, reference_weak_power_object
+from oracles import (mask_of, named, pair_code, reference_fullness,
+                     reference_weak_power_object)
 
 
 def test_ps_equality_is_the_diagonal(ps20):
@@ -94,6 +97,38 @@ def test_full_comprehension_order_law(ps20):
             top = ps20.top(ps20.base.dom(w))
             for beta in fiber.elements:
                 assert fiber.leq(alpha, beta) == (ps20.star(w, beta) == top)
+
+
+def test_fullness_agrees_with_the_order_law_oracle(criterion_8):
+    # the order law beside the definition never decides on monotone
+    # reindexing (see logic._fullness): refuted, held and not-applicable
+    # verdicts alike are those of the definition alone
+    statuses = set()
+    for s in _catalog_and_sample(criterion_8, 30):
+        d = _fresh(s)
+        for dual in (False, True):
+            got = logic._fullness(d, dual).to_json()
+            assert got == reference_fullness(d, dual).to_json(), (d.name, dual)
+            statuses.add(got["status"])
+    assert statuses == {"holds", "refuted", "not_applicable"}
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_fullness_off_monotone_reindexing_is_the_definition(sl3, dual):
+    # one cell of L1>L2 faulted, e7 sent to e1, breaks monotonicity; the
+    # comprehension L1>L2 of e3 over L2 (co-comprehension, on the dual) then
+    # sends e7 off the bound although e7 is above e3, which only the order
+    # law refuted, and no factorisation of witnesses goes against the order
+    d = dualize(sl3) if dual else sl3
+    m = d.reindex["L1>L2"]
+    reindex = {**d.reindex,
+               "L1>L2": MonotoneMap(m.source, m.target, (0, 1, 0))}
+    broken = Doctrine(d.base, d.fibers, reindex, name=d.name, source=d.source)
+    assert validate_doctrine(broken).counterexample["kind"] == "not_monotone"
+    assert reference_fullness(broken, dual).counterexample == {
+        "kind": f"{logic._kind(dual)}_order_law", "object": "L2",
+        "alpha": "e3", "beta": "e7"}
+    assert logic._fullness(broken, dual).status == "holds"
 
 
 def test_comprehension_squares_are_pullbacks(ps20, sier):
@@ -273,17 +308,27 @@ def _membership_scans(monkeypatch) -> list:
     return calls
 
 
-def test_power_search_agrees_with_the_unpruned_oracle():
-    # the catalog and its duals in full; criterion 8's doctrines and their
-    # duals by a seeded sample, as the whole set takes about 4.5 s
-    doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
+@pytest.fixture(scope="module")
+def criterion_8():
     enumerated = list(theorems.enumerate_doctrines(
         max_base=4, max_fiber=3, budget=500_000, max_emit=10_000))
     assert len(enumerated) == 10_000
-    doctrines += random.Random(29).sample(enumerated, 2_500)
-    doctrines += [dualize(d) for d in doctrines]
+    return enumerated
+
+
+def _catalog_and_sample(enumerated, seed):
+    """The catalog and a seeded sample of 2,500 of criterion 8's doctrines,
+    each with its dual."""
+    doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
+    doctrines += random.Random(seed).sample(enumerated, 2_500)
+    return doctrines + [dualize(d) for d in doctrines]
+
+
+def test_power_search_agrees_with_the_unpruned_oracle(criterion_8):
+    # the catalog and its duals in full; criterion 8's doctrines and their
+    # duals by a seeded sample, as the whole set takes about 4.5 s
     found = missing = 0
-    for s in doctrines:
+    for s in _catalog_and_sample(criterion_8, 29):
         d = _fresh(s)
         for a in d.base.window:
             got = logic.weak_power_object(d, a)

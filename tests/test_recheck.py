@@ -71,7 +71,6 @@ _TEMPLATE_EXPANSIONS = {
     "no_{_kind(dual)}_witness": [f"no_{k}_witness"
                                  for k in _COMPREHENSION_KINDS],
     "{kind}_not_full": [f"{k}_not_full" for k in _COMPREHENSION_KINDS],
-    "{kind}_order_law": [f"{k}_order_law" for k in _COMPREHENSION_KINDS],
     "declared_{kind}_invalid": [
         f"declared_{k}_invalid" for k in ("delta", *_COMPREHENSION_KINDS,
                                           "epsilon", "negation",
@@ -83,10 +82,16 @@ def test_every_formatted_refutation_kind_has_a_handler():
     # a new f-string site changes this list and fails the test until its
     # expansions are listed above
     templates = _kind_sites("f")
-    assert len(templates) == 5
+    assert len(templates) == 4
     assert sorted(templates) == sorted(_TEMPLATE_EXPANSIONS)
     kinds = {k for ks in _TEMPLATE_EXPANSIONS.values() for k in ks}
     assert sorted(kinds - set(recheck_module._HANDLERS)) == []
+
+
+def test_every_handler_has_a_refutation_kind():
+    # the converse: a handler whose kind no site builds any more is dead
+    built = set(_kind_sites("")).union(*_TEMPLATE_EXPANSIONS.values())
+    assert sorted(set(recheck_module._HANDLERS) - built) == []
 
 
 def _with_sides(v, lhs, rhs):
@@ -242,22 +247,6 @@ def test_not_substitutive_rechecks_against_the_chosen_equality(monkeypatch,
     monkeypatch.undo()
     assert not recheck(sier, Verdict.refuted(kind="not_substitutive",
                                              object="U", psi="e1"))
-
-
-@pytest.mark.parametrize("dual", [False, True])
-def test_order_law_rechecks_from_the_witness_table(sl3, dual):
-    # SL3's co-comprehension of e3 over L2 is L0 -> L2, which pulls every
-    # element back to the bottom of the one-element fiber over L0, e7 too,
-    # although e7 is not below e3; with every fiber reversed, the same
-    # failure is on the comprehension side
-    d = sl3 if dual else constructions.dualize(sl3)
-    kind = f"{logic._kind(dual)}_order_law"
-
-    def payload(alpha, beta):
-        return Verdict.refuted(kind=kind, object="L2", alpha=alpha, beta=beta)
-    assert recheck(d, payload("e3", "e7"))
-    assert not recheck(d, payload("e3", "e3"))
-    assert not recheck(d, payload("e7", "e7"))
 
 
 def test_eaco_compat_rechecks_with_the_choice_table(monkeypatch, ps20):

@@ -2,8 +2,13 @@
 memo keys compare and hash by value, and the payloads built from them keep
 the key order that the reports print."""
 
+import json
+import random
+
 import pytest
 
+from doctrinelab import catalog, theorems
+from doctrinelab.constructions import dualize
 from doctrinelab.doctrine import Doctrine, bc_squares, is_sigma_doctrine
 from doctrinelab.fincat import ArrowClass, Square
 from doctrinelab.verdicts import REFUTED, Verdict
@@ -14,6 +19,26 @@ def test_verdict_takes_its_payload_by_keyword():
     assert v.is_refuted and not v and v.window is None and v.reason is None
     assert v.to_json() == {"status": REFUTED, "counterexample":
                            {"kind": "not_monic", "arrow": "f"}}
+
+
+def test_refuted_payloads_are_json_as_they_stand():
+    # classify and check_all on the catalog, a seeded sample of criterion
+    # 8's doctrines, and the duals of both: no payload holds a set or a
+    # value JSON cannot carry
+    doctrines = [catalog.instance(cid) for cid in catalog.catalog_ids()]
+    doctrines += random.Random(30).sample(list(theorems.enumerate_doctrines(
+        max_base=4, max_fiber=3, budget=500_000, max_emit=10_000)), 500)
+    kinds = set()
+    for d in doctrines + [dualize(d) for d in doctrines]:
+        verdicts = [*theorems.classify(d).values()]
+        for r in theorems.check_all(d):
+            verdicts += [r.conclusion, *(v for _, v in r.hypotheses)]
+        for v in verdicts:
+            if v.is_refuted:
+                out = v.to_json()
+                assert out == json.loads(json.dumps(out)), (d.name, out)
+                kinds.add(out["counterexample"]["kind"])
+    assert len(kinds) > 10
 
 
 @pytest.mark.parametrize("make,other", [
@@ -29,11 +54,11 @@ def test_memo_key_records_compare_and_hash_by_value(make, other):
 def test_equal_records_share_one_memo_entry(triv):
     d = Doctrine(triv.base, triv.fibers, triv.reindex, name=triv.name)
     prj = d.base.projection_class()
-    first = is_sigma_doctrine(d, prj, True, bc_squares(d, prj))
+    first = is_sigma_doctrine(d, prj, True, bc_squares(d))
     entries = len(d._cache)
     again = ArrowClass(prj.name, prj.members)
     squares = [Square(*(getattr(s, f) for f in s.__slots__))
-               for s in bc_squares(d, prj)]
+               for s in bc_squares(d)]
     assert is_sigma_doctrine(d, again, True, squares) is first
     assert len(d._cache) == entries
 

@@ -225,7 +225,7 @@ def cmd_search(args) -> int:
     try:
         expr = theorems.parse_filter(args.filter)
     except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad filter: {exc}")
+        raise ParseError(f"bad filter: {exc.args[0]}")  # no KeyError quotes
     stats: dict = {}
     found = list(theorems.enumerate_doctrines(
         max_base=args.window, max_fiber=args.window,

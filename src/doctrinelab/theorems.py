@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-# -- classification flags -------------------------------------------------------
+# -- classification flags and theorem clauses -----------------------------------
 
 def _substitutive(d: Doctrine) -> Verdict:
     w = logic.find_equality(d)
@@ -86,11 +86,11 @@ CLASSIFY_FLAGS: tuple[tuple[str, Callable[[Doctrine], Verdict]], ...] = (
     ("has_bottoms", has_bottoms),
     ("elementary", logic.is_elementary),
     ("substitutive", _substitutive),
-    ("sigma", lambda d: is_sigma_doctrine(d)),
+    ("sigma", is_sigma_doctrine),
     ("restricted_sigma", lambda d: is_sigma_doctrine(d, restricted=True)),
-    ("pi", lambda d: is_pi_doctrine(d)),
+    ("pi", is_pi_doctrine),
     ("restricted_pi", lambda d: is_pi_doctrine(d, restricted=True)),
-    ("frobenius", lambda d: frobenius(d)),
+    ("frobenius", frobenius),
     ("existential", is_existential),
     ("comprehension", logic.has_comprehension),
     ("full_comp", logic.is_full_comprehension),
@@ -109,6 +109,73 @@ CLASSIFY_FLAGS: tuple[tuple[str, Callable[[Doctrine], Verdict]], ...] = (
     ("heaco", is_heaco),
 )
 
+
+def _over_witness_class(d: Doctrine, side: str, dual: bool) -> Verdict:
+    """The ``side`` check (``"sigma"`` or ``"pi"`` restricted Beck-Chevalley,
+    or ``"frobenius"``) over the comprehension class, or the
+    co-comprehension class if ``dual``."""
+    exists = logic.has_cocomprehension(d) if dual else logic.has_comprehension(d)
+    if not exists:
+        return Verdict.not_applicable(
+            f"no {'co-comprehension' if dual else 'comprehension'} class")
+    cls = logic.cocomprehension_class(d) if dual else logic.comprehension_class(d)
+    if side == "frobenius":
+        return frobenius(d, cls)
+    check = is_sigma_doctrine if side == "sigma" else is_pi_doctrine
+    squares = (logic.cocomprehension_squares(d) if dual
+               else logic.comprehension_squares(d))
+    return check(d, cls, restricted=True, squares=squares)
+
+
+def _derived_assignment(d: Doctrine) -> Verdict:
+    """Implication axioms for the comprehension-derived assignment."""
+    tables = derived_implication_tables(d)
+    if tables is None:
+        return Verdict.not_applicable("derived implication undefined")
+    return logic.implication_axioms(d, tables)
+
+
+def _has_stable_initial(d: Doctrine) -> Verdict:
+    if d.base.stable_initials:
+        return Verdict.holds(d.window_descriptor)
+    return Verdict.not_applicable("no stable initial object in the window")
+
+
+def _fibers_nonempty(d: Doctrine) -> Verdict:
+    for o in d.scope_objects:
+        if not len(d.fibers[o]):
+            return Verdict.not_applicable(f"fiber({o}) is empty")
+    return Verdict.holds(d.window_descriptor)
+
+
+def _p0_singleton_conclusion(d: Doctrine) -> Verdict:
+    for zero in d.base.stable_initials:
+        if len(d.fibers[zero]) != 1:
+            return Verdict.refuted(kind="initial_fiber_not_singleton",
+                                   object=zero, size=len(d.fibers[zero]))
+    return Verdict.holds(d.window_descriptor)
+
+
+def _p0_singleton_if_initial(d: Doctrine) -> Verdict:
+    """The same condition as a hypothesis: not applicable where it fails."""
+    v = _p0_singleton_conclusion(d)
+    return v if v else Verdict.not_applicable(
+        f"fiber({v.counterexample['object']}) of the stable initial is not a singleton")
+
+
+# The checks that only theorems read, by the names their reports give them.
+# They are not classification flags, so a filter cannot name them.
+_CLAUSES: dict[str, Callable[[Doctrine], Verdict]] = {
+    "frobenius_comp": lambda d: _over_witness_class(d, "frobenius", False),
+    "restricted_pi_comp": lambda d: _over_witness_class(d, "pi", False),
+    "restricted_sigma_comp": lambda d: _over_witness_class(d, "sigma", False),
+    "restricted_sigma_cocomp": lambda d: _over_witness_class(d, "sigma", True),
+    "derived_assignment_passes": _derived_assignment,
+    "stable_initial": _has_stable_initial,
+    "fibers_nonempty": _fibers_nonempty,
+    "p0_singleton": _p0_singleton_if_initial,
+}
+
 _FLAG_MAP: dict[str, Callable[[Doctrine], Verdict]] = dict(CLASSIFY_FLAGS)
 _FLAG_ALIASES = {"comp": "comprehension", "cocomp": "cocomprehension",
                  "full_comprehension": "full_comp",
@@ -121,6 +188,11 @@ def flag_check(name: str) -> Callable[[Doctrine], Verdict]:
     if fn is None:
         raise KeyError(f"unknown classification flag {name!r}")
     return fn
+
+
+def _named_check(name: str) -> Callable[[Doctrine], Verdict]:
+    """The flag or the clause of that name (never an alias)."""
+    return _FLAG_MAP[name] if name in _FLAG_MAP else _CLAUSES[name]
 
 
 def classify(d: Doctrine) -> dict[str, Verdict]:
@@ -300,23 +372,6 @@ class TheoremReport:
         return out
 
 
-def _over_witness_class(d: Doctrine, side: str, dual: bool) -> Verdict:
-    """The ``side`` check (``"sigma"`` or ``"pi"`` restricted Beck-Chevalley,
-    or ``"frobenius"``) over the comprehension class, or the
-    co-comprehension class if ``dual``."""
-    exists = logic.has_cocomprehension(d) if dual else logic.has_comprehension(d)
-    if not exists:
-        return Verdict.not_applicable(
-            f"no {'co-comprehension' if dual else 'comprehension'} class")
-    cls = logic.cocomprehension_class(d) if dual else logic.comprehension_class(d)
-    if side == "frobenius":
-        return frobenius(d, cls)
-    check = is_sigma_doctrine if side == "sigma" else is_pi_doctrine
-    squares = (logic.cocomprehension_squares(d) if dual
-               else logic.comprehension_squares(d))
-    return check(d, cls, restricted=True, squares=squares)
-
-
 def _nonloso_conclusion(d: Doctrine) -> Verdict:
     # sub-claim: quantifying the top along a comprehension arrow recovers
     # the comprehended predicate
@@ -332,45 +387,25 @@ def _nonloso_conclusion(d: Doctrine) -> Verdict:
     return combine(d.window_descriptor, _over_witness_class(d, "sigma", False))
 
 
-def _bingo_conclusion(d: Doctrine) -> Verdict:
-    tables = derived_implication_tables(d)
-    if tables is None:
-        return Verdict.not_applicable("derived implication undefined")
-    return logic.implication_axioms(d, tables)
-
-
-def _biconditional(left_name: str, left: Verdict, right_name: str,
-                   right: Verdict, window: str) -> Verdict:
-    if left.is_na:
-        return Verdict.not_applicable(f"{left_name}: {left.reason}")
-    if right.is_na:
-        return Verdict.not_applicable(f"{right_name}: {right.reason}")
-    if bool(left) == bool(right):
-        return Verdict.holds(window)
-    return Verdict.refuted(kind="biconditional", left=left_name,
-                           left_status=left.status, right=right_name,
-                           right_status=right.status,
-                           left_payload=left.counterexample,
-                           right_payload=right.counterexample)
-
-
-def _negation_iii_conclusion(d: Doctrine) -> Verdict:
-    return _biconditional("full_cocomp", logic.is_full_cocomprehension(d),
-                          "classical", logic.is_classical(d),
-                          d.window_descriptor)
-
-
-def _has_stable_initial(d: Doctrine) -> Verdict:
-    if d.base.stable_initials:
-        return Verdict.holds(d.window_descriptor)
-    return Verdict.not_applicable("no stable initial object in the window")
-
-
-def _fibers_nonempty(d: Doctrine) -> Verdict:
-    for o in d.scope_objects:
-        if not len(d.fibers[o]):
-            return Verdict.not_applicable(f"fiber({o}) is empty")
-    return Verdict.holds(d.window_descriptor)
+def _biconditional(left: str, right: str) -> Callable[[Doctrine], Verdict]:
+    """The check that flags ``left`` and ``right`` agree where both apply; a
+    refutation names the two flags, and recheck runs them again."""
+    def iff(d: Doctrine) -> Verdict:
+        # looked up at each call, not captured: a tracer rebinds the flags
+        # in _FLAG_MAP, never in a closure
+        lv, rv = _FLAG_MAP[left](d), _FLAG_MAP[right](d)
+        if lv.is_na:
+            return Verdict.not_applicable(f"{left}: {lv.reason}")
+        if rv.is_na:
+            return Verdict.not_applicable(f"{right}: {rv.reason}")
+        if bool(lv) == bool(rv):
+            return Verdict.holds(d.window_descriptor)
+        return Verdict.refuted(kind="biconditional", left=left,
+                               left_status=lv.status, right=right,
+                               right_status=rv.status,
+                               left_payload=lv.counterexample,
+                               right_payload=rv.counterexample)
+    return iff
 
 
 def _zero_conclusion(d: Doctrine) -> Verdict:
@@ -399,34 +434,10 @@ def _bc_lemma_conclusion(d: Doctrine) -> Verdict:
     return Verdict.holds(d.window_descriptor)
 
 
-def _p0_singleton_conclusion(d: Doctrine) -> Verdict:
-    for zero in d.base.stable_initials:
-        if len(d.fibers[zero]) != 1:
-            return Verdict.refuted(kind="initial_fiber_not_singleton",
-                                   object=zero, size=len(d.fibers[zero]))
-    return Verdict.holds(d.window_descriptor)
-
-
-def _p0_singleton_if_initial(d: Doctrine) -> Verdict:
-    """The same condition as a hypothesis: not applicable where it fails."""
-    v = _p0_singleton_conclusion(d)
-    return v if v else Verdict.not_applicable(
-        f"fiber({v.counterexample['object']}) of the stable initial is not a singleton")
-
-
-def _ac_holds(d: Doctrine) -> Verdict:
-    return logic.ac_check(d)[0]
-
-
 def _dual_tripos_conclusion(d: Doctrine) -> Verdict:
     dual = dualize(d)
     return combine(d.window_descriptor, logic.is_tripos(dual),
                    logic.is_full_comprehension(dual))
-
-
-def _caratterino_conclusion(d: Doctrine) -> Verdict:
-    return _biconditional("implicational", is_implicational(d),
-                          "tripos", logic.is_tripos(d), d.window_descriptor)
 
 
 def _prop1_conclusion(d: Doctrine) -> Verdict:
@@ -442,138 +453,81 @@ def _prop1_conclusion(d: Doctrine) -> Verdict:
                            direct=direct.to_json(), characterization=char.to_json())
 
 
-# id -> (id, title, ((hypothesis name, check), ...), conclusion name,
-# conclusion check)
-REGISTRY: dict[str, tuple] = {t[0]: t for t in (
-    (
-        "nonloso",
-        "full comprehension with Frobenius left adjoints along the "
-        "comprehension class gives the restricted Beck-Chevalley condition",
-        (("primary", is_primary),
-         ("full_comp", logic.is_full_comprehension),
-         ("frobenius_comp",
-          lambda d: _over_witness_class(d, "frobenius", False))),
-        "restricted_sigma_comp_and_image_of_top", _nonloso_conclusion),
-    (
-        "bingo",
-        "a Pi-doctrine with full comprehension and restricted Beck-Chevalley "
-        "over the comprehension class is implicational",
-        (("pi", is_pi_doctrine),
-         ("full_comp", logic.is_full_comprehension),
-         ("restricted_pi_comp",
-          lambda d: _over_witness_class(d, "pi", False))),
-        "derived_implication_axioms", _bingo_conclusion),
-    (
-        "bingo_converse",
-        "if the derived assignment is implicational, comprehension is full",
-        (("pi", is_pi_doctrine),
-         ("comprehension", logic.has_comprehension),
-         ("derived_assignment_passes", _bingo_conclusion)),
-        "full_comp", logic.is_full_comprehension),
-    (
-        "negation_i",
-        "comprehension plus negation gives co-comprehension",
-        (("comprehension", logic.has_comprehension),
-         ("negation", logic.has_negation)),
-        "cocomprehension", logic.has_cocomprehension),
-    (
-        "negation_ii",
-        "restricted Beck-Chevalley passes from the comprehension class to "
-        "the co-comprehension class",
-        (("comprehension", logic.has_comprehension),
-         ("negation", logic.has_negation),
-         ("restricted_sigma_comp",
-          lambda d: _over_witness_class(d, "sigma", False))),
-        "restricted_sigma_cocomp",
-        lambda d: _over_witness_class(d, "sigma", True)),
-    (
-        "negation_iii",
-        "under full comprehension and negation: full co-comprehension iff "
-        "classical",
-        (("comprehension", logic.has_comprehension),
-         ("negation", logic.has_negation),
-         ("full_comp", logic.is_full_comprehension)),
-        "full_cocomp_iff_classical", _negation_iii_conclusion),
-    (
-        "zero",
-        "under choice with nonempty fibers, arrows into a stable initial "
-        "object are isomorphisms",
-        (("ac", _ac_holds),
-         ("stable_initial", _has_stable_initial),
-         ("fibers_nonempty", _fibers_nonempty)),
-        "arrows_into_initial_iso", _zero_conclusion),
-    (
-        "bc_lemma",
-        "the chosen witness dominates every substitution instance",
-        (("ac", _ac_holds),),
-        "choice_dominates", _bc_lemma_conclusion),
-    (
-        "nonne0",
-        "choice with bottoms (and singleton fiber over a stable initial) "
-        "makes projections Beck-Chevalley",
-        (("ac", _ac_holds),
-         ("has_bottoms", has_bottoms),
-         ("p0_singleton", _p0_singleton_if_initial)),
-        "sigma_doctrine", lambda d: is_sigma_doctrine(d)),
-    (
-        "nonne1",
-        "a primary doctrine with choice, bottoms and singleton initial fiber "
-        "is existential",
-        (("primary", is_primary),
-         ("ac", _ac_holds),
-         ("has_bottoms", has_bottoms),
-         ("p0_singleton", _p0_singleton_if_initial)),
-        "existential", is_existential),
-    (
-        "sinistra",
-        "a higher order Sigma-doctrine with full co-comprehension and "
-        "restricted Beck-Chevalley over it dualizes to a tripos with full "
-        "comprehension",
-        (("higher_order", logic.is_higher_order),
-         ("sigma", lambda d: is_sigma_doctrine(d)),
-         ("full_cocomp", logic.is_full_cocomprehension),
-         ("restricted_sigma_cocomp",
-          lambda d: _over_witness_class(d, "sigma", True))),
-        "dual_tripos_with_full_comp", _dual_tripos_conclusion),
-    (
-        "checazzo2",
-        "the fiber over a stable initial object of an eaco is a singleton",
-        (("eaco", is_eaco),
-         ("stable_initial", _has_stable_initial)),
-        "initial_fiber_singleton", _p0_singleton_conclusion),
-    (
-        "eaco_existential",
-        "every eaco is existential",
-        (("eaco", is_eaco),),
-        "existential", is_existential),
-    (
-        "baggins",
-        "every eaco satisfies restricted Beck-Chevalley over the "
-        "co-comprehension class",
-        (("eaco", is_eaco),),
-        "restricted_sigma_cocomp",
-        lambda d: _over_witness_class(d, "sigma", True)),
-    (
-        "frodo",
-        "every heaco is a Pi-doctrine",
-        (("heaco", is_heaco),),
-        "pi_doctrine", lambda d: is_pi_doctrine(d)),
-    (
-        "finite_joins",
-        "fibers of a heaco have finite joins",
-        (("heaco", is_heaco),),
-        "finite_joins", _finite_joins),
-    (
-        "caratterino",
-        "a heaco is implicational iff it is a tripos",
-        (("heaco", is_heaco),),
-        "implicational_iff_tripos", _caratterino_conclusion),
-    (
-        "prop1_equiv",
-        "the tripos definition and its implicational characterization agree",
-        (),
-        "checkers_agree", _prop1_conclusion),
-)}
+# id -> (id, title, ((hypothesis name, check), ...), conclusion check).  A
+# hypothesis is named, and so is a conclusion that is a flag or a clause;
+# each name is resolved here, once, to its check.
+REGISTRY: dict[str, tuple] = {
+    tid: (tid, title, tuple((name, _named_check(name)) for name in hypotheses),
+          _named_check(conclude) if isinstance(conclude, str) else conclude)
+    for tid, title, hypotheses, conclude in (
+        ("nonloso",
+         "full comprehension with Frobenius left adjoints along the "
+         "comprehension class gives the restricted Beck-Chevalley condition",
+         ("primary", "full_comp", "frobenius_comp"), _nonloso_conclusion),
+        ("bingo",
+         "a Pi-doctrine with full comprehension and restricted Beck-Chevalley "
+         "over the comprehension class is implicational",
+         ("pi", "full_comp", "restricted_pi_comp"), "derived_assignment_passes"),
+        ("bingo_converse",
+         "if the derived assignment is implicational, comprehension is full",
+         ("pi", "comprehension", "derived_assignment_passes"), "full_comp"),
+        ("negation_i",
+         "comprehension plus negation gives co-comprehension",
+         ("comprehension", "negation"), "cocomprehension"),
+        ("negation_ii",
+         "restricted Beck-Chevalley passes from the comprehension class to "
+         "the co-comprehension class",
+         ("comprehension", "negation", "restricted_sigma_comp"),
+         "restricted_sigma_cocomp"),
+        ("negation_iii",
+         "under full comprehension and negation: full co-comprehension iff "
+         "classical",
+         ("comprehension", "negation", "full_comp"),
+         _biconditional("full_cocomp", "classical")),
+        ("zero",
+         "under choice with nonempty fibers, arrows into a stable initial "
+         "object are isomorphisms",
+         ("ac", "stable_initial", "fibers_nonempty"), _zero_conclusion),
+        ("bc_lemma",
+         "the chosen witness dominates every substitution instance",
+         ("ac",), _bc_lemma_conclusion),
+        ("nonne0",
+         "choice with bottoms (and singleton fiber over a stable initial) "
+         "makes projections Beck-Chevalley",
+         ("ac", "has_bottoms", "p0_singleton"), "sigma"),
+        ("nonne1",
+         "a primary doctrine with choice, bottoms and singleton initial fiber "
+         "is existential",
+         ("primary", "ac", "has_bottoms", "p0_singleton"), "existential"),
+        ("sinistra",
+         "a higher order Sigma-doctrine with full co-comprehension and "
+         "restricted Beck-Chevalley over it dualizes to a tripos with full "
+         "comprehension",
+         ("higher_order", "sigma", "full_cocomp", "restricted_sigma_cocomp"),
+         _dual_tripos_conclusion),
+        ("checazzo2",
+         "the fiber over a stable initial object of an eaco is a singleton",
+         ("eaco", "stable_initial"), _p0_singleton_conclusion),
+        ("eaco_existential",
+         "every eaco is existential",
+         ("eaco",), "existential"),
+        ("baggins",
+         "every eaco satisfies restricted Beck-Chevalley over the "
+         "co-comprehension class",
+         ("eaco",), "restricted_sigma_cocomp"),
+        ("frodo",
+         "every heaco is a Pi-doctrine",
+         ("heaco",), "pi"),
+        ("finite_joins",
+         "fibers of a heaco have finite joins",
+         ("heaco",), "finite_joins"),
+        ("caratterino",
+         "a heaco is implicational iff it is a tripos",
+         ("heaco",), _biconditional("implicational", "tripos")),
+        ("prop1_equiv",
+         "the tripos definition and its implicational characterization agree",
+         (), _prop1_conclusion),
+    )}
 
 
 def theorem_ids() -> list[str]:
@@ -583,7 +537,7 @@ def theorem_ids() -> list[str]:
 def check_theorem(tid: str, d: Doctrine) -> TheoremReport:
     if tid not in REGISTRY:
         raise KeyError(f"unknown theorem id {tid!r}")
-    _, _, hypotheses, _, conclude = REGISTRY[tid]
+    _, _, hypotheses, conclude = REGISTRY[tid]
     start = time.perf_counter()
     hyps: list[tuple[str, Verdict]] = []
     all_hold = True

@@ -301,8 +301,11 @@ def test_search_finds_intuitionistic_witness(tmp_path):
 
 
 def test_search_bad_filter_exits_2():
-    r = run_cli("search", "--filter", "no_such_flag")
-    assert r.returncode == 2
+    # a theorem clause such as stable_initial is not a classification flag
+    for name in ("no_such_flag", "stable_initial"):
+        r = run_cli("search", "--filter", name)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"error: bad filter: unknown classification flag '{name}'\n")
 
 
 def test_catalog_list():

@@ -17,6 +17,7 @@ from doctrinelab.doctrine import Doctrine, validate_doctrine
 from doctrinelab.fincat import ConcreteBuilder, Presentation
 from doctrinelab.poset import _monotone_maps
 from doctrinelab.recheck import recheck
+from doctrinelab.verdicts import Verdict
 
 WINDOW = ("E", "U")
 SPACES = tuple(catalog.SIERPINSKI_SPACES)  # E, U and S; S is in the pool only
@@ -86,6 +87,23 @@ def test_the_checkers_disagree_and_it_rechecks(defect):
         v = reports[tid].conclusion
         assert v.counterexample["kind"] == kind
         assert recheck(d, v), tid
+
+
+# Each status guard alone rejects a payload: the last one names tripos on
+# both sides with its true status, so only the disagreement check can fail.
+@pytest.mark.parametrize("tamper, rechecks", [
+    ({}, True),
+    ({"left_status": "refuted"}, False),
+    ({"right_status": "holds"}, False),
+    ({"left": "tripos", "left_status": "refuted"}, False),
+])
+def test_a_tampered_biconditional_does_not_recheck(defect, tamper, rechecks):
+    d, reports = defect
+    payload = reports["caratterino"].conclusion.counterexample
+    assert [payload[k] for k in ("left", "left_status", "right",
+                                 "right_status")] == [
+        "implicational", "holds", "tripos", "refuted"]
+    assert recheck(d, Verdict.refuted(**{**payload, **tamper})) is rechecks
 
 
 def test_sinistra_refutes_on_the_dual(defect):

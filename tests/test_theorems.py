@@ -1,6 +1,6 @@
 import pytest
 
-from doctrinelab import logic, theorems
+from doctrinelab import catalog, logic, theorems
 from doctrinelab.recheck import recheck
 
 from test_doctrine import _fault_injected, _one_cell
@@ -12,6 +12,53 @@ def test_registry_is_complete():
         "negation_iii", "zero", "bc_lemma", "nonne0", "nonne1", "sinistra",
         "checazzo2", "eaco_existential", "baggins", "frodo", "finite_joins",
         "caratterino", "prop1_equiv"]
+
+
+# The registry's conclusions that are a classification flag or a theorem
+# clause, by that name; every other conclusion is its own function.
+NAMED_CONCLUSIONS = {
+    "bingo": "derived_assignment_passes", "bingo_converse": "full_comp",
+    "negation_i": "cocomprehension", "negation_ii": "restricted_sigma_cocomp",
+    "nonne0": "sigma", "nonne1": "existential",
+    "eaco_existential": "existential", "baggins": "restricted_sigma_cocomp",
+    "frodo": "pi", "finite_joins": "finite_joins"}
+
+
+def test_registry_names_resolve_to_the_flags_and_clauses():
+    flags = dict(theorems.CLASSIFY_FLAGS)
+    table = {**flags, **theorems._CLAUSES}
+    assert len(flags) == 27 and len(table) == 27 + 8
+    for tid, entry in theorems.REGISTRY.items():
+        entry_id, title, hypotheses, conclude = entry
+        assert entry_id == tid and title
+        for name, fn in hypotheses:
+            assert fn is table[name], (tid, name)
+        if tid in NAMED_CONCLUSIONS:
+            assert conclude is table[NAMED_CONCLUSIONS[tid]], tid
+        else:
+            assert all(conclude is not fn for fn in table.values()), tid
+
+
+def test_no_clause_shadows_a_flag_or_an_alias():
+    # flag_check reads the flags only: a clause there would answer a filter
+    names = set(dict(theorems.CLASSIFY_FLAGS)) | set(theorems._FLAG_ALIASES)
+    assert names.isdisjoint(theorems._CLAUSES)
+    for clause in theorems._CLAUSES:
+        with pytest.raises(KeyError, match="unknown classification flag"):
+            theorems.parse_filter(clause)
+
+
+@pytest.mark.parametrize("cid", list(catalog.CATALOG))
+def test_each_filter_alias_evaluates_as_its_flag(cid):
+    d = catalog.instance(cid)
+    for alias, flag in (("comp", "comprehension"),
+                        ("cocomp", "cocomprehension"),
+                        ("full_comprehension", "full_comp"),
+                        ("full_cocomprehension", "full_cocomp")):
+        expr = theorems.parse_filter(alias)
+        assert expr.kind == "flag" and expr.name == alias
+        assert theorems.flag_check(alias) is theorems.flag_check(flag)
+        assert expr.evaluate(d) == bool(theorems.flag_check(flag)(d))
 
 
 def test_unknown_theorem_id(triv):

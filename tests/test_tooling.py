@@ -107,7 +107,7 @@ def test_the_tracer_reaches_the_theorem_registry():
 
     def checks(registry):
         return [fn for entry in registry.values()
-                for fn in (*(fn for _, fn in entry[2]), entry[4])]
+                for fn in (*(fn for _, fn in entry[2]), entry[3])]
 
     def exported(fn) -> bool:
         mod = sys.modules[fn.__module__]
@@ -136,6 +136,18 @@ def test_readme_catalog_table_lists_the_catalog_in_order():
     table = text.split("## Catalog instances\n\n", 1)[1].split("\n\n", 1)[0]
     ids = re.findall(r"^\| `([^`]+)` \|", table, re.M)
     assert ids == list(catalog.CATALOG)
+
+
+def test_readme_registry_table_lists_each_theorem_with_its_hypotheses():
+    # --json sorts the hypothesis keys; this table keeps the order they
+    # are checked in, which names the first one that fails
+    theorems = importlib.import_module("doctrinelab.theorems")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Theorem registry\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", table, re.M)
+    assert [(tid, re.findall(r"`([^`]+)`", cell)) for tid, cell in rows] == [
+        (tid, [name for name, _ in entry[2]])
+        for tid, entry in theorems.REGISTRY.items()]
 
 
 def _memo_uses(source: str) -> list[tuple[int, str]]:
